@@ -7,10 +7,11 @@
 //! why this battery lives in its own integration-test crate), so any
 //! allocation sneaking into the parse or access paths fails the assertion
 //! rather than silently eroding the mmap-ready property the format exists
-//! for.
+//! for. The count is per thread: the harness runs tests concurrently, and
+//! another test building its fixture must not be charged to the parse.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ftspan_core::algorithms::core_algorithms;
 use ftspan_core::api::Registry;
@@ -19,26 +20,36 @@ use ftspan_graph::generate;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Forwards to the system allocator while counting every allocation call.
+/// Forwards to the system allocator while counting every allocation call
+/// made on the current thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System`; the counter is a relaxed atomic
+fn count_allocation() {
+    // After the thread's locals are torn down there is nothing to count.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System`; the counter is a thread-local cell
 // with no further invariants.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -50,11 +61,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on this
+/// thread.
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let value = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     (value, after - before)
 }
 

@@ -353,7 +353,7 @@ impl CsrSubgraph {
         dead: Option<&[bool]>,
         dead_edges: Option<&[bool]>,
     ) -> Result<Vec<f64>> {
-        Ok(self.run_dijkstra(source, dead, dead_edges, None)?.0)
+        Ok(self.sssp_with_parents(source, dead, dead_edges)?.0)
     }
 
     /// Like [`CsrSubgraph::sssp`], but also returns the predecessor of every
@@ -369,35 +369,8 @@ impl CsrSubgraph {
         dead: Option<&[bool]>,
         dead_edges: Option<&[bool]>,
     ) -> Result<(Vec<f64>, Vec<Option<NodeId>>)> {
-        let (dist, parents) = self.run_dijkstra(source, dead, dead_edges, None)?;
-        Ok((dist, parents))
-    }
-
-    /// Like [`CsrSubgraph::sssp`], but stops expanding once the tentative
-    /// distance exceeds `cutoff` (vertices beyond it report `INFINITY`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CsrSubgraph::sssp`].
-    pub fn sssp_bounded(
-        &self,
-        source: NodeId,
-        dead: Option<&[bool]>,
-        dead_edges: Option<&[bool]>,
-        cutoff: f64,
-    ) -> Result<Vec<f64>> {
-        Ok(self.run_dijkstra(source, dead, dead_edges, Some(cutoff))?.0)
-    }
-
-    fn run_dijkstra(
-        &self,
-        source: NodeId,
-        dead: Option<&[bool]>,
-        dead_edges: Option<&[bool]>,
-        cutoff: Option<f64>,
-    ) -> Result<(Vec<f64>, Vec<Option<NodeId>>)> {
         let mut workspace = SsspWorkspace::new();
-        self.sssp_into(source, dead, dead_edges, cutoff, &mut workspace)?;
+        self.sssp_into(source, dead, dead_edges, None, &mut workspace)?;
         let SsspWorkspace { dist, parent, .. } = workspace;
         Ok((dist, parent))
     }
@@ -947,8 +920,12 @@ mod tests {
     fn csr_cutoff_prunes() {
         let g = generate::path(6);
         let csr = CsrSubgraph::from_graph(&g);
-        let d = csr.sssp_bounded(NodeId::new(0), None, None, 2.5).unwrap();
+        let mut ws = SsspWorkspace::new();
+        csr.sssp_into(NodeId::new(0), None, None, Some(2.5), &mut ws)
+            .unwrap();
+        let d = ws.distances();
         assert_eq!(d[2], 2.0);
+        assert!(d[3].is_infinite());
         assert!(d[4].is_infinite());
     }
 

@@ -1,8 +1,9 @@
 //! The greedy spanner of Althöfer, Das, Dobkin, Joseph and Soares.
 
-use crate::SpannerAlgorithm;
-use ftspan_graph::{csr::CsrSubgraph, EdgeSet, Graph};
+use crate::{HeapEntry, SpannerAlgorithm};
+use ftspan_graph::{EdgeSet, Graph, NodeId};
 use rand::RngCore;
+use std::collections::BinaryHeap;
 
 /// The greedy `k`-spanner construction (Althöfer et al., Discrete Comput.
 /// Geom. 1993).
@@ -16,6 +17,31 @@ use rand::RngCore;
 /// `k` the size is `O(n^{1 + 2/(k+1)})`, the bound used by Corollary 2.2 of
 /// the paper. The construction is deterministic and works with arbitrary
 /// non-negative edge lengths.
+///
+/// # The distance check
+///
+/// Each check is a Dijkstra from `u` over an adjacency list holding only the
+/// edges accepted so far, with one distance array (reset through the list of
+/// vertices it touched) and one heap reused across checks. It drops every
+/// relaxation above `k · w` and answers "covered" the moment a relaxation
+/// reaches `v` within `k · w`. The decisions are exactly those of the
+/// definition (a full Dijkstra from `u` over the spanner so far):
+///
+/// * Adding a non-negative weight to a float is monotone in the sum and never
+///   decreases it, so any Dijkstra from `u` computes, for every vertex, the
+///   minimum over paths of the path's weights folded left to right from `u`.
+/// * A dropped relaxation starts a path whose fold already exceeds `k · w`;
+///   extending it can never bring the fold back down, so pruning loses no
+///   path that could cover the edge.
+/// * The relaxation that reaches `v` within `k · w` is the fold of an actual
+///   path, so the minimum is within `k · w` too and stopping there is safe.
+///
+/// Two things must not change, because both can flip a decision that sits
+/// exactly at `k · w`. The order is a stable sort by `partial_cmp` on the
+/// weight, ties in edge-id order (`total_cmp` would put `-0.0` before
+/// `0.0`). The search folds sums outward from `u`: a search from `v`, or a
+/// bidirectional one, adds the same path's weights in another order and can
+/// round differently.
 ///
 /// # Example
 ///
@@ -64,23 +90,50 @@ impl SpannerAlgorithm for GreedySpanner {
         let mut order: Vec<_> = graph.edges().map(|(id, e)| (e.weight, id)).collect();
         order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
-        // The partial spanner is the input's CSR with a dead-edge mask that
-        // starts all-dead and comes alive edge by edge: bounded Dijkstra then
-        // streams packed arrays instead of walking a growing adjacency graph.
-        let csr = CsrSubgraph::from_graph(graph);
-        let mut not_selected = vec![true; graph.edge_count()];
+        let n = graph.node_count();
+        let mut accepted: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+        let mut dist = vec![f64::INFINITY; n];
+        let mut touched = Vec::new();
+        let mut heap = BinaryHeap::new();
         let mut spanner = graph.empty_edge_set();
         for (w, id) in order {
             let e = graph.edge(id);
             let budget = self.stretch * w;
-            // Bounded-radius Dijkstra inside the partial spanner: if u already
-            // reaches v within k·w we can skip the edge.
-            let dist = csr
-                .sssp_bounded(e.u, None, Some(&not_selected), budget)
-                .expect("the CSR view shares the graph's vertex and edge ids");
-            if dist[e.v.index()] > budget {
+            dist[e.u.index()] = 0.0;
+            touched.push(e.u);
+            heap.push(HeapEntry {
+                dist: 0.0,
+                node: e.u,
+            });
+            let mut covered = false;
+            'search: while let Some(HeapEntry { dist: d, node: x }) = heap.pop() {
+                if d > dist[x.index()] {
+                    continue;
+                }
+                for &(y, wy) in &accepted[x.index()] {
+                    let nd = d + wy;
+                    if nd > budget || nd >= dist[y.index()] {
+                        continue;
+                    }
+                    if y == e.v {
+                        covered = true;
+                        break 'search;
+                    }
+                    if dist[y.index()] == f64::INFINITY {
+                        touched.push(y);
+                    }
+                    dist[y.index()] = nd;
+                    heap.push(HeapEntry { dist: nd, node: y });
+                }
+            }
+            heap.clear();
+            for x in touched.drain(..) {
+                dist[x.index()] = f64::INFINITY;
+            }
+            if !covered {
                 spanner.insert(id);
-                not_selected[id.index()] = false;
+                accepted[e.u.index()].push((e.v, w));
+                accepted[e.v.index()].push((e.u, w));
             }
         }
         spanner
@@ -184,6 +237,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn path_sums_fold_outward_from_the_lower_endpoint() {
+        // The path 0-1-2-3 covers edge (0, 3) of weight 0.6 at stretch 1
+        // exactly when its weights, summed from vertex 0, stay within 0.6.
+        // (0.1 + 0.2) + 0.3 rounds to 0.6000000000000001, so the edge is
+        // kept; folded from vertex 3, (0.3 + 0.2) + 0.1 is exactly 0.6 and it
+        // would be dropped.
+        let kept = |a: f64, c: f64| {
+            let g = Graph::from_edges(4, [(0, 1, a), (1, 2, 0.2), (2, 3, c), (0, 3, 0.6)]).unwrap();
+            GreedySpanner::new(1.0).build(&g, &mut rng()).len()
+        };
+        assert_eq!(kept(0.1, 0.3), 4);
+        assert_eq!(kept(0.3, 0.1), 3);
     }
 
     #[test]

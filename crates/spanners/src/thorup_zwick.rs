@@ -9,10 +9,9 @@
 //! experiments run both the baseline and the paper's conversion on the same
 //! underlying construction.
 
-use crate::SpannerAlgorithm;
+use crate::{HeapEntry, SpannerAlgorithm};
 use ftspan_graph::{EdgeId, EdgeSet, Graph, NodeId};
 use rand::{Rng, RngCore};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// The Thorup–Zwick `(2k − 1)`-spanner construction.
@@ -63,32 +62,6 @@ impl ThorupZwickSpanner {
     /// The hierarchy depth `k`.
     pub fn k(&self) -> usize {
         self.k
-    }
-}
-
-/// Max-heap entry ordered by ascending distance (same trick as the
-/// shortest-path module: reverse the comparison).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 

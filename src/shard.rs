@@ -17,7 +17,7 @@
 //! and every edge of `G` is either inside some `G[V_i]` — where `H_i`
 //! provides the detour — or a cut edge kept verbatim in `H`.
 //!
-//! # Why the overlay is exact
+//! # Why the overlay is exact, and where rounding enters
 //!
 //! A query `d_{H\F}(u, v)` never materializes `H`. Instead each
 //! [`ShardedSession`] runs Dijkstra over a small *overlay* graph whose nodes
@@ -33,10 +33,21 @@
 //! joined by cut edges; each segment connects two overlay nodes of one part
 //! and is no shorter than the corresponding clique edge. Conversely every
 //! overlay edge is realized by an actual surviving path, so the overlay
-//! distance equals `d_{H\F}(u, v)` — not an approximation of it. Baseline
-//! distances `d_{G\F}` compose identically over the shard *source* graphs
-//! (the induced subgraphs plus the cut edges are exactly `G`), which is what
-//! [`ShardedSession::stretch_certificate`] reports against.
+//! distance is the length of a shortest `u`–`v` path in `H \ F` — not an
+//! approximation of it. Baseline distances `d_{G\F}` compose identically
+//! over the shard *source* graphs (the induced subgraphs plus the cut edges
+//! are exactly `G`), which is what [`ShardedSession::stretch_certificate`]
+//! reports against.
+//!
+//! That argument is over real numbers. In floating point the overlay sums a
+//! path's weights per shard segment and then across segments, while a flat
+//! Dijkstra over `H` folds them edge by edge from `u`, so the two may differ
+//! in the last bits. What the tests pin: on unit weights every finite
+//! distance is a small integer and the answers are bit-identical to the
+//! union artifact (`tests/sharded.rs`); on the weighted planar-mesh and
+//! hyperbolic families they agree within 1e-12 relative error, with
+//! identical typed errors (`tests/adversarial.rs`). Sharded answers are
+//! bit-identical to themselves at every worker count.
 //!
 //! Per-shard Dijkstra rows are served by [`CachedSession`]s, so the
 //! "boundary distance matrix" is computed lazily and reused across queries
@@ -82,10 +93,11 @@ struct IndexedCut {
 /// Built by [`ShardedArtifact::build`] (partition → per-shard construction
 /// through the registry → overlay assembly) or reassembled from persisted
 /// parts with [`ShardedArtifact::from_parts`]. Queries go through
-/// [`ShardedSession`]s, which answer **exactly** what a single-artifact
-/// session over the union spanner would answer (see the module docs for the
-/// argument), while only ever running Dijkstra inside individual shards and
-/// over the boundary overlay.
+/// [`ShardedSession`]s, which answer what a single-artifact session over the
+/// union spanner would answer — bit for bit on unit weights, within float
+/// summation order on weighted graphs (see the module docs for the argument
+/// and the tests that pin each) — while only ever running Dijkstra inside
+/// individual shards and over the boundary overlay.
 #[derive(Debug, Clone)]
 pub struct ShardedArtifact {
     /// Per-part artifacts over shard-local vertex ids (`0..members[p].len()`).

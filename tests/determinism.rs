@@ -7,7 +7,8 @@
 //! every diagnostic — is the same at `threads = 1`, `2` and `8`. This suite
 //! pins that promise for **every** registry algorithm (centralized and
 //! distributed, undirected and directed, vertex- and edge-fault), plus the
-//! repeated-run reproducibility of a single configuration.
+//! repeated-run reproducibility of a single configuration and the pinned
+//! edge digests of the greedy-backed constructions.
 
 use fault_tolerant_spanners::prelude::*;
 use rand::SeedableRng;
@@ -114,6 +115,83 @@ fn non_default_black_boxes_follow_the_same_discipline() {
                 reference,
                 build(threads),
                 "black box {black_box}: threads = {threads} changed the report"
+            );
+        }
+    }
+}
+
+/// FNV-1a over the spanner's edges as `(u, v)` endpoint pairs in edge-id
+/// order, little-endian `u64`s — the digest the repo benchmark pins.
+fn edge_digest(artifact: &FtSpanner) -> u64 {
+    let graph = artifact.source_graph();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for e in artifact.spanner_edges().iter() {
+        let edge = graph.edge(e);
+        let (u, v) = (edge.u.index() as u64, edge.v.index() as u64);
+        for b in u.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn greedy_backed_constructions_reproduce_pinned_digests() {
+    // Every greedy-backed registry algorithm on a seeded G(200, 3000) with
+    // uniform weights: any change to the greedy black box's decisions (or
+    // to the conversions around it) moves these digests.
+    let pinned: [(&str, [u64; 3]); 3] = [
+        (
+            "corollary-2.2",
+            [
+                0x56d9_226d_1384_c61e,
+                0x4008_f712_1ade_0fba,
+                0xc514_a1db_824a_ce89,
+            ],
+        ),
+        (
+            "edge-fault",
+            [
+                0x5ee2_12ea_9d45_6df2,
+                0x571f_fb8f_fdde_9bf1,
+                0xd849_81da_3324_d82c,
+            ],
+        ),
+        (
+            "adaptive",
+            [
+                0x46a8_d7e5_b4ee_95cb,
+                0x226c_a001_396e_3b36,
+                0x6df1_55dd_9baa_b5a8,
+            ],
+        ),
+    ];
+    for (algorithm, digests) in pinned {
+        for (seed, expected) in (1u64..=3).zip(digests) {
+            let spec = GeneratorSpec::Gnm {
+                nodes: 200,
+                edges: 3000,
+                weights: generate::WeightKind::Uniform {
+                    min: 1.0,
+                    max: 10.0,
+                },
+                seed,
+            };
+            let mut builder = FtSpannerBuilder::new(algorithm)
+                .faults(1)
+                .stretch(3.0)
+                .seed(seed);
+            // Sampled verification keeps the adaptive stopping rule cheap (the
+            // default checks all 201 fault sets after every batch).
+            if algorithm == "adaptive" {
+                builder = builder.samples(8);
+            }
+            let artifact = builder.artifact_on_graph(spec).unwrap();
+            let digest = edge_digest(&artifact);
+            assert_eq!(
+                digest, expected,
+                "`{algorithm}` seed {seed}: edge digest {digest:#018x} moved from the pinned {expected:#018x}"
             );
         }
     }
