@@ -2008,8 +2008,24 @@ impl<'a> CachedSession<'a> {
     ///
     /// Returns [`CoreError::UnknownNode`] if `u` is out of bounds.
     pub fn distances_from(&mut self, u: NodeId) -> Result<Vec<f64>> {
+        Ok(self.distance_row(u, false)?.to_vec())
+    }
+
+    /// Borrows the cached row of distances from `u`: the surviving spanner
+    /// distances, or with `baseline` the source-graph ones. The same values
+    /// as [`CachedSession::distances_from`] /
+    /// [`CachedSession::baseline_distances_from`], without the copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownNode`] if `u` is out of bounds.
+    pub fn distance_row(&mut self, u: NodeId, baseline: bool) -> Result<&[f64]> {
         let slot = self.ensure_tree(u)?;
-        Ok(self.trees[slot].dist.clone())
+        if baseline {
+            self.ensure_baseline(slot)?;
+            return Ok(self.trees[slot].baseline.as_deref().expect("just ensured"));
+        }
+        Ok(&self.trees[slot].dist)
     }
 
     /// All baseline (source-graph) distances from `u` (identical to
@@ -2020,9 +2036,7 @@ impl<'a> CachedSession<'a> {
     ///
     /// Returns [`CoreError::UnknownNode`] if `u` is out of bounds.
     pub fn baseline_distances_from(&mut self, u: NodeId) -> Result<Vec<f64>> {
-        let slot = self.ensure_tree(u)?;
-        self.ensure_baseline(slot)?;
-        Ok(self.trees[slot].baseline.clone().expect("just ensured"))
+        Ok(self.distance_row(u, true)?.to_vec())
     }
 
     /// A shortest surviving spanner path from `u` to `v` (identical to

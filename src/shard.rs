@@ -49,9 +49,29 @@
 //! identical typed errors (`tests/adversarial.rs`). Sharded answers are
 //! bit-identical to themselves at every worker count.
 //!
-//! Per-shard Dijkstra rows are served by [`CachedSession`]s, so the
-//! "boundary distance matrix" is computed lazily and reused across queries
-//! in a batch — there is no eager all-pairs phase.
+//! # Where the shard rows come from
+//!
+//! The "boundary distance matrix" is never computed eagerly; each row is
+//! one Dijkstra run inside one shard, made the first time the overlay pops
+//! that node. The rows live in two tiers:
+//!
+//! * **Artifact-wide fault-free rows.** A fault set `F` with `|F| ≤ r`
+//!   touches only the shards holding a faulted vertex or a faulted
+//!   intra-shard edge (a cut-edge fault touches none). Every other shard
+//!   answers with `H_i \ F = H_i`, the same for every query. So the rows of
+//!   the boundary vertices of such a *clean* shard are kept on the
+//!   [`ShardedArtifact`] itself, filled on first use and shared by every
+//!   later session on every thread. Each is the Dijkstra run of a fault-free
+//!   shard session — the very computation a clean shard's per-session cache
+//!   would make — so answers are bit-identical whichever tier serves a row.
+//! * **Per-session rows.** Faulted shards, and the rows of query endpoints
+//!   that are not boundary vertices, go through the session's per-shard
+//!   [`CachedSession`]s, as do all path expansions.
+//!
+//! The shared table stores distances only, one spanner and one baseline row
+//! per boundary vertex, so it never holds more than
+//! `2 · Σ_p |B_p| · |V_p|` floats (`B_p` the boundary vertices of part `p`);
+//! [`ShardedArtifact::shared_row_bytes`] reports what it holds now.
 
 use ftspan_core::serve::{CacheStats, CachedSession, FtSpanner};
 use ftspan_core::{CoreError, FaultModel, Result, StretchCertificate};
@@ -59,6 +79,8 @@ use ftspan_graph::partition::{partition, PartitionConfig};
 use ftspan_graph::{Graph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
+use std::sync::OnceLock;
 
 use crate::FtSpannerBuilder;
 
@@ -88,6 +110,37 @@ struct IndexedCut {
     v_rank: u32,
 }
 
+/// The artifact-wide table of fault-free shard rows: entry
+/// `2 · rank + baseline` holds the distances, over the local ids of its
+/// part, from boundary vertex `boundary[rank]` in that part's spanner (or,
+/// with `baseline`, its source graph). Filled lazily, never evicted.
+#[derive(Clone)]
+struct SharedRows(Box<[OnceLock<Box<[f64]>>]>);
+
+impl SharedRows {
+    fn new(boundary: usize) -> Self {
+        Self((0..2 * boundary).map(|_| OnceLock::new()).collect())
+    }
+
+    fn filled(&self) -> impl Iterator<Item = &[f64]> {
+        self.0
+            .iter()
+            .filter_map(|cell| cell.get().map(|row| &row[..]))
+    }
+}
+
+/// Prints the fill level, not the (up to megabytes of) row contents.
+impl fmt::Debug for SharedRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "SharedRows {{ filled: {}, total: {} }}",
+            self.filled().count(),
+            self.0.len()
+        )
+    }
+}
+
 /// A fault-tolerant spanner artifact split across shards.
 ///
 /// Built by [`ShardedArtifact::build`] (partition → per-shard construction
@@ -114,6 +167,8 @@ pub struct ShardedArtifact {
     boundary: Vec<NodeId>,
     /// Boundary rank → indices into `cuts` incident to that vertex.
     cut_adj: Vec<Vec<u32>>,
+    /// Fault-free boundary rows, shared by every session.
+    rows: SharedRows,
     fault_model: FaultModel,
     faults: usize,
     stretch: f64,
@@ -311,6 +366,7 @@ impl ShardedArtifact {
             local_of,
             members,
             cuts,
+            rows: SharedRows::new(boundary.len()),
             boundary,
             cut_adj,
             fault_model,
@@ -409,6 +465,34 @@ impl ShardedArtifact {
             .map(FtSpanner::source_edge_count)
             .sum::<usize>()
             + self.cuts.len()
+    }
+
+    /// Bytes held by the fault-free shard rows filled so far (see the
+    /// module docs: at most `2 · Σ_p |B_p| · |V_p|` floats, and `0` until
+    /// the first query).
+    pub fn shared_row_bytes(&self) -> usize {
+        self.rows.filled().map(std::mem::size_of_val).sum()
+    }
+
+    /// The fault-free row of boundary vertex `boundary[rank]` within its
+    /// shard (spanner distances, or with `baseline` source-graph ones),
+    /// computed on first use.
+    fn shared_row(&self, rank: usize, baseline: bool) -> Result<&[f64]> {
+        let cell = &self.rows.0[2 * rank + usize::from(baseline)];
+        if let Some(row) = cell.get() {
+            return Ok(row);
+        }
+        let x = self.boundary[rank];
+        let session = self.shards[self.part_of[x.index()] as usize].session();
+        let local = NodeId::new(self.local_of[x.index()] as usize);
+        let row = if baseline {
+            session.baseline_distances_from(local)?
+        } else {
+            session.distances_from(local)?
+        };
+        // A racing thread may have filled the cell meanwhile; its row is the
+        // same, so whichever landed first is kept.
+        Ok(cell.get_or_init(|| row.into_boxed_slice()))
     }
 
     /// Reassembles the union spanner `H = ∪ H_i ∪ C` as a single artifact
@@ -532,6 +616,7 @@ impl ShardedArtifact {
         Ok(ShardedSession {
             artifact: self,
             shards: sessions,
+            clean: local.iter().map(Vec::is_empty).collect(),
             dead: if distinct == 0 { Vec::new() } else { dead },
             dead_cut: Vec::new(),
             fault_count: distinct,
@@ -649,6 +734,10 @@ impl ShardedArtifact {
         Ok(ShardedSession {
             artifact: self,
             shards: sessions,
+            clean: dead_local
+                .iter()
+                .map(|mask| !mask.contains(&true))
+                .collect(),
             dead: Vec::new(),
             dead_cut: if any_cut { dead_cut } else { Vec::new() },
             fault_count: distinct,
@@ -701,12 +790,22 @@ impl PartialOrd for HeapEntry {
 /// `distance` / `path` / `stretch_certificate` with the same edge-case
 /// semantics (`INFINITY` / `None` for dead or disconnected endpoints,
 /// vacuous stretch `1.0`) — but routes every query through the boundary
-/// overlay described in the module docs. Methods take `&mut self` because
-/// shard Dijkstra rows are memoized in per-shard [`CachedSession`]s.
+/// overlay described in the module docs.
+///
+/// The session records which shards its fault set leaves *clean* (no
+/// faulted vertex, no faulted intra-shard edge). Boundary rows of clean
+/// shards are read from the artifact-wide table, shared with every other
+/// session; rows of faulted shards and of non-boundary endpoints, and every
+/// path expansion, are memoized in per-shard [`CachedSession`]s, which is
+/// why methods take `&mut self`. Both tiers run the same Dijkstra over the
+/// same surviving shard, so answers do not depend on which one served a
+/// row, nor on what earlier sessions asked.
 #[derive(Debug)]
 pub struct ShardedSession<'a> {
     artifact: &'a ShardedArtifact,
     shards: Vec<CachedSession<'a>>,
+    /// Per shard: no fault touches it, so its boundary rows are shared.
+    clean: Vec<bool>,
     /// Global dead-vertex mask; empty when no vertex faults.
     dead: Vec<bool>,
     /// Dead cut-edge mask; empty when no cut edge is faulted.
@@ -726,7 +825,8 @@ impl<'a> ShardedSession<'a> {
         self.fault_count
     }
 
-    /// Aggregated per-shard source-cache counters.
+    /// Aggregated per-shard source-cache counters (rows read from the
+    /// artifact-wide fault-free table are not counted).
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats { hits: 0, misses: 0 };
         for s in &self.shards {
@@ -886,11 +986,11 @@ impl<'a> ShardedSession<'a> {
             }
             let x = nodes[i];
             let p = art.part_of[x.index()] as usize;
-            let lx = NodeId::new(art.local_of[x.index()] as usize);
-            let row = if baseline {
-                self.shards[p].baseline_distances_from(lx)?
+            let row = if i < b && self.clean[p] {
+                art.shared_row(i, baseline)?
             } else {
-                self.shards[p].distances_from(lx)?
+                let lx = NodeId::new(art.local_of[x.index()] as usize);
+                self.shards[p].distance_row(lx, baseline)?
             };
             for &j32 in &part_nodes[p] {
                 let j = j32 as usize;
@@ -1225,6 +1325,53 @@ mod tests {
         let mut neg = cuts.clone();
         neg[0].weight = -1.0;
         assert!(ShardedArtifact::from_parts(shards, assignment, neg).is_err());
+    }
+
+    #[test]
+    fn shared_row_bytes_count_exactly_the_filled_rows() {
+        let (_, sharded) = build_sharded(30, 0.2, 3, 29);
+        assert_eq!(sharded.shared_row_bytes(), 0, "nothing is filled at load");
+        let len = |rank: usize| {
+            let x = sharded.boundary_vertices()[rank];
+            sharded.shard_members(sharded.part_of(x)).len()
+        };
+        sharded.shared_row(0, false).expect("row");
+        sharded.shared_row(0, true).expect("row");
+        sharded.shared_row(1, false).expect("row");
+        sharded.shared_row(1, false).expect("row");
+        let filled = 2 * len(0) + len(1);
+        assert_eq!(sharded.shared_row_bytes(), filled * 8);
+        assert_eq!(
+            format!("{:?}", sharded.rows),
+            format!(
+                "SharedRows {{ filled: 3, total: {} }}",
+                2 * sharded.boundary_vertices().len()
+            )
+        );
+    }
+
+    #[test]
+    fn faulted_shards_leave_the_shared_rows_alone() {
+        let (g, sharded) = build_sharded(30, 0.2, 3, 31);
+        let fault = sharded.boundary_vertices()[0];
+        let faulted = sharded.part_of(fault);
+        let mut session = sharded.under_faults(&[fault]).expect("opens");
+        for u in 0..g.node_count() {
+            for v in 0..g.node_count() {
+                session
+                    .stretch_certificate(NodeId::new(u), NodeId::new(v))
+                    .expect("certificate");
+            }
+        }
+        assert!(sharded.shared_row_bytes() > 0, "clean shards share rows");
+        for (rank, &x) in sharded.boundary_vertices().iter().enumerate() {
+            let filled = sharded.rows.0[2 * rank].get().is_some();
+            assert_eq!(
+                filled,
+                sharded.part_of(x) != faulted,
+                "boundary vertex {x:?}: only clean shards fill shared rows"
+            );
+        }
     }
 
     #[test]

@@ -120,18 +120,25 @@ fn non_default_black_boxes_follow_the_same_discipline() {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one little-endian `u64` into an FNV-1a hash.
+fn fnv_word(hash: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
 /// FNV-1a over the spanner's edges as `(u, v)` endpoint pairs in edge-id
 /// order, little-endian `u64`s — the digest the repo benchmark pins.
 fn edge_digest(artifact: &FtSpanner) -> u64 {
     let graph = artifact.source_graph();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for e in artifact.spanner_edges().iter() {
         let edge = graph.edge(e);
-        let (u, v) = (edge.u.index() as u64, edge.v.index() as u64);
-        for b in u.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        fnv_word(&mut hash, edge.u.index() as u64);
+        fnv_word(&mut hash, edge.v.index() as u64);
     }
     hash
 }
@@ -211,4 +218,62 @@ fn repeated_runs_with_one_seed_reproduce() {
     let a = canonical(builder.build(&g).unwrap());
     let b = canonical(builder.build(&g).unwrap());
     assert_eq!(a, b);
+}
+
+/// Folds an optional vertex path into an FNV-1a hash: its length (or
+/// `u64::MAX` for `None`), then every vertex id.
+fn fnv_path(hash: &mut u64, path: &Option<Vec<NodeId>>) {
+    match path {
+        None => fnv_word(hash, u64::MAX),
+        Some(p) => {
+            fnv_word(hash, p.len() as u64);
+            for x in p {
+                fnv_word(hash, x.index() as u64);
+            }
+        }
+    }
+}
+
+#[test]
+fn sharded_answers_reproduce_a_pinned_digest() {
+    // A weighted planar mesh cut into 3 shards: FNV-1a over the bits of every
+    // distance, path and certificate answer, fault-free and under single
+    // vertex faults. Any change to the overlay's sums, its tie-breaks or the
+    // rows it reads moves this digest.
+    let g = GeneratorSpec::PlanarMesh {
+        rows: 7,
+        cols: 8,
+        diagonal_p: 0.4,
+        jitter: 0.25,
+        seed: 2026,
+    }
+    .generate()
+    .unwrap();
+    let builder = FtSpannerBuilder::new("conversion").faults(1).seed(81);
+    let config = partition::PartitionConfig::new(3).with_seed(81);
+    let sharded = ShardedArtifact::build(&g, &builder, &config).unwrap();
+    let n = g.node_count();
+    let mut hash = FNV_OFFSET;
+    for scope in [vec![], vec![9], vec![22], vec![30], vec![41], vec![50]] {
+        let faults: Vec<NodeId> = scope.into_iter().map(NodeId::new).collect();
+        let mut session = sharded.under_faults(&faults).unwrap();
+        for u in (0..n).step_by(3) {
+            for v in (1..n).step_by(5) {
+                let (u, v) = (NodeId::new(u), NodeId::new(v));
+                fnv_word(&mut hash, session.distance(u, v).unwrap().to_bits());
+                fnv_path(&mut hash, &session.path(u, v).unwrap());
+                let cert = session.stretch_certificate(u, v).unwrap();
+                assert!(cert.holds());
+                for x in [cert.spanner_distance, cert.baseline_distance, cert.stretch] {
+                    fnv_word(&mut hash, x.to_bits());
+                }
+                fnv_path(&mut hash, &cert.path);
+            }
+        }
+    }
+    let expected = 0x8a6e_79c8_6608_3828u64;
+    assert_eq!(
+        hash, expected,
+        "sharded answer digest {hash:#018x} moved from the pinned {expected:#018x}"
+    );
 }

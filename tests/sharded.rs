@@ -295,3 +295,243 @@ fn edge_fault_sharded_engine_matches_union_reference() {
     let (got, want) = run_differential(&sharded, &union, &queries);
     assert_differential(&g, &union, &queries, &got, &want);
 }
+
+/// Answers each query through a fresh session on `artifact`, the way a
+/// server answers a one-query request.
+fn serve(artifact: &ShardedArtifact, queries: &[Query]) -> BatchResults {
+    queries
+        .iter()
+        .map(|q| {
+            let mut session = if artifact.fault_model() == FaultModel::Edge {
+                artifact.under_edge_faults(&q.edge_faults)?
+            } else {
+                artifact.under_faults(&q.faults)?
+            };
+            Ok(match q.kind {
+                QueryKind::Distance => QueryOutcome::Distance(session.distance(q.u, q.v)?),
+                QueryKind::Path => QueryOutcome::Path(session.path(q.u, q.v)?),
+                QueryKind::Certificate => {
+                    QueryOutcome::Certificate(session.stretch_certificate(q.u, q.v)?)
+                }
+            })
+        })
+        .collect()
+}
+
+/// Bit-exact comparison: `{:?}` prints every `f64` with its sign and in
+/// shortest round-trip form, so equal strings mean equal bits.
+fn assert_bit_equal(got: &BatchResults, want: &BatchResults, what: &str) {
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+}
+
+/// Fills the shared fault-free rows of every boundary vertex (spanner and
+/// baseline) with fault-free certificates between boundary vertices.
+fn warm(artifact: &ShardedArtifact) {
+    assert_eq!(artifact.shared_row_bytes(), 0, "a fresh artifact is cold");
+    let boundary = artifact.boundary_vertices();
+    let queries: Vec<Query> = boundary
+        .iter()
+        .zip(boundary.iter().rev())
+        .map(|(&a, &b)| Query::certificate("net", vec![], a, b))
+        .collect();
+    for answer in serve(artifact, &queries) {
+        answer.expect("fault-free queries answer");
+    }
+    assert!(artifact.shared_row_bytes() > 0, "warming fills shared rows");
+}
+
+/// A boundary pair `(a, b)` of one shard, the shard's own shortest `a`–`b`
+/// path in global ids and its length, for every such pair the shard
+/// connects (read from the shard artifacts, so the sharded one stays cold).
+fn internal_boundary_paths(sharded: &ShardedArtifact) -> Vec<(NodeId, NodeId, Vec<NodeId>, f64)> {
+    let boundary = sharded.boundary_vertices();
+    let mut found = Vec::new();
+    for (i, &a) in boundary.iter().enumerate() {
+        for &b in &boundary[i + 1..] {
+            let p = sharded.part_of(a);
+            if sharded.part_of(b) != p {
+                continue;
+            }
+            let members = sharded.shard_members(p);
+            let local = |x: NodeId| NodeId::new(members.binary_search(&x).expect("member"));
+            let session = sharded.shards()[p].session();
+            if let Some(path) = session.path(local(a), local(b)).expect("path") {
+                let length = session.distance(local(a), local(b)).expect("distance");
+                let path = path.iter().map(|l| members[l.index()]).collect();
+                found.push((a, b, path, length));
+            }
+        }
+    }
+    found
+}
+
+/// `(a, b, scope)` where `scope` faults the inside of a shard's own
+/// shortest boundary path `a`–`b` and lengthens `d(a, b)` in the union
+/// spanner: a session that read that shard's fault-free rows would answer
+/// `(a, b)` too short. `faults_of` proposes the scopes for one path.
+fn sharp_fault<S>(
+    sharded: &ShardedArtifact,
+    faulted_distance: impl Fn(&S, NodeId, NodeId) -> f64,
+    faults_of: impl Fn(&[NodeId]) -> Vec<S>,
+) -> (NodeId, NodeId, S) {
+    for (a, b, path, free) in internal_boundary_paths(sharded) {
+        for scope in faults_of(&path) {
+            if faulted_distance(&scope, a, b) > free * (1.0 + 1e-9) {
+                return (a, b, scope);
+            }
+        }
+    }
+    panic!("no shard-internal fault lengthens a boundary distance; pick another seed")
+}
+
+/// The battery: every query kind for the sharp pair under its fault, then
+/// strided pairs under the same fault, then the same pairs fault-free (so a
+/// cold artifact answers faulted queries before any fault-free ones).
+fn sharp_battery(n: usize, a: NodeId, b: NodeId, faulted: impl Fn(Query) -> Query) -> Vec<Query> {
+    let strided = (0..n).step_by(3).flat_map(|u| {
+        (1..n)
+            .step_by(4)
+            .map(move |v| (NodeId::new(u), NodeId::new(v)))
+    });
+    let pairs: Vec<(NodeId, NodeId)> = [(a, b), (a, b), (a, b)]
+        .into_iter()
+        .chain(strided)
+        .collect();
+    let query = |i: usize, (u, v): (NodeId, NodeId)| match i % 3 {
+        0 => Query::distance("net", vec![], u, v),
+        1 => Query::path("net", vec![], u, v),
+        _ => Query::certificate("net", vec![], u, v),
+    };
+    let faulted_queries = pairs.iter().enumerate().map(|(i, &p)| faulted(query(i, p)));
+    let free_queries = pairs.iter().enumerate().map(|(i, &p)| query(i, p));
+    faulted_queries.chain(free_queries).collect()
+}
+
+/// Runs `battery` from two threads over one shared cold artifact, released
+/// together so they race to fill the same rows; each thread's answers must
+/// be bit-equal to `sequential`.
+fn assert_threads_agree(cold: &ShardedArtifact, battery: &[Query], sequential: &BatchResults) {
+    assert_eq!(cold.shared_row_bytes(), 0);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    serve(cold, battery)
+                })
+            })
+            .collect();
+        for handle in handles {
+            let got = handle.join().expect("thread answers");
+            assert_bit_equal(
+                &got,
+                sequential,
+                "a thread diverged from the sequential run",
+            );
+        }
+    });
+}
+
+#[test]
+fn shared_fault_free_rows_never_answer_for_a_faulted_shard() {
+    let mut rng = ChaCha8Rng::seed_from_u64(29);
+    let g = generate::connected_gnp(40, 0.15, generate::WeightKind::Unit, &mut rng);
+    let n = g.node_count();
+
+    // Vertex faults: the fault sits inside a shard's own shortest path
+    // between two of its boundary vertices.
+    let (sharded, union) = differential_pair(&g, 3, 7);
+    let cold = sharded.clone();
+    let (a, b, x) = sharp_fault(
+        &sharded,
+        |&x, a, b| union.under_faults(&[x]).unwrap().distance(a, b).unwrap(),
+        |path| path[1..path.len() - 1].to_vec(),
+    );
+    let battery = sharp_battery(n, a, b, |q| Query {
+        faults: vec![x],
+        ..q
+    });
+    warm(&sharded);
+    let got = serve(&sharded, &battery);
+    let want = Engine::new()
+        .register("net", union.clone())
+        .run_batch_naive(&battery);
+    assert_differential(&g, &union, &battery, &got, &want);
+    assert_threads_agree(&cold, &battery, &got);
+
+    // Edge faults: an intra-shard edge of such a path.
+    let builder = FtSpannerBuilder::new("edge-fault").faults(1).stretch(3.0);
+    let config = partition::PartitionConfig::new(3).with_seed(7);
+    let sharded = ShardedArtifact::build(&g, &builder, &config).expect("sharded build succeeds");
+    let union = sharded.to_union_artifact().expect("union assembles");
+    let cold = sharded.clone();
+    let (a, b, e) = sharp_fault(
+        &sharded,
+        |&e, a, b| {
+            union
+                .under_edge_faults(&[e])
+                .unwrap()
+                .distance(a, b)
+                .unwrap()
+        },
+        |path| path.windows(2).map(|w| (w[0], w[1])).collect(),
+    );
+    let battery = sharp_battery(n, a, b, |q| q.with_edge_faults(vec![e]));
+    warm(&sharded);
+    let got = serve(&sharded, &battery);
+    let want = Engine::new()
+        .register("net", union.clone())
+        .run_batch_naive(&battery);
+    assert_differential(&g, &union, &battery, &got, &want);
+    assert_threads_agree(&cold, &battery, &got);
+}
+
+#[test]
+fn warm_weighted_mesh_answers_bit_for_bit_like_a_cold_artifact() {
+    let g = GeneratorSpec::PlanarMesh {
+        rows: 7,
+        cols: 8,
+        diagonal_p: 0.4,
+        jitter: 0.25,
+        seed: 2026,
+    }
+    .generate()
+    .expect("mesh generates");
+    let builder = FtSpannerBuilder::new("conversion").faults(1).seed(81);
+    let config = partition::PartitionConfig::new(3).with_seed(81);
+    let sharded = ShardedArtifact::build(&g, &builder, &config).expect("sharded build succeeds");
+    let union = sharded.to_union_artifact().expect("union assembles");
+    let (cold, threaded) = (sharded.clone(), sharded.clone());
+    let (a, b, x) = sharp_fault(
+        &sharded,
+        |&x, a, b| union.under_faults(&[x]).unwrap().distance(a, b).unwrap(),
+        |path| path[1..path.len() - 1].to_vec(),
+    );
+    let battery = sharp_battery(g.node_count(), a, b, |q| Query {
+        faults: vec![x],
+        ..q
+    });
+
+    warm(&sharded);
+    let got = serve(&sharded, &battery);
+    assert_bit_equal(
+        &got,
+        &serve(&cold, &battery),
+        "warm and cold artifacts diverged",
+    );
+    assert_threads_agree(&threaded, &battery, &got);
+    // Against the union spanner only summation order may differ.
+    let want = Engine::new()
+        .register("net", union)
+        .run_batch_naive(&battery);
+    for (i, (s, r)) in got.iter().zip(&want).enumerate() {
+        let (Ok(QueryOutcome::Distance(s)), Ok(QueryOutcome::Distance(r))) = (s, r) else {
+            continue;
+        };
+        assert!(
+            (s - r).abs() <= 1e-12 * s.abs().max(r.abs()).max(1.0),
+            "query {i}: sharded distance {s} vs union distance {r}"
+        );
+    }
+}
