@@ -6,9 +6,8 @@
 //!
 //! * [`DeltaLog`] — a versioned, append-only, replayable log of edge
 //!   [`EdgeDelta`]s (insert / delete / reweight) with monotone sequence
-//!   numbers and a `.ftdelta` binary codec following the `.ftspan` section
-//!   discipline (magic, version, length-prefixed records, typed decode
-//!   errors, no allocation bombs).
+//!   numbers and a `.ftdelta` binary codec (magic, version, length-prefixed
+//!   records, typed decode errors, no allocation bombs).
 //! * [`apply_deltas`] — the canonical post-delta graph: deletions compact,
 //!   insertions append, so the relative order of surviving edges is
 //!   preserved. That order contract is what makes incremental repair sound.

@@ -23,10 +23,10 @@
 //!   tree per source instead of recomputing per query, with answers
 //!   byte-identical to the plain session at any capacity.
 //! * Round-trip serialization so artifacts can be built once and served many
-//!   times, on other machines, with no extra dependencies: line-oriented
-//!   text ([`FtSpanner::to_writer`] / [`FtSpanner::from_reader`]) and the
-//!   versioned binary `.ftspan` format ([`FtSpanner::to_binary_writer`] /
-//!   [`FtSpanner::from_binary_reader`]).
+//!   times, on other machines, with no extra dependencies: the versioned
+//!   binary `.ftspan` format ([`FtSpanner::to_binary_writer`] /
+//!   [`FtSpanner::from_binary_slice`] / [`FtSpanner::from_binary_file`]),
+//!   decoded only through the validated zero-copy [`FtSpannerView`].
 //!
 //! # Example
 //!
@@ -57,7 +57,7 @@ use crate::api::{FaultModel, SpannerEdges, SpannerReport};
 use crate::{CoreError, Result};
 use ftspan_graph::csr::{reconstruct_path, CsrSubgraph, SsspWorkspace};
 use ftspan_graph::{EdgeSet, Graph, NodeId};
-use std::io::{BufRead, Read, Write};
+use std::io::Write;
 
 /// Numerical slack used when comparing a certificate's stretch to its bound.
 const EPS: f64 = 1e-9;
@@ -66,21 +66,16 @@ const EPS: f64 = 1e-9;
 /// [`FtSpanner::to_binary_writer`]).
 pub const BINARY_MAGIC: [u8; 4] = *b"FTSP";
 
-/// Version tag of the original length-prefixed binary layout
-/// ([`FtSpanner::to_binary_writer`]).
-pub const BINARY_VERSION: u32 = 1;
-
-/// Version tag of the fixed-width, 8-byte-aligned binary layout
-/// ([`FtSpanner::to_binary_v2_writer`] / [`FtSpannerView`]). Readers accept
-/// both versions; v2 is what [`FtSpannerView::parse`] can validate and
-/// borrow with zero copies.
-pub const BINARY_VERSION_V2: u32 = 2;
+/// Version tag of the binary artifact format: the fixed-width, 8-byte-aligned
+/// layout written by [`FtSpanner::to_binary_writer`] and read by
+/// [`FtSpannerView::parse`].
+pub const BINARY_VERSION: u32 = 2;
 
 /// Largest node count a binary artifact with `m` edges may declare.
 ///
-/// The `GRPH` section's edge arrays are backed by real bytes (16 per edge),
-/// but the node count is a bare integer that [`FtSpanner::from_binary_reader`]
-/// turns into an `O(n)` allocation — so a corrupted or crafted header could
+/// The edge arrays are backed by real bytes (16 per edge), but the node
+/// count is a bare integer that [`FtSpannerView::materialize`] turns into an
+/// `O(n)` allocation — so a corrupted or crafted header could
 /// otherwise demand ~100 GB from an 80-byte file. Bounding `n` by the edge
 /// count caps the amplification at a harmless ~24 MB (the 2^20 floor) plus
 /// ~100 bytes allocated per byte actually present, while admitting every
@@ -90,6 +85,21 @@ pub const BINARY_VERSION_V2: u32 = 2;
 /// enforces the same bound so everything it writes is readable.
 fn binary_node_bound(m: usize) -> usize {
     (1 << 20) + 64 * m
+}
+
+/// The report's undirected edge set; a directed 2-spanner plan is not a
+/// distance-query artifact.
+fn undirected_edges(report: &SpannerReport) -> Result<&EdgeSet> {
+    match &report.edges {
+        SpannerEdges::Undirected(edges) => Ok(edges),
+        SpannerEdges::Directed(_) => Err(CoreError::InvalidParameter {
+            message: format!(
+                "algorithm `{}` produced a directed 2-spanner plan; only undirected \
+                 spanners can serve distance queries",
+                report.algorithm
+            ),
+        }),
+    }
 }
 
 /// An owned, immutable, queryable fault-tolerant spanner.
@@ -123,18 +133,7 @@ impl FtSpanner {
     /// * [`CoreError::Graph`] if the report's edge set was built for a
     ///   different graph.
     pub fn from_report(graph: &Graph, report: &SpannerReport) -> Result<Self> {
-        let edges = match &report.edges {
-            SpannerEdges::Undirected(edges) => edges,
-            SpannerEdges::Directed(_) => {
-                return Err(CoreError::InvalidParameter {
-                    message: format!(
-                        "algorithm `{}` produced a directed 2-spanner plan; only undirected \
-                         spanners can serve distance queries",
-                        report.algorithm
-                    ),
-                })
-            }
-        };
+        let edges = undirected_edges(report)?;
         Self::from_parts(
             graph,
             None,
@@ -161,18 +160,7 @@ impl FtSpanner {
         source_csr: CsrSubgraph,
         report: &SpannerReport,
     ) -> Result<Self> {
-        let edges = match &report.edges {
-            SpannerEdges::Undirected(edges) => edges,
-            SpannerEdges::Directed(_) => {
-                return Err(CoreError::InvalidParameter {
-                    message: format!(
-                        "algorithm `{}` produced a directed 2-spanner plan; only undirected \
-                         spanners can serve distance queries",
-                        report.algorithm
-                    ),
-                })
-            }
-        };
+        let edges = undirected_edges(report)?;
         if source_csr.node_count() != graph.node_count()
             || source_csr.edge_count() != graph.edge_count()
             || source_csr.edge_count() != source_csr.parent_edge_count()
@@ -441,463 +429,10 @@ impl FtSpanner {
         })
     }
 
-    /// Serializes the artifact as line-oriented text (dependency-free, round
-    /// trips through [`FtSpanner::from_reader`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `writer`.
-    pub fn to_writer<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
-        // The format is line-oriented: embedded line breaks in the free-text
-        // fields would desynchronize the reader, so they are flattened to
-        // spaces (the only lossy part of the round trip).
-        let flatten = |s: &str| s.replace(['\n', '\r'], " ");
-        writeln!(writer, "ftspanner 1")?;
-        writeln!(writer, "algorithm {}", flatten(&self.algorithm))?;
-        writeln!(writer, "provenance {}", flatten(&self.provenance))?;
-        writeln!(
-            writer,
-            "guarantee {} {} {:?}",
-            self.fault_model, self.faults, self.stretch
-        )?;
-        writeln!(
-            writer,
-            "graph {} {}",
-            self.source.node_count(),
-            self.source.edge_count()
-        )?;
-        for (_, e) in self.source.edges() {
-            writeln!(writer, "{} {} {:?}", e.u, e.v, e.weight)?;
-        }
-        writeln!(writer, "spanner {}", self.spanner_edges.len())?;
-        for id in self.spanner_edges.iter() {
-            writeln!(writer, "{id}")?;
-        }
-        writeln!(writer, "end")
-    }
-
-    /// Reads an artifact previously written by [`FtSpanner::to_writer`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on malformed input and wraps
-    /// I/O failures the same way (the format is self-contained text).
-    pub fn from_reader<R: BufRead>(reader: R) -> Result<Self> {
-        let mut lines = reader.lines();
-        let mut next_line = move || -> Result<String> {
-            match lines.next() {
-                Some(Ok(line)) => Ok(line),
-                Some(Err(e)) => Err(CoreError::InvalidParameter {
-                    message: format!("read error in ftspanner data: {e}"),
-                }),
-                None => Err(CoreError::InvalidParameter {
-                    message: "unexpected end of ftspanner data".to_string(),
-                }),
-            }
-        };
-        let parse = |what: &str, token: &str| -> Result<f64> {
-            token
-                .parse::<f64>()
-                .map_err(|_| CoreError::InvalidParameter {
-                    message: format!("malformed {what} in ftspanner data: `{token}`"),
-                })
-        };
-        // Counts and indices are parsed as integers through the u32 id width
-        // (not via f64) so that oversized or fractional values are typed
-        // errors instead of saturating casts that could attempt absurd
-        // allocations.
-        let parse_count = |what: &str, token: &str| -> Result<usize> {
-            token
-                .parse::<u32>()
-                .map(|v| v as usize)
-                .map_err(|_| CoreError::InvalidParameter {
-                    message: format!("malformed {what} in ftspanner data: `{token}`"),
-                })
-        };
-
-        let header = next_line()?;
-        if header.trim() != "ftspanner 1" {
-            return Err(CoreError::InvalidParameter {
-                message: format!("unsupported ftspanner header: `{header}`"),
-            });
-        }
-        let algorithm = next_line()?
-            .strip_prefix("algorithm ")
-            .ok_or_else(|| CoreError::InvalidParameter {
-                message: "missing `algorithm` line in ftspanner data".to_string(),
-            })?
-            .to_string();
-        let provenance = next_line()?
-            .strip_prefix("provenance ")
-            .ok_or_else(|| CoreError::InvalidParameter {
-                message: "missing `provenance` line in ftspanner data".to_string(),
-            })?
-            .to_string();
-        let guarantee_line = next_line()?;
-        let guarantee: Vec<&str> = guarantee_line.split_whitespace().collect();
-        let (fault_model, faults, stretch) = match guarantee.as_slice() {
-            ["guarantee", model, r, k] => {
-                let model = match *model {
-                    "vertex" => FaultModel::Vertex,
-                    "edge" => FaultModel::Edge,
-                    other => {
-                        return Err(CoreError::InvalidParameter {
-                            message: format!("unknown fault model `{other}` in ftspanner data"),
-                        })
-                    }
-                };
-                (model, parse_count("fault budget", r)?, parse("stretch", k)?)
-            }
-            _ => {
-                return Err(CoreError::InvalidParameter {
-                    message: format!("malformed guarantee line: `{guarantee_line}`"),
-                })
-            }
-        };
-        let graph_line = next_line()?;
-        let dims: Vec<&str> = graph_line.split_whitespace().collect();
-        let (n, m) = match dims.as_slice() {
-            ["graph", n, m] => (
-                parse_count("vertex count", n)?,
-                parse_count("edge count", m)?,
-            ),
-            _ => {
-                return Err(CoreError::InvalidParameter {
-                    message: format!("malformed graph line: `{graph_line}`"),
-                })
-            }
-        };
-        // Edge lines are buffered before the vertex array is allocated, so
-        // every allocation is proportional to bytes actually present: a
-        // forged `graph 4294967295 4294967295` header previously allocated
-        // the adjacency lists for a claimed four billion vertices before
-        // the first edge line was even read (found by the artifact fuzz
-        // battery).
-        let mut edge_lines: Vec<(usize, usize, f64)> = Vec::new();
-        for _ in 0..m {
-            let line = next_line()?;
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            match parts.as_slice() {
-                [u, v, w] => {
-                    edge_lines.push((
-                        parse_count("endpoint", u)?,
-                        parse_count("endpoint", v)?,
-                        parse("weight", w)?,
-                    ));
-                }
-                _ => {
-                    return Err(CoreError::InvalidParameter {
-                        message: format!("malformed edge line: `{line}`"),
-                    })
-                }
-            }
-        }
-        if n > binary_node_bound(m) {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "implausible node count {n} for {m} edges in ftspanner data (limit {}): \
-                     refusing the allocation",
-                    binary_node_bound(m)
-                ),
-            });
-        }
-        let mut graph = Graph::new(n);
-        for (u, v, w) in edge_lines {
-            graph
-                .add_edge(NodeId::new(u), NodeId::new(v), w)
-                .map_err(|e| CoreError::InvalidParameter {
-                    message: format!("invalid edge ({u}, {v}) in ftspanner data: {e}"),
-                })?;
-        }
-        let spanner_line = next_line()?;
-        let s = match spanner_line
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .as_slice()
-        {
-            ["spanner", s] => parse_count("spanner size", s)?,
-            _ => {
-                return Err(CoreError::InvalidParameter {
-                    message: format!("malformed spanner line: `{spanner_line}`"),
-                })
-            }
-        };
-        let mut edges = graph.empty_edge_set();
-        for _ in 0..s {
-            let line = next_line()?;
-            let idx = parse_count("spanner edge index", line.trim())?;
-            if idx >= graph.edge_count() {
-                return Err(CoreError::InvalidParameter {
-                    message: format!(
-                        "spanner edge index {idx} out of range for {} edges",
-                        graph.edge_count()
-                    ),
-                });
-            }
-            edges.insert(ftspan_graph::EdgeId::new(idx));
-        }
-        if next_line()?.trim() != "end" {
-            return Err(CoreError::InvalidParameter {
-                message: "missing `end` terminator in ftspanner data".to_string(),
-            });
-        }
-        Self::from_parts(
-            &graph,
-            None,
-            edges,
-            &algorithm,
-            &provenance,
-            fault_model,
-            faults,
-            stretch,
-        )
-    }
-
-    /// Serializes the artifact in the versioned binary `.ftspan` format
-    /// (round trips through [`FtSpanner::from_binary_reader`]).
-    ///
-    /// The format is a 4-byte magic (`FTSP`) and a little-endian `u32`
-    /// version, followed by length-prefixed sections (4-byte tag + `u64`
-    /// payload length) mirroring the CSR layout: `META` (guarantee and
-    /// provenance), `GRPH` (vertex count, then the parallel
-    /// endpoint/endpoint/weight edge arrays), `SPAN` (spanner edge
-    /// identifiers into the `GRPH` arrays) and an empty `END` terminator.
-    /// Unlike the line-oriented text format, free-text fields survive
-    /// byte-exactly (newlines included) and weights round-trip bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `writer`; returns
-    /// [`std::io::ErrorKind::InvalidInput`] for a source graph whose node
-    /// count exceeds the format's per-edge bound (isolated vertices beyond
-    /// ~64 per edge — see the allocation guard in
-    /// [`FtSpanner::from_binary_reader`]).
-    pub fn to_binary_writer<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
-        if self.node_count() > binary_node_bound(self.source.edge_count()) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "cannot serialize {} nodes with only {} edges: the binary format caps \
-                     the node count at {} so readers can bound their allocations",
-                    self.node_count(),
-                    self.source.edge_count(),
-                    binary_node_bound(self.source.edge_count()),
-                ),
-            ));
-        }
-        // Counts and string lengths are stored as u32; anything wider would
-        // silently wrap into a corrupt (or worse, differently-shaped) file.
-        let widest = self
-            .node_count()
-            .max(self.source.edge_count())
-            .max(self.algorithm.len())
-            .max(self.provenance.len());
-        if widest > u32::MAX as usize {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("{widest} exceeds the binary format's u32 counters"),
-            ));
-        }
-        writer.write_all(&BINARY_MAGIC)?;
-        writer.write_all(&BINARY_VERSION.to_le_bytes())?;
-
-        let mut meta = Vec::new();
-        write_bin_str(&mut meta, &self.algorithm);
-        write_bin_str(&mut meta, &self.provenance);
-        meta.push(match self.fault_model {
-            FaultModel::Vertex => 0u8,
-            FaultModel::Edge => 1u8,
-        });
-        meta.extend_from_slice(&(self.faults as u64).to_le_bytes());
-        meta.extend_from_slice(&self.stretch.to_le_bytes());
-        write_section(&mut writer, b"META", &meta)?;
-
-        let (n, m) = (self.source.node_count(), self.source.edge_count());
-        let mut grph = Vec::with_capacity(8 + 16 * m);
-        grph.extend_from_slice(&(n as u32).to_le_bytes());
-        grph.extend_from_slice(&(m as u32).to_le_bytes());
-        for (_, e) in self.source.edges() {
-            grph.extend_from_slice(&(e.u.index() as u32).to_le_bytes());
-        }
-        for (_, e) in self.source.edges() {
-            grph.extend_from_slice(&(e.v.index() as u32).to_le_bytes());
-        }
-        for (_, e) in self.source.edges() {
-            grph.extend_from_slice(&e.weight.to_le_bytes());
-        }
-        write_section(&mut writer, b"GRPH", &grph)?;
-
-        let mut span = Vec::with_capacity(4 + 4 * self.spanner_edges.len());
-        span.extend_from_slice(&(self.spanner_edges.len() as u32).to_le_bytes());
-        for id in self.spanner_edges.iter() {
-            span.extend_from_slice(&(id.index() as u32).to_le_bytes());
-        }
-        write_section(&mut writer, b"SPAN", &span)?;
-
-        write_section(&mut writer, b"END\0", &[])
-    }
-
-    /// Reads an artifact previously written by
-    /// [`FtSpanner::to_binary_writer`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on a bad magic, an unsupported
-    /// version, a truncated or malformed section, or out-of-range edge data;
-    /// I/O failures are wrapped the same way (the format is self-contained).
-    pub fn from_binary_reader<R: Read>(mut reader: R) -> Result<Self> {
-        let mut header = [0u8; 8];
-        read_exact(&mut reader, &mut header, "header")?;
-        if header[..4] != BINARY_MAGIC {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "bad magic in ftspanner binary data: expected `FTSP`, got {:?}",
-                    &header[..4]
-                ),
-            });
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        match version {
-            BINARY_VERSION => Self::from_binary_v1_sections(reader),
-            BINARY_VERSION_V2 => {
-                // v2 addresses sections by absolute offset, so the view
-                // needs the whole image (header included) in one buffer.
-                let mut data = header.to_vec();
-                reader
-                    .read_to_end(&mut data)
-                    .map_err(|e| CoreError::InvalidParameter {
-                        message: format!("read error in ftspanner binary data: {e}"),
-                    })?;
-                FtSpannerView::parse(&data)?.materialize()
-            }
-            other => Err(CoreError::InvalidParameter {
-                message: format!(
-                    "unsupported ftspanner binary version {other} (this build reads \
-                     versions {BINARY_VERSION} and {BINARY_VERSION_V2})"
-                ),
-            }),
-        }
-    }
-
-    /// Reads the section stream of a version-1 binary artifact (everything
-    /// after the 8-byte magic/version header).
-    fn from_binary_v1_sections<R: Read>(mut reader: R) -> Result<Self> {
-        let meta = read_section(&mut reader, b"META")?;
-        let mut cur = BinCursor::new(&meta, "META");
-        let algorithm = cur.read_str()?;
-        let provenance = cur.read_str()?;
-        let fault_model = match cur.read_u8()? {
-            0 => FaultModel::Vertex,
-            1 => FaultModel::Edge,
-            other => {
-                return Err(CoreError::InvalidParameter {
-                    message: format!("unknown fault model tag {other} in ftspanner binary data"),
-                })
-            }
-        };
-        let faults = cur.read_u64()? as usize;
-        let stretch = f64::from_bits(cur.read_u64()?);
-        cur.finish()?;
-
-        let grph = read_section(&mut reader, b"GRPH")?;
-        let mut cur = BinCursor::new(&grph, "GRPH");
-        let n = cur.read_u32()? as usize;
-        let m = cur.read_u32()? as usize;
-        // `m` is about to be checked against bytes actually present; `n` has
-        // no backing bytes, so bound it before `Graph::new(n)` turns a
-        // 4-byte lie into a multi-gigabyte allocation.
-        cur.expect_remaining(16 * m)?;
-        if n > binary_node_bound(m) {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "implausible node count {n} for {m} edges in ftspanner binary data \
-                     (limit {}): refusing the allocation",
-                    binary_node_bound(m)
-                ),
-            });
-        }
-        let us: Vec<u32> = (0..m).map(|_| cur.read_u32()).collect::<Result<_>>()?;
-        let vs: Vec<u32> = (0..m).map(|_| cur.read_u32()).collect::<Result<_>>()?;
-        let ws: Vec<f64> = (0..m)
-            .map(|_| cur.read_u64().map(f64::from_bits))
-            .collect::<Result<_>>()?;
-        cur.finish()?;
-        let mut graph = Graph::new(n);
-        for i in 0..m {
-            graph
-                .add_edge(
-                    NodeId::new(us[i] as usize),
-                    NodeId::new(vs[i] as usize),
-                    ws[i],
-                )
-                // Out-of-range endpoints, self-loops and duplicates are all
-                // malformed *data*, so they surface as the documented
-                // InvalidParameter — not as a bare graph error.
-                .map_err(|e| CoreError::InvalidParameter {
-                    message: format!("invalid edge {i} in ftspanner binary data: {e}"),
-                })?;
-        }
-
-        let span = read_section(&mut reader, b"SPAN")?;
-        let mut cur = BinCursor::new(&span, "SPAN");
-        let s = cur.read_u32()? as usize;
-        cur.expect_remaining(4 * s)?;
-        let mut edges = graph.empty_edge_set();
-        for _ in 0..s {
-            let idx = cur.read_u32()? as usize;
-            if idx >= graph.edge_count() {
-                return Err(CoreError::InvalidParameter {
-                    message: format!(
-                        "spanner edge index {idx} out of range for {} edges in ftspanner \
-                         binary data",
-                        graph.edge_count()
-                    ),
-                });
-            }
-            edges.insert(ftspan_graph::EdgeId::new(idx));
-        }
-        cur.finish()?;
-
-        let end = read_section(&mut reader, b"END\0")?;
-        if !end.is_empty() {
-            return Err(CoreError::InvalidParameter {
-                message: "non-empty END section in ftspanner binary data".to_string(),
-            });
-        }
-        // END must actually end the data: trailing garbage (a partially
-        // overwritten or concatenated file) is corruption, not padding.
-        let mut probe = [0u8; 1];
-        match reader.read(&mut probe) {
-            Ok(0) => {}
-            Ok(_) => {
-                return Err(CoreError::InvalidParameter {
-                    message: "trailing bytes after END section in ftspanner binary data"
-                        .to_string(),
-                })
-            }
-            Err(e) => {
-                return Err(CoreError::InvalidParameter {
-                    message: format!("read error in ftspanner binary data: {e}"),
-                })
-            }
-        }
-
-        Self::from_parts(
-            &graph,
-            None,
-            edges,
-            &algorithm,
-            &provenance,
-            fault_model,
-            faults,
-            stretch,
-        )
-    }
-
-    /// Serializes the artifact in the fixed-width, 8-byte-aligned version-2
-    /// binary `.ftspan` layout — the format [`FtSpannerView::parse`] can
-    /// validate and then borrow without copying. Round trips through
-    /// [`FtSpanner::from_binary_reader`], which reads both versions.
+    /// Serializes the artifact in the binary `.ftspan` format: a
+    /// fixed-width, 8-byte-aligned layout that [`FtSpannerView::parse`]
+    /// validates and then borrows without copying. Round trips through
+    /// [`FtSpanner::from_binary_slice`] and [`FtSpanner::from_binary_file`].
     ///
     /// # Layout
     ///
@@ -936,9 +471,11 @@ impl FtSpanner {
     /// # Errors
     ///
     /// Propagates I/O errors from `writer`; returns
-    /// [`std::io::ErrorKind::InvalidInput`] under the same node-count and
-    /// `u32`-width guards as [`FtSpanner::to_binary_writer`].
-    pub fn to_binary_v2_writer<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
+    /// [`std::io::ErrorKind::InvalidInput`] for a source graph whose node
+    /// count exceeds the format's per-edge bound (isolated vertices beyond
+    /// ~64 per edge — see the allocation guard in [`FtSpannerView::parse`]),
+    /// or for a count or string length wider than `u32`.
+    pub fn to_binary_writer<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
         if self.node_count() > binary_node_bound(self.source.edge_count()) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -951,6 +488,8 @@ impl FtSpanner {
                 ),
             ));
         }
+        // Counts and string lengths are stored as u32; anything wider would
+        // silently wrap into a corrupt (or worse, differently-shaped) file.
         let widest = self
             .node_count()
             .max(self.source.edge_count())
@@ -1009,7 +548,7 @@ impl FtSpanner {
             (b"SPAN", &span),
         ];
         writer.write_all(&BINARY_MAGIC)?;
-        writer.write_all(&BINARY_VERSION_V2.to_le_bytes())?;
+        writer.write_all(&BINARY_VERSION.to_le_bytes())?;
         writer.write_all(&(sections.len() as u32).to_le_bytes())?;
         writer.write_all(&0u32.to_le_bytes())?;
         let mut offset = (V2_HEADER_LEN + V2_ENTRY_LEN * sections.len()) as u64;
@@ -1028,39 +567,30 @@ impl FtSpanner {
         Ok(())
     }
 
-    /// Parses an in-memory binary artifact, accepting either version.
-    ///
-    /// Version-2 images are validated and decoded in place through
-    /// [`FtSpannerView`]; version-1 images (and anything malformed) fall
-    /// through to the streaming reader and its typed errors.
+    /// Decodes an in-memory binary artifact written by
+    /// [`FtSpanner::to_binary_writer`]: the image is validated and borrowed
+    /// by [`FtSpannerView::parse`], then copied out by
+    /// [`FtSpannerView::materialize`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] exactly as
-    /// [`FtSpanner::from_binary_reader`] does.
+    /// Returns [`CoreError::InvalidParameter`] for any malformed image, as
+    /// documented on [`FtSpannerView::parse`] and
+    /// [`FtSpannerView::materialize`].
     pub fn from_binary_slice(data: &[u8]) -> Result<Self> {
-        if data.len() >= 8
-            && data[..4] == BINARY_MAGIC
-            && u32::from_le_bytes(data[4..8].try_into().expect("4 bytes")) == BINARY_VERSION_V2
-        {
-            return FtSpannerView::parse(data)?.materialize();
-        }
-        Self::from_binary_reader(data)
+        FtSpannerView::parse(data)?.materialize()
     }
 
-    /// Loads a binary artifact from a file in one read, accepting either
-    /// version.
+    /// Loads a binary artifact from a file in one read.
     ///
-    /// The whole image lands in a single buffer; for version-2 files the
-    /// sections are then validated and borrowed in place
-    /// ([`FtSpannerView`]), so a cold load is I/O-bound rather than
-    /// parse-bound.
+    /// The whole image lands in a single buffer and is then decoded by
+    /// [`FtSpanner::from_binary_slice`], so a cold load is I/O-bound rather
+    /// than parse-bound.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] naming the path when the
-    /// file cannot be read, and the usual typed errors for malformed
-    /// contents.
+    /// file cannot be read or its contents are malformed.
     pub fn from_binary_file(path: impl AsRef<std::path::Path>) -> Result<Self> {
         let path = path.as_ref();
         let data = std::fs::read(path).map_err(|e| CoreError::InvalidParameter {
@@ -1069,154 +599,15 @@ impl FtSpanner {
                 path.display()
             ),
         })?;
-        Self::from_binary_slice(&data)
-    }
-}
-
-/// Writes one length-prefixed binary section: 4-byte tag, `u64` payload
-/// length, payload.
-fn write_section<W: Write>(writer: &mut W, tag: &[u8; 4], payload: &[u8]) -> std::io::Result<()> {
-    writer.write_all(tag)?;
-    writer.write_all(&(payload.len() as u64).to_le_bytes())?;
-    writer.write_all(payload)
-}
-
-/// Reads one section and checks its tag. The payload is streamed through
-/// `Read::take`, so a lying length on truncated input is a typed error
-/// instead of an absurd upfront allocation.
-fn read_section<R: Read>(reader: &mut R, expected: &[u8; 4]) -> Result<Vec<u8>> {
-    let mut head = [0u8; 12];
-    let what = String::from_utf8_lossy(expected)
-        .trim_end_matches('\0')
-        .to_string();
-    read_exact(reader, &mut head, &what)?;
-    if head[..4] != expected[..] {
-        return Err(CoreError::InvalidParameter {
+        // Name the file in parse failures too: a directory cold load surfaces
+        // the first corrupt artifact, and without the path an operator can't
+        // tell which of dozens of files to re-ship.
+        Self::from_binary_slice(&data).map_err(|e| CoreError::InvalidParameter {
             message: format!(
-                "expected `{}` section in ftspanner binary data, got {:?}",
-                what,
-                &head[..4]
-            ),
-        });
-    }
-    let len = u64::from_le_bytes(head[4..12].try_into().expect("8 bytes")) as usize;
-    let mut payload = Vec::new();
-    reader
-        .take(len as u64)
-        .read_to_end(&mut payload)
-        .map_err(|e| CoreError::InvalidParameter {
-            message: format!("read error in ftspanner binary data: {e}"),
-        })?;
-    if payload.len() != len {
-        return Err(CoreError::InvalidParameter {
-            message: format!(
-                "truncated `{}` section in ftspanner binary data: expected {} bytes, got {}",
-                what,
-                len,
-                payload.len()
-            ),
-        });
-    }
-    Ok(payload)
-}
-
-fn read_exact<R: Read>(reader: &mut R, buf: &mut [u8], what: &str) -> Result<()> {
-    reader
-        .read_exact(buf)
-        .map_err(|e| CoreError::InvalidParameter {
-            message: format!("truncated ftspanner binary data ({what}): {e}"),
-        })
-}
-
-fn write_bin_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked little-endian reader over one section's payload.
-struct BinCursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> BinCursor<'a> {
-    fn new(data: &'a [u8], section: &'static str) -> Self {
-        BinCursor {
-            data,
-            pos: 0,
-            section,
-        }
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8]> {
-        if self.pos + len > self.data.len() {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "truncated `{}` section in ftspanner binary data (wanted {} more bytes, \
-                     {} left)",
-                    self.section,
-                    len,
-                    self.data.len() - self.pos
-                ),
-            });
-        }
-        let slice = &self.data[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(slice)
-    }
-
-    fn read_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn read_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn read_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn read_str(&mut self) -> Result<String> {
-        let len = self.read_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CoreError::InvalidParameter {
-            message: format!(
-                "non-UTF-8 string in `{}` section of ftspanner binary data",
-                self.section
+                "cannot parse ftspanner binary file `{}`: {e}",
+                path.display()
             ),
         })
-    }
-
-    /// Checks that exactly `len` bytes remain (counted records must match
-    /// the section length before any allocation happens).
-    fn expect_remaining(&self, len: usize) -> Result<()> {
-        let left = self.data.len() - self.pos;
-        if left != len {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "malformed `{}` section in ftspanner binary data: {len} bytes of records \
-                     declared, {left} present",
-                    self.section
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Rejects trailing garbage at the end of a section.
-    fn finish(&self) -> Result<()> {
-        if self.pos != self.data.len() {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "{} trailing bytes in `{}` section of ftspanner binary data",
-                    self.data.len() - self.pos,
-                    self.section
-                ),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -1247,9 +638,10 @@ fn read_u64_at(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// A validated, zero-copy view of a version-2 binary artifact.
+/// A validated, zero-copy view of a binary `.ftspan` artifact — the one
+/// path by which an artifact is decoded.
 ///
-/// [`FtSpanner::to_binary_v2_writer`] documents the byte layout.
+/// [`FtSpanner::to_binary_writer`] documents the byte layout.
 /// [`FtSpannerView::parse`] bounds-checks the section table, validates every
 /// header field, edge record and spanner edge identifier, and then *borrows*
 /// the fixed-width sections from the caller's buffer — parsing performs no
@@ -1284,11 +676,11 @@ impl<'a> FtSpannerView<'a> {
     /// Returns [`CoreError::InvalidParameter`] on a bad magic or version, a
     /// wrong section count, tag or order, a misaligned, overlapping or
     /// out-of-bounds section, non-zero padding or reserved bytes, a
-    /// malformed `META` section, an implausible node count (the same
-    /// allocation guard as version 1), mismatched section lengths, an
-    /// out-of-range endpoint, self-loop or non-finite weight in the edge
-    /// arrays, or spanner edge identifiers that are out of range or not
-    /// strictly increasing.
+    /// malformed `META` section, an implausible node count (more than the
+    /// format's per-edge bound, refused before anything is allocated),
+    /// mismatched section lengths, an out-of-range endpoint, self-loop or
+    /// non-finite weight in the edge arrays, or spanner edge identifiers
+    /// that are out of range or not strictly increasing.
     pub fn parse(data: &'a [u8]) -> Result<Self> {
         let fail = |message: String| {
             Err(CoreError::InvalidParameter {
@@ -1305,8 +697,8 @@ impl<'a> FtSpannerView<'a> {
             return fail(format!("bad magic {:?}", &data[..4]));
         }
         let version = read_u32_at(data, 4);
-        if version != BINARY_VERSION_V2 {
-            return fail(format!("version {version} is not {BINARY_VERSION_V2}"));
+        if version != BINARY_VERSION {
+            return fail(format!("version {version} is not {BINARY_VERSION}"));
         }
         let count = read_u32_at(data, 8) as usize;
         if count != V2_TAGS.len() {
@@ -1428,7 +820,7 @@ impl<'a> FtSpannerView<'a> {
         let m = read_u64_at(dims, 8);
         let s = read_u64_at(dims, 16);
         // The edge arrays bound everything: m and s are backed by real
-        // bytes below, and n gets the same allocation guard as version 1.
+        // bytes below, and n is capped by the per-edge allocation guard.
         if m > u32::MAX as u64 || s > m {
             return fail(format!("implausible dimensions m = {m}, s = {s}"));
         }
@@ -2315,43 +1707,12 @@ mod tests {
     }
 
     #[test]
-    fn text_serialization_round_trips() {
-        let (_, artifact) = conversion_artifact(9, 2);
-        let mut buf = Vec::new();
-        artifact.to_writer(&mut buf).unwrap();
-        let restored = FtSpanner::from_reader(buf.as_slice()).unwrap();
-        assert_eq!(artifact, restored);
-        // And the restored artifact serves identical answers.
-        let a = artifact.under_faults(&[NodeId::new(1)]).unwrap();
-        let b = restored.under_faults(&[NodeId::new(1)]).unwrap();
-        for u in 0..artifact.node_count() {
-            let x = a.distances_from(NodeId::new(u)).unwrap();
-            let y = b.distances_from(NodeId::new(u)).unwrap();
-            assert_eq!(x, y);
-        }
-    }
-
-    #[test]
-    fn binary_serialization_round_trips() {
-        let (_, artifact) = conversion_artifact(11, 2);
+    fn binary_v2_round_trips_through_the_view() {
+        let (g, artifact) = conversion_artifact(11, 2);
         let mut buf = Vec::new();
         artifact.to_binary_writer(&mut buf).unwrap();
         assert_eq!(&buf[..4], &BINARY_MAGIC);
-        let restored = FtSpanner::from_binary_reader(buf.as_slice()).unwrap();
-        assert_eq!(artifact, restored);
-        // Byte-stable: re-serializing the restored artifact is identical.
-        let mut again = Vec::new();
-        restored.to_binary_writer(&mut again).unwrap();
-        assert_eq!(buf, again);
-    }
-
-    #[test]
-    fn binary_v2_round_trips_through_every_reader() {
-        let (g, artifact) = conversion_artifact(11, 2);
-        let mut buf = Vec::new();
-        artifact.to_binary_v2_writer(&mut buf).unwrap();
-        assert_eq!(&buf[..4], &BINARY_MAGIC);
-        assert_eq!(buf[4], 2);
+        assert_eq!(read_u32_at(&buf, 4), BINARY_VERSION);
         assert_eq!(buf.len() % 8, 0, "v2 images end 8-byte aligned");
 
         // The view sees the artifact's exact shape without materializing.
@@ -2364,51 +1725,46 @@ mod tests {
         assert_eq!(view.node_count(), artifact.node_count());
         assert_eq!(view.edge_count(), g.edge_count());
         assert_eq!(view.spanner_edge_count(), artifact.spanner_edge_count());
-        for (i, (id, e)) in g.edges().enumerate() {
+        for (i, (_, e)) in g.edges().enumerate() {
             assert_eq!(view.edge(i), (e.u, e.v, e.weight));
-            let _ = id;
         }
 
-        // All three decode paths agree with the original.
+        // Materializing the view is the slice decoder, and both give back
+        // the original.
         assert_eq!(view.materialize().unwrap(), artifact);
-        assert_eq!(
-            FtSpanner::from_binary_reader(buf.as_slice()).unwrap(),
-            artifact
-        );
         assert_eq!(FtSpanner::from_binary_slice(&buf).unwrap(), artifact);
 
         // Byte-stable: re-serializing the restored artifact is identical.
         let mut again = Vec::new();
         view.materialize()
             .unwrap()
-            .to_binary_v2_writer(&mut again)
+            .to_binary_writer(&mut again)
             .unwrap();
         assert_eq!(buf, again);
     }
 
     #[test]
-    fn binary_v2_file_load_reads_both_versions() {
+    fn binary_file_load_names_the_path() {
         let (_, artifact) = conversion_artifact(13, 1);
         let dir =
             std::env::temp_dir().join(format!("ftspan-core-v2-{}-{}", std::process::id(), line!()));
         std::fs::create_dir_all(&dir).unwrap();
-        let v1 = dir.join("artifact-v1.ftspan");
-        let v2 = dir.join("artifact-v2.ftspan");
+        let good = dir.join("artifact.ftspan");
         let mut buf = Vec::new();
         artifact.to_binary_writer(&mut buf).unwrap();
-        std::fs::write(&v1, &buf).unwrap();
-        buf.clear();
-        artifact.to_binary_v2_writer(&mut buf).unwrap();
-        std::fs::write(&v2, &buf).unwrap();
+        std::fs::write(&good, &buf).unwrap();
+        assert_eq!(FtSpanner::from_binary_file(&good).unwrap(), artifact);
 
-        assert_eq!(FtSpanner::from_binary_file(&v1).unwrap(), artifact);
-        assert_eq!(FtSpanner::from_binary_file(&v2).unwrap(), artifact);
-        let missing = FtSpanner::from_binary_file(dir.join("absent.ftspan"));
-        match missing {
-            Err(CoreError::InvalidParameter { message }) => {
-                assert!(message.contains("absent.ftspan"), "error names the path");
+        // Unreadable and malformed files are typed errors naming the file.
+        let corrupt = dir.join("corrupt.ftspan");
+        std::fs::write(&corrupt, &buf[..buf.len() / 2]).unwrap();
+        for name in ["absent.ftspan", "corrupt.ftspan"] {
+            match FtSpanner::from_binary_file(dir.join(name)) {
+                Err(CoreError::InvalidParameter { message }) => {
+                    assert!(message.contains(name), "error names the path: {message}");
+                }
+                other => panic!("expected a typed error for {name}, got {other:?}"),
             }
-            other => panic!("expected a typed error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2417,7 +1773,7 @@ mod tests {
     fn binary_v2_corruption_is_a_typed_error() {
         let (_, artifact) = conversion_artifact(12, 1);
         let mut good = Vec::new();
-        artifact.to_binary_v2_writer(&mut good).unwrap();
+        artifact.to_binary_writer(&mut good).unwrap();
         assert!(FtSpannerView::parse(&good).is_ok());
 
         let expect_reject = |bytes: &[u8], what: &str| {
@@ -2430,10 +1786,10 @@ mod tests {
             );
             assert!(
                 matches!(
-                    FtSpanner::from_binary_reader(bytes),
+                    FtSpanner::from_binary_slice(bytes),
                     Err(CoreError::InvalidParameter { .. })
                 ),
-                "reader accepted {what}"
+                "decoder accepted {what}"
             );
         };
 
@@ -2500,12 +1856,17 @@ mod tests {
         // non-finite weight, out-of-order spanner identifiers.
         let section_offset =
             |i: usize| read_u64_at(&good, V2_HEADER_LEN + V2_ENTRY_LEN * i + 8) as usize;
-        let (edgu_at, edgw_at, span_at) = (section_offset(2), section_offset(4), section_offset(5));
+        let (edgu_at, edgv_at, edgw_at, span_at) = (
+            section_offset(2),
+            section_offset(3),
+            section_offset(4),
+            section_offset(5),
+        );
         let mut patched = good.clone();
         patched[edgu_at..edgu_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         expect_reject(&patched, "an out-of-range endpoint");
         let mut patched = good.clone();
-        let v0 = read_u32_at(&good, section_offset(3));
+        let v0 = read_u32_at(&good, edgv_at);
         patched[edgu_at..edgu_at + 4].copy_from_slice(&v0.to_le_bytes());
         expect_reject(&patched, "a self-loop");
         let mut patched = good.clone();
@@ -2518,12 +1879,30 @@ mod tests {
         patched[span_at..span_at + 4].copy_from_slice(&b.to_le_bytes());
         patched[span_at + 4..span_at + 8].copy_from_slice(&a.to_le_bytes());
         expect_reject(&patched, "out-of-order spanner identifiers");
+
+        // A duplicate edge (edge 1 given edge 0's endpoints) is the one
+        // malformation the allocation-free parse cannot see; materializing
+        // must still refuse it with the typed error.
+        let mut patched = good.clone();
+        patched.copy_within(edgu_at..edgu_at + 4, edgu_at + 4);
+        patched.copy_within(edgv_at..edgv_at + 4, edgv_at + 4);
+        assert!(
+            FtSpannerView::parse(&patched).is_ok(),
+            "parse checks records one at a time"
+        );
+        assert!(
+            matches!(
+                FtSpanner::from_binary_slice(&patched),
+                Err(CoreError::InvalidParameter { .. })
+            ),
+            "decoder accepted a duplicate edge"
+        );
     }
 
     #[test]
-    fn binary_format_preserves_what_text_flattens() {
-        // Newlines in free-text fields and bit-exact weights survive the
-        // binary round trip (the text format flattens / re-parses them).
+    fn binary_format_preserves_newlines_and_weight_bits() {
+        // Newlines in free-text fields and weights that have no short decimal
+        // form survive the round trip bit for bit.
         let g = Graph::from_edges(3, [(0, 1, 0.1 + 0.2), (1, 2, 1e-300)]).unwrap();
         let artifact = FtSpanner::from_edge_set(
             &g,
@@ -2537,103 +1916,32 @@ mod tests {
         .unwrap();
         let mut buf = Vec::new();
         artifact.to_binary_writer(&mut buf).unwrap();
-        let restored = FtSpanner::from_binary_reader(buf.as_slice()).unwrap();
+        let restored = FtSpanner::from_binary_slice(&buf).unwrap();
         assert_eq!(restored.provenance(), "line one\nline two");
+        let bits = |a: &FtSpanner| -> Vec<u64> {
+            a.source_graph()
+                .edges()
+                .map(|(_, e)| e.weight.to_bits())
+                .collect()
+        };
+        assert_eq!(
+            bits(&restored),
+            vec![(0.1f64 + 0.2).to_bits(), 1e-300f64.to_bits()]
+        );
         assert_eq!(restored, artifact);
     }
 
     #[test]
-    fn corrupted_binary_data_is_a_typed_error() {
-        let (_, artifact) = conversion_artifact(12, 1);
-        let mut good = Vec::new();
-        artifact.to_binary_writer(&mut good).unwrap();
-
-        // Empty input, bad magic, unsupported version.
-        for bytes in [
-            Vec::new(),
-            b"NOPE".to_vec(),
-            {
-                let mut b = good.clone();
-                b[0] = b'X';
-                b
-            },
-            {
-                let mut b = good.clone();
-                b[4] = 99; // version 99
-                b
-            },
-        ] {
-            assert!(matches!(
-                FtSpanner::from_binary_reader(bytes.as_slice()),
-                Err(CoreError::InvalidParameter { .. })
-            ));
-        }
-        // Truncation at every section boundary and mid-section.
-        for cut in [6, 12, 20, good.len() / 2, good.len() - 1] {
-            assert!(
-                matches!(
-                    FtSpanner::from_binary_reader(&good[..cut]),
-                    Err(CoreError::InvalidParameter { .. })
-                ),
-                "accepted truncation at {cut}"
-            );
-        }
-        // A section length that lies about the payload size.
-        let mut lying = good.clone();
-        let meta_len_at = 8 + 4; // magic + version + "META" tag
-        lying[meta_len_at] = lying[meta_len_at].wrapping_add(3);
-        assert!(FtSpanner::from_binary_reader(lying.as_slice()).is_err());
-        // Trailing garbage after END (overwritten / concatenated files).
-        let mut trailing = good.clone();
-        trailing.extend_from_slice(b"junk");
-        assert!(matches!(
-            FtSpanner::from_binary_reader(trailing.as_slice()),
-            Err(CoreError::InvalidParameter { .. })
-        ));
-        // Out-of-range endpoints in GRPH are InvalidParameter, as the
-        // rustdoc promises (not a bare graph error).
-        let g = Graph::from_unit_edges(2, [(0, 1)]).unwrap();
-        let small = FtSpanner::from_edge_set(
-            &g,
-            g.full_edge_set(),
-            "adopted",
-            "p",
-            FaultModel::Vertex,
-            0,
-            1.0,
-        )
-        .unwrap();
-        let mut bytes = Vec::new();
-        small.to_binary_writer(&mut bytes).unwrap();
-        // GRPH payload starts after magic(4)+version(4)+META section; patch
-        // the first endpoint (u of edge 0) to 7 >= n = 2.
-        let grph_tag = bytes
-            .windows(4)
-            .position(|w| w == b"GRPH")
-            .expect("GRPH section exists");
-        let u0_at = grph_tag + 4 + 8 + 8; // tag + length + (n, m)
-        bytes[u0_at] = 7;
-        assert!(matches!(
-            FtSpanner::from_binary_reader(bytes.as_slice()),
-            Err(CoreError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
     fn implausible_node_counts_are_rejected_not_allocated() {
-        // A lying node count has no backing bytes, so the reader must refuse
+        // A lying node count has no backing bytes, so the decoder must refuse
         // it as a typed error instead of attempting an `O(n)` allocation a
         // few corrupted bytes could inflate to gigabytes.
         let (_, artifact) = conversion_artifact(12, 1);
         let mut bytes = Vec::new();
         artifact.to_binary_writer(&mut bytes).unwrap();
-        let grph_tag = bytes
-            .windows(4)
-            .position(|w| w == b"GRPH")
-            .expect("GRPH section exists");
-        let n_at = grph_tag + 4 + 8; // tag + length
-        bytes[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        match FtSpanner::from_binary_reader(bytes.as_slice()) {
+        let dims_at = read_u64_at(&bytes, V2_HEADER_LEN + V2_ENTRY_LEN + 8) as usize;
+        bytes[dims_at..dims_at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        match FtSpanner::from_binary_slice(&bytes) {
             Err(CoreError::InvalidParameter { message }) => {
                 assert!(
                     message.contains("implausible node count"),
@@ -2737,53 +2045,5 @@ mod tests {
             plain.distances_from(bad).unwrap_err(),
             cached.distances_from(bad).unwrap_err()
         );
-    }
-
-    #[test]
-    fn malformed_serializations_are_typed_errors() {
-        for text in [
-            "",
-            "ftspanner 99\n",
-            "ftspanner 1\nalgorithm x\n",
-            "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1\n",
-            "ftspanner 1\nalgorithm x\nprovenance y\nguarantee tachyon 1 3.0\ngraph 2 0\nspanner 0\nend\n",
-            "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1 3.0\ngraph 2 1\n0 1 1.0\nspanner 1\n7\nend\n",
-            // Oversized and fractional counts must be typed errors, not
-            // saturating casts that attempt absurd allocations.
-            "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1 3.0\ngraph 99999999999999999999 0\nspanner 0\nend\n",
-            "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1 3.0\ngraph 2.7 0\nspanner 0\nend\n",
-            "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1.9 3.0\ngraph 2 0\nspanner 0\nend\n",
-        ] {
-            assert!(
-                matches!(
-                    FtSpanner::from_reader(text.as_bytes()),
-                    Err(CoreError::InvalidParameter { .. })
-                ),
-                "accepted malformed input: {text:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn newlines_in_free_text_fields_do_not_break_the_round_trip() {
-        let g = generate::path(4);
-        let artifact = FtSpanner::from_edge_set(
-            &g,
-            g.full_edge_set(),
-            "adopted",
-            "line one\nline two",
-            FaultModel::Vertex,
-            1,
-            3.0,
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        artifact.to_writer(&mut buf).unwrap();
-        let restored = FtSpanner::from_reader(buf.as_slice()).unwrap();
-        // Line breaks are flattened to spaces (the format is line-oriented);
-        // everything else survives exactly.
-        assert_eq!(restored.provenance(), "line one line two");
-        assert_eq!(restored.spanner_edges(), artifact.spanner_edges());
-        assert_eq!(restored.fault_budget(), artifact.fault_budget());
     }
 }

@@ -1,11 +1,12 @@
-//! Fuzz-style battery for the `.ftspan` artifact codecs — the text format,
-//! the v1 section stream and the v2 fixed-width table — mirroring the
-//! `.ftdelta` battery in `fuzz_ftdelta.rs` and the wire battery in
+//! Fuzz-style battery for the `.ftspan` artifact codec (the v2 fixed-width
+//! table, decoded through [`FtSpannerView`]), mirroring the `.ftdelta`
+//! battery in `fuzz_ftdelta.rs` and the wire battery in
 //! `crates/net/tests/fuzz_decode.rs`.
 //!
 //! Seeded (fully reproducible) adversarial inputs — random bytes, every
 //! truncation point of a valid artifact, lying section lengths and counts,
-//! mutated headers, spliced section tables — must all decode to **typed**
+//! mutated headers and versions, spliced section tables — must all decode
+//! to **typed**
 //! [`CoreError`]s: no panics, no allocation bombs, no silent successes on
 //! garbage.
 
@@ -36,45 +37,20 @@ fn sample_artifact() -> FtSpanner {
         .clone()
 }
 
-fn encode_v1(artifact: &FtSpanner) -> Vec<u8> {
-    let mut out = Vec::new();
-    artifact
-        .to_binary_writer(&mut out)
-        .expect("v1 encoding succeeds");
-    out
-}
-
 fn encode_v2(artifact: &FtSpanner) -> Vec<u8> {
     let mut out = Vec::new();
     artifact
-        .to_binary_v2_writer(&mut out)
+        .to_binary_writer(&mut out)
         .expect("v2 encoding succeeds");
     out
 }
 
-fn encode_text(artifact: &FtSpanner) -> Vec<u8> {
-    let mut out = Vec::new();
-    artifact
-        .to_writer(&mut out)
-        .expect("text encoding succeeds");
-    out
-}
-
-/// A v1 stream with a hand-built header and body, for forging.
-fn raw_v1(magic: &[u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
+/// A magic + version header over an arbitrary body, for forging.
+fn raw_image(magic: &[u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(magic);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(body);
-    out
-}
-
-/// A single length-prefixed v1 section.
-fn v1_section(tag: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
     out
 }
 
@@ -87,16 +63,12 @@ fn assert_typed(result: ftspan_core::Result<FtSpanner>, context: &str) {
 }
 
 #[test]
-fn all_three_codecs_round_trip_the_sample_artifact() {
+fn the_codec_round_trips_the_sample_artifact() {
     let artifact = sample_artifact();
-    let v1 = FtSpanner::from_binary_reader(&encode_v1(&artifact)[..]).expect("v1 decodes");
-    assert_eq!(v1, artifact);
-    let v2 = FtSpanner::from_binary_reader(&encode_v2(&artifact)[..]).expect("v2 decodes");
-    assert_eq!(v2, artifact);
-    let v2_slice = FtSpanner::from_binary_slice(&encode_v2(&artifact)).expect("slice decodes");
-    assert_eq!(v2_slice, artifact);
-    let text = FtSpanner::from_reader(&encode_text(&artifact)[..]).expect("text decodes");
-    assert_eq!(text, artifact);
+    let wire = encode_v2(&artifact);
+    let decoded = FtSpanner::from_binary_slice(&wire).expect("v2 decodes");
+    assert_eq!(decoded, artifact);
+    assert_eq!(encode_v2(&decoded), wire, "re-encoding is byte-stable");
 }
 
 #[test]
@@ -105,25 +77,10 @@ fn random_bytes_decode_to_typed_errors_without_panicking() {
     for _ in 0..2000 {
         let len = rng.gen_range(0..400usize);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        assert_typed(FtSpanner::from_binary_reader(&bytes[..]), "random bytes");
-        // The slice path must agree that garbage is garbage.
-        assert_typed(FtSpanner::from_binary_slice(&bytes), "random bytes (slice)");
+        assert_typed(FtSpanner::from_binary_slice(&bytes), "random bytes");
         if FtSpannerView::parse(&bytes).is_ok() {
             panic!("random bytes parsed as a v2 view");
         }
-        // Random text through the line-oriented codec.
-        assert_typed(FtSpanner::from_reader(&bytes[..]), "random bytes (text)");
-    }
-}
-
-#[test]
-fn every_truncation_of_a_valid_v1_stream_is_a_typed_error() {
-    let wire = encode_v1(&sample_artifact());
-    for cut in 0..wire.len() {
-        assert_typed(
-            FtSpanner::from_binary_reader(&wire[..cut]),
-            &format!("v1 cut at {cut}/{}", wire.len()),
-        );
     }
 }
 
@@ -143,137 +100,36 @@ fn every_truncation_of_a_valid_v2_image_is_a_typed_error() {
 }
 
 #[test]
-fn every_line_truncation_of_a_valid_text_artifact_is_a_typed_error() {
-    let wire = encode_text(&sample_artifact());
-    let text = std::str::from_utf8(&wire).expect("text codec writes UTF-8");
-    let lines: Vec<&str> = text.lines().collect();
-    for keep in 0..lines.len() {
-        let partial = lines[..keep].join("\n");
-        assert_typed(
-            FtSpanner::from_reader(partial.as_bytes()),
-            &format!("text truncated to {keep}/{} lines", lines.len()),
-        );
-    }
-}
-
-#[test]
-fn trailing_bytes_after_either_binary_format_are_rejected() {
-    let artifact = sample_artifact();
-    let mut v1 = encode_v1(&artifact);
-    v1.push(0);
-    match FtSpanner::from_binary_reader(&v1[..]) {
-        Err(CoreError::InvalidParameter { message }) => {
-            assert!(
-                message.contains("trailing"),
-                "unexpected message: {message}"
-            )
-        }
-        other => panic!("expected a trailing-bytes error, got {other:?}"),
-    }
-    let mut v2 = encode_v2(&artifact);
+fn trailing_bytes_after_an_image_are_rejected() {
+    let mut v2 = encode_v2(&sample_artifact());
     v2.push(1); // non-zero so it cannot pass as alignment padding
     assert_typed(FtSpanner::from_binary_slice(&v2), "v2 trailing byte");
 }
 
 #[test]
 fn bad_magic_and_version_skew_are_typed_errors() {
-    let wire = encode_v1(&sample_artifact());
+    let wire = encode_v2(&sample_artifact());
     let mut bad = wire.clone();
     bad[..4].copy_from_slice(b"HTTP");
-    match FtSpanner::from_binary_reader(&bad[..]) {
+    match FtSpanner::from_binary_slice(&bad) {
         Err(CoreError::InvalidParameter { message }) => {
             assert!(message.contains("magic"), "unexpected message: {message}")
         }
         other => panic!("expected a bad-magic error, got {other:?}"),
     }
-    for found in [0u32, 3, 7, u32::MAX] {
-        let forged = raw_v1(b"FTSP", found, &wire[8..]);
-        match FtSpanner::from_binary_reader(&forged[..]) {
+    // Version 1 included: older builds wrote it, and such files must fail
+    // typed, naming the version, like any other skew.
+    for found in [0u32, 1, 3, 7, u32::MAX] {
+        let forged = raw_image(b"FTSP", found, &wire[8..]);
+        match FtSpanner::from_binary_slice(&forged) {
             Err(CoreError::InvalidParameter { message }) => {
                 assert!(
-                    message.contains(&found.to_string()),
+                    message.contains(&format!("version {found}")),
                     "version {found}: error does not name the version: {message}"
                 );
             }
             other => panic!("version {found}: expected a typed error, got {other:?}"),
         }
-    }
-}
-
-#[test]
-fn lying_v1_section_lengths_fail_before_any_allocation() {
-    // A META section claiming a multi-gigabyte payload backed by 4 bytes:
-    // the reader's take-bounded section loader must fail on the missing
-    // bytes, not allocate the claimed length.
-    for lying_len in [u64::MAX, u64::MAX / 2, 1 << 40] {
-        let mut body = Vec::new();
-        body.extend_from_slice(b"META");
-        body.extend_from_slice(&lying_len.to_le_bytes());
-        body.extend_from_slice(b"tiny");
-        let wire = raw_v1(b"FTSP", 1, &body);
-        assert_typed(
-            FtSpanner::from_binary_reader(&wire[..]),
-            &format!("META claiming {lying_len} bytes"),
-        );
-    }
-}
-
-#[test]
-fn implausible_v1_node_counts_are_refused_without_allocating() {
-    // A structurally valid META plus a GRPH section declaring u32::MAX
-    // vertices over zero edges: the node bound must refuse the Graph
-    // allocation with a typed error.
-    let mut meta = Vec::new();
-    meta.extend_from_slice(&1u32.to_le_bytes()); // algorithm len
-    meta.push(b'x');
-    meta.extend_from_slice(&1u32.to_le_bytes()); // provenance len
-    meta.push(b'y');
-    meta.push(0u8); // vertex model
-    meta.extend_from_slice(&1u64.to_le_bytes()); // faults
-    meta.extend_from_slice(&3.0f64.to_le_bytes()); // stretch
-    let mut grph = Vec::new();
-    grph.extend_from_slice(&u32::MAX.to_le_bytes()); // n
-    grph.extend_from_slice(&0u32.to_le_bytes()); // m
-    let mut body = v1_section(b"META", &meta);
-    body.extend_from_slice(&v1_section(b"GRPH", &grph));
-    body.extend_from_slice(&v1_section(b"SPAN", &0u32.to_le_bytes()));
-    body.extend_from_slice(&v1_section(b"END\0", &[]));
-    let wire = raw_v1(b"FTSP", 1, &body);
-    match FtSpanner::from_binary_reader(&wire[..]) {
-        Err(CoreError::InvalidParameter { message }) => {
-            assert!(
-                message.contains("implausible"),
-                "unexpected message: {message}"
-            );
-        }
-        other => panic!("expected the node-bound refusal, got {other:?}"),
-    }
-}
-
-#[test]
-fn forged_text_headers_cannot_bomb_the_vertex_allocation() {
-    // Minimized reproducer from the fuzz battery: a graph line claiming
-    // u32::MAX vertices and edges used to allocate the full adjacency array
-    // (~100 GiB) before reading a single edge line. It must now fail as a
-    // typed error with allocations bounded by the bytes actually present.
-    let forged = "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1 3\n\
-                  graph 4294967295 4294967295\n";
-    assert_typed(
-        FtSpanner::from_reader(forged.as_bytes()),
-        "text header claiming 2^32 vertices",
-    );
-    // Same lie with the edge count it can actually back: still refused by
-    // the node bound, after the (tiny) edge list is read.
-    let forged = "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1 3\n\
-                  graph 4294967295 1\n0 1 1.0\nspanner 0\nend\n";
-    match FtSpanner::from_reader(forged.as_bytes()) {
-        Err(CoreError::InvalidParameter { message }) => {
-            assert!(
-                message.contains("implausible"),
-                "unexpected message: {message}"
-            );
-        }
-        other => panic!("expected the node-bound refusal, got {other:?}"),
     }
 }
 
@@ -338,27 +194,6 @@ fn v2_padding_must_be_zero() {
 }
 
 #[test]
-fn mutated_v1_streams_never_panic_and_errors_stay_typed() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xF451);
-    let original = encode_v1(&sample_artifact());
-    for _ in 0..3000 {
-        let mut wire = original.clone();
-        for _ in 0..rng.gen_range(1..9usize) {
-            let at = rng.gen_range(0..wire.len());
-            wire[at] = rng.gen();
-        }
-        match FtSpanner::from_binary_reader(&wire[..]) {
-            Ok(artifact) => {
-                // A surviving decode must still be internally consistent.
-                assert!(artifact.spanner_edge_count() <= artifact.source_edge_count());
-            }
-            Err(CoreError::InvalidParameter { .. }) => {}
-            Err(other) => panic!("unexpected error class: {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn mutated_v2_images_never_panic_and_errors_stay_typed() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xF452);
     let original = encode_v2(&sample_artifact());
@@ -379,34 +214,12 @@ fn mutated_v2_images_never_panic_and_errors_stay_typed() {
 }
 
 #[test]
-fn mutated_text_artifacts_never_panic_and_errors_stay_typed() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xF453);
-    let original = encode_text(&sample_artifact());
-    for _ in 0..2000 {
-        let mut wire = original.clone();
-        for _ in 0..rng.gen_range(1..6usize) {
-            let at = rng.gen_range(0..wire.len());
-            wire[at] = rng.gen();
-        }
-        match FtSpanner::from_reader(&wire[..]) {
-            Ok(artifact) => {
-                assert!(artifact.spanner_edge_count() <= artifact.source_edge_count());
-            }
-            Err(CoreError::InvalidParameter { .. }) => {}
-            Err(other) => panic!("unexpected error class: {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn random_bodies_under_valid_headers_never_panic() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xF454);
     for _ in 0..2000 {
         let len = rng.gen_range(0..300usize);
         let body: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        let v1 = raw_v1(b"FTSP", 1, &body);
-        let _ = FtSpanner::from_binary_reader(&v1[..]);
-        let v2 = raw_v1(b"FTSP", 2, &body);
+        let v2 = raw_image(b"FTSP", 2, &body);
         let _ = FtSpanner::from_binary_slice(&v2);
         let _ = FtSpannerView::parse(&v2);
     }

@@ -82,7 +82,7 @@ fn v2_image(seed: u64) -> Vec<u8> {
     let artifact = FtSpanner::from_report(&g, &report).expect("artifact builds");
     let mut buf = Vec::new();
     artifact
-        .to_binary_v2_writer(&mut buf)
+        .to_binary_writer(&mut buf)
         .expect("serialization succeeds");
     buf
 }
@@ -124,13 +124,4 @@ fn record_access_allocates_nothing() {
         allocations, 0,
         "decoding records through the view must not allocate"
     );
-}
-
-#[test]
-fn materialize_agrees_with_the_streaming_reader() {
-    let image = v2_image(42);
-    let view = FtSpannerView::parse(&image).expect("image is well-formed");
-    let materialized = view.materialize().expect("materialization succeeds");
-    let streamed = FtSpanner::from_binary_reader(image.as_slice()).expect("reader succeeds");
-    assert_eq!(materialized, streamed);
 }

@@ -4,8 +4,7 @@
 //! (u64 LE) · payload`. The magic is [`PROTOCOL_MAGIC`] (`FTNW`), the version
 //! is [`PROTOCOL_VERSION`], and the tag selects the frame type ([`Request`]
 //! or [`Response`]). Payloads are flat little-endian encodings with
-//! length-prefixed strings and sequences — the same section discipline as
-//! the `.ftspan` artifact format, including its defenses:
+//! length-prefixed strings and sequences, with these defenses:
 //!
 //! * a declared payload length above [`MAX_FRAME_LEN`] is rejected **before**
 //!   any allocation ([`NetError::FrameTooLarge`]);

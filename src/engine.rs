@@ -3,7 +3,7 @@
 //!
 //! The build-once/query-many workflow: construct artifacts through
 //! [`FtSpannerBuilder::build_artifact`](crate::FtSpannerBuilder::build_artifact)
-//! (or load them with [`FtSpanner::from_reader`] / an
+//! (or load them with [`FtSpanner::from_binary_file`] / an
 //! [`ArtifactStore`](crate::ArtifactStore)), register them under names, then
 //! execute whole batches of [`Query`] values. Results come back **in input
 //! order**, so a batch is deterministic regardless of worker count or

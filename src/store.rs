@@ -1,11 +1,12 @@
 //! Directory-backed artifact persistence: the [`ArtifactStore`].
 //!
 //! A store is a plain directory of `.ftspan` files, one binary-serialized
-//! [`FtSpanner`] per file (version-2 layout, see
-//! [`FtSpanner::to_binary_v2_writer`]; version-1 files remain loadable); the
-//! file stem is the artifact's serving name. Sharded artifacts persist as a
-//! versioned text manifest `<name>.ftshard` plus one `.ftspan` file per
-//! shard (`<name>.shard<i>.ftspan`). Build artifacts on a construction
+//! [`FtSpanner`] per file (layout documented on
+//! [`FtSpanner::to_binary_writer`], decoded through the validated
+//! [`FtSpannerView`](ftspan_core::serve::FtSpannerView)); the file stem is
+//! the artifact's serving name. Sharded artifacts persist as a versioned
+//! text manifest `<name>.ftshard` plus one `.ftspan` file per shard
+//! (`<name>.shard<i>.ftspan`). Build artifacts on a construction
 //! machine, [`save`](ArtifactStore::save) /
 //! [`save_sharded`](ArtifactStore::save_sharded) them, ship the directory,
 //! and [`load_into`](ArtifactStore::load_into) an [`Engine`] at serving
@@ -125,7 +126,7 @@ impl ArtifactStore {
     /// failure.
     pub fn save(&self, name: &str, artifact: &FtSpanner) -> Result<PathBuf> {
         let path = self.path_of(name)?;
-        self.write_atomic(&path, |writer| artifact.to_binary_v2_writer(writer))?;
+        self.write_atomic(&path, |writer| artifact.to_binary_writer(writer))?;
         Ok(path)
     }
 
@@ -174,22 +175,10 @@ impl ArtifactStore {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] on an invalid name, a missing
-    /// file, or malformed artifact data.
+    /// Returns [`CoreError::InvalidParameter`] on an invalid name, or one
+    /// naming the file when it is missing or holds malformed artifact data.
     pub fn load(&self, name: &str) -> Result<FtSpanner> {
-        let path = self.path_of(name)?;
-        let file = File::open(&path).map_err(|e| CoreError::InvalidParameter {
-            message: format!("cannot open {}: {e}", path.display()),
-        })?;
-        // Name the offending file in parse failures: a directory cold load
-        // ([`ArtifactStore::load_into`]) surfaces the first corrupt artifact,
-        // and without the path the operator can't tell which of dozens of
-        // files to re-ship.
-        FtSpanner::from_binary_reader(BufReader::new(file)).map_err(|e| {
-            CoreError::InvalidParameter {
-                message: format!("cannot parse artifact {}: {e}", path.display()),
-            }
-        })
+        FtSpanner::from_binary_file(self.path_of(name)?)
     }
 
     /// The names of every stored artifact (`.ftspan` file stems), sorted.

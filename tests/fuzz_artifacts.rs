@@ -3,7 +3,7 @@
 //! partial-failure semantics of [`ArtifactStore::load_into`].
 //!
 //! Companion to `crates/core/tests/fuzz_ftspan.rs` (which attacks the
-//! `.ftspan` codecs directly); this file attacks the store layer that
+//! `.ftspan` codec directly); this file attacks the store layer that
 //! stitches manifests, shard pieces and flat artifacts into an engine.
 //! Every forged input must fail as a typed [`CoreError::InvalidParameter`]
 //! — never a panic, never an unbounded allocation driven by a claimed
@@ -220,14 +220,26 @@ fn spliced_manifests_are_rejected() {
 
 #[test]
 fn forged_flat_headers_cannot_bomb_through_the_store() {
-    // The minimized text-codec regression, pinned at the store layer: a
-    // `.ftspan` file whose `graph` line claims 2^32 vertices used to
-    // allocate the full adjacency array before reading any edge.
+    // A valid `.ftspan` image whose `DIMS` node count is patched to 2^32 - 1:
+    // the node count has no backing bytes, so the store's load must refuse
+    // it by the per-edge node bound before allocating adjacency for four
+    // billion vertices.
     let store = temp_store("flat-bomb");
-    let forged = "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1 3\n\
-                  graph 4294967295 4294967295\n";
-    std::fs::write(store.dir().join("bomb.ftspan"), forged).unwrap();
-    assert_typed(store.load("bomb"), "graph 4294967295 4294967295");
+    let path = store.save("bomb", &flat_artifact(41)).unwrap();
+    let mut image = std::fs::read(&path).unwrap();
+    // Header (16 bytes), then 24-byte table entries; `DIMS` is entry 1 and
+    // its absolute offset sits 8 bytes into the entry.
+    let dims_at = u64::from_le_bytes(image[48..56].try_into().unwrap()) as usize;
+    assert_eq!(&image[40..44], b"DIMS");
+    image[dims_at..dims_at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    std::fs::write(&path, &image).unwrap();
+    match store.load("bomb") {
+        Err(CoreError::InvalidParameter { message }) => assert!(
+            message.contains("implausible node count"),
+            "unexpected message: {message}"
+        ),
+        other => panic!("expected the node-bound refusal, got {other:?}"),
+    }
 }
 
 #[test]

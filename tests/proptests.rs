@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) on the workspace's core invariants:
 //! random graphs, random parameters — the guarantees must always hold.
 
+use fault_tolerant_spanners::core::CoreError;
 use fault_tolerant_spanners::graph::GraphError;
 use fault_tolerant_spanners::prelude::*;
 use proptest::prelude::*;
@@ -595,8 +596,7 @@ proptest! {
 
     /// Decoding `.ftspan` v2 images never panics: the pristine image round
     /// trips exactly, every truncation is a typed error, and arbitrary byte
-    /// mutations either decode cleanly or fail with a typed error — through
-    /// both the zero-copy view and the streaming reader.
+    /// mutations either decode cleanly or fail with a typed error.
     #[test]
     fn binary_v2_decoding_survives_mutation(
         n in 4usize..12,
@@ -616,7 +616,7 @@ proptest! {
         )
         .unwrap();
         let mut image = Vec::new();
-        artifact.to_binary_v2_writer(&mut image).unwrap();
+        artifact.to_binary_writer(&mut image).unwrap();
         prop_assert_eq!(&FtSpanner::from_binary_slice(&image).unwrap(), &artifact);
         prop_assert_eq!(&FtSpannerView::parse(&image).unwrap().materialize().unwrap(), &artifact);
 
@@ -624,22 +624,19 @@ proptest! {
         let cut = cut_pick % image.len();
         prop_assert!(FtSpanner::from_binary_slice(&image[..cut]).is_err());
 
-        // Arbitrary byte mutations must decode or fail with a typed error;
-        // the view and the streaming reader must agree on which.
+        // Arbitrary byte mutations must decode or fail with a typed error.
         let mut mutated = image.clone();
         for &(at, byte) in &flips {
             let i = at % mutated.len();
             mutated[i] ^= (byte & 0xFF) as u8;
         }
-        let streamed = FtSpanner::from_binary_reader(mutated.as_slice());
         match FtSpanner::from_binary_slice(&mutated) {
             Ok(decoded) => {
                 // Still well-formed (e.g. only weights or text changed).
-                prop_assert_eq!(&streamed.unwrap(), &decoded);
+                prop_assert!(decoded.spanner_edge_count() <= decoded.source_edge_count());
             }
             Err(e) => {
-                prop_assert!(!e.to_string().is_empty());
-                prop_assert!(streamed.is_err() || mutated[4..8] != image[4..8]);
+                prop_assert!(matches!(e, CoreError::InvalidParameter { .. }), "{e:?}");
             }
         }
     }
