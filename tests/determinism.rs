@@ -10,6 +10,7 @@
 //! repeated-run reproducibility of a single configuration and the pinned
 //! edge digests of the greedy-backed constructions.
 
+use fault_tolerant_spanners::core::CoreError;
 use fault_tolerant_spanners::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -275,5 +276,238 @@ fn sharded_answers_reproduce_a_pinned_digest() {
     assert_eq!(
         hash, expected,
         "sharded answer digest {hash:#018x} moved from the pinned {expected:#018x}"
+    );
+}
+
+/// The engine battery: one engine holding a flat, a dynamic and a 3-shard
+/// sharded registration under each fault model, and one batch that asks
+/// every query kind of each of them. Valid scopes repeat with permuted and
+/// duplicated fault lists, so the planner groups them; one scope per
+/// artifact is a singleton. The batch ends with one query per typed error,
+/// paired with the exact error it must produce.
+fn engine_battery() -> (Engine, Vec<Query>, Vec<(usize, CoreError)>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(151);
+    let g = generate::connected_gnp(24, 0.25, generate::WeightKind::Unit, &mut rng);
+    let n = g.node_count();
+    let mut engine = Engine::new();
+    for (tag, algorithm) in [("vertex", "conversion"), ("edge", "edge-fault")] {
+        let builder = FtSpannerBuilder::new(algorithm).faults(1).seed(15);
+        engine.register(&format!("flat-{tag}"), builder.build_artifact(&g).unwrap());
+        let request = SpannerRequest {
+            faults: 1,
+            iterations: Some(6),
+            threads: Some(1),
+            ..SpannerRequest::default()
+        };
+        let live = DynamicArtifact::build(&g, BuildRecipe::new(algorithm, request, 15)).unwrap();
+        engine.register_dynamic(&format!("live-{tag}"), live);
+        let config = partition::PartitionConfig::new(3).with_seed(15);
+        let sharded = ShardedArtifact::build(&g, &builder, &config).unwrap();
+        engine.register_sharded(&format!("sharded-{tag}"), sharded);
+    }
+
+    let edge = |i: usize| {
+        let (_, e) = g.edges().nth(i).unwrap();
+        (e.u, e.v)
+    };
+    let (e1, e2, e3) = (edge(0), edge(7), edge(19));
+    let non_edge = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (NodeId::new(u), NodeId::new(v))))
+        .find(|&(u, v)| g.find_edge(u, v).is_none())
+        .unwrap();
+    let node = NodeId::new;
+    let vertex_scopes = [
+        (vec![], 6),
+        (vec![node(3)], 6),
+        (vec![node(3), node(3)], 6),
+        (vec![node(17)], 6),
+        (vec![node(11)], 1),
+    ];
+    let edge_scopes = [
+        (vec![], 6),
+        (vec![e1], 6),
+        (vec![(e1.1, e1.0), e1], 6),
+        (vec![e2], 6),
+        (vec![e3], 1),
+    ];
+
+    let mut queries = Vec::new();
+    for kind in ["flat", "live", "sharded"] {
+        for (i, (faults, pairs)) in vertex_scopes.iter().enumerate() {
+            let name = format!("{kind}-vertex");
+            for p in 0..*pairs {
+                let (u, v) = (node((p * 5 + i) % n), node((p * 7 + 2 * i + 1) % n));
+                queries.push(Query::distance(&name, faults.clone(), u, v));
+                queries.push(Query::path(&name, faults.clone(), u, v));
+                queries.push(Query::certificate(&name, faults.clone(), u, v));
+            }
+        }
+        for (i, (faults, pairs)) in edge_scopes.iter().enumerate() {
+            let name = format!("{kind}-edge");
+            for p in 0..*pairs {
+                let (u, v) = (node((p * 3 + i) % n), node((p * 11 + i + 4) % n));
+                for query in [
+                    Query::distance(&name, vec![], u, v),
+                    Query::path(&name, vec![], u, v),
+                    Query::certificate(&name, vec![], u, v),
+                ] {
+                    queries.push(query.with_edge_faults(faults.clone()));
+                }
+            }
+        }
+    }
+
+    let unknown_node = |node: usize| CoreError::UnknownNode { node, nodes: n };
+    let too_many = CoreError::TooManyFaults {
+        given: 2,
+        budget: 1,
+    };
+    let mismatch = |declared, requested| CoreError::FaultModelMismatch {
+        declared,
+        requested,
+    };
+    let mut errors = vec![(
+        Query::distance("missing", vec![], node(0), node(1)),
+        CoreError::UnknownArtifact {
+            name: "missing".to_string(),
+        },
+    )];
+    for kind in ["flat", "live", "sharded"] {
+        let vertex = format!("{kind}-vertex");
+        let edge = format!("{kind}-edge");
+        let both = |name: &str| Query {
+            edge_faults: vec![e1],
+            ..Query::certificate(name, vec![node(3)], node(0), node(5))
+        };
+        errors.extend([
+            // An unknown endpoint inside a grouped scope, and inside a
+            // singleton one.
+            (
+                Query::distance(&vertex, vec![node(3)], node(n + 4), node(1)),
+                unknown_node(n + 4),
+            ),
+            (
+                Query::path(&vertex, vec![node(5)], node(0), node(n)),
+                unknown_node(n),
+            ),
+            (
+                Query::certificate(&edge, vec![], node(2), node(n + 1)).with_edge_faults(vec![e1]),
+                unknown_node(n + 1),
+            ),
+            // Bad faults: an unknown vertex, an out-of-range edge endpoint,
+            // a pair that is not an edge.
+            (
+                Query::distance(&vertex, vec![node(999)], node(0), node(1)),
+                unknown_node(999),
+            ),
+            (
+                Query::distance(&edge, vec![], node(0), node(1))
+                    .with_edge_faults(vec![(node(0), node(999))]),
+                unknown_node(999),
+            ),
+            (
+                Query::path(&edge, vec![], node(0), node(1)).with_edge_faults(vec![non_edge]),
+                CoreError::UnknownEdge {
+                    u: non_edge.0.index(),
+                    v: non_edge.1.index(),
+                },
+            ),
+            // Over budget beats an unknown endpoint.
+            (
+                Query::distance(&vertex, vec![node(1), node(2)], node(n), node(1)),
+                too_many.clone(),
+            ),
+            (
+                Query::certificate(&edge, vec![], node(0), node(1)).with_edge_faults(vec![e1, e2]),
+                too_many.clone(),
+            ),
+            // The wrong fault kind, alone and together with the right one.
+            (
+                Query::distance(&vertex, vec![], node(0), node(1)).with_edge_faults(vec![e1]),
+                mismatch(FaultModel::Vertex, FaultModel::Edge),
+            ),
+            (
+                Query::distance(&edge, vec![node(3)], node(0), node(1)),
+                mismatch(FaultModel::Edge, FaultModel::Vertex),
+            ),
+            (
+                both(&vertex),
+                mismatch(FaultModel::Vertex, FaultModel::Edge),
+            ),
+            (both(&edge), mismatch(FaultModel::Edge, FaultModel::Vertex)),
+        ]);
+    }
+    let expected = errors
+        .into_iter()
+        .map(|(query, error)| {
+            queries.push(query);
+            (queries.len() - 1, error)
+        })
+        .collect();
+    (engine, queries, expected)
+}
+
+#[test]
+fn engine_battery_plans_like_the_naive_executor() {
+    let (engine, queries, errors) = engine_battery();
+    let naive = engine.run_batch_naive(&queries);
+    let failed = naive.iter().filter(|r| r.is_err()).count();
+    assert_eq!(failed, errors.len(), "only the error queries fail");
+    for (i, error) in errors {
+        assert_eq!(naive[i], Err(error), "query {i}: {:?}", queries[i]);
+    }
+    for workers in [1usize, 2, 8] {
+        for capacity in [0usize, 1, 64] {
+            let planned = engine
+                .clone()
+                .with_workers(workers)
+                .with_source_cache_capacity(capacity)
+                .run_batch(&queries);
+            assert_eq!(
+                naive, planned,
+                "planner diverged at workers={workers}, capacity={capacity}"
+            );
+        }
+    }
+}
+
+#[test]
+fn engine_battery_answers_reproduce_a_pinned_digest() {
+    // FNV-1a over every answer of the battery, in input order: distance
+    // bits, paths, certificate scalars and paths, and the debug form of
+    // every typed error. Any change to an answer, an error or its fields
+    // moves this digest.
+    let (engine, queries, _) = engine_battery();
+    let mut hash = FNV_OFFSET;
+    for result in engine.run_batch(&queries) {
+        match result {
+            Ok(QueryOutcome::Distance(d)) => {
+                fnv_word(&mut hash, 0);
+                fnv_word(&mut hash, d.to_bits());
+            }
+            Ok(QueryOutcome::Path(path)) => {
+                fnv_word(&mut hash, 1);
+                fnv_path(&mut hash, &path);
+            }
+            Ok(QueryOutcome::Certificate(cert)) => {
+                fnv_word(&mut hash, 2);
+                for x in [cert.spanner_distance, cert.baseline_distance, cert.stretch] {
+                    fnv_word(&mut hash, x.to_bits());
+                }
+                fnv_word(&mut hash, cert.bound.to_bits());
+                fnv_path(&mut hash, &cert.path);
+            }
+            Err(error) => {
+                fnv_word(&mut hash, 3);
+                for b in format!("{error:?}").bytes() {
+                    fnv_word(&mut hash, u64::from(b));
+                }
+            }
+        }
+    }
+    let expected = 0x32de_b99b_b563_7295u64;
+    assert_eq!(
+        hash, expected,
+        "engine battery digest {hash:#018x} moved from the pinned {expected:#018x}"
     );
 }
