@@ -1,4 +1,4 @@
-//! Shared infrastructure for the experiment binaries and Criterion benches.
+//! Shared infrastructure for the experiment binaries and the perf scenarios.
 //!
 //! Every experiment binary (one per experiment of DESIGN.md's index, E1–E11)
 //! prints an aligned table to stdout and writes the same rows as CSV under

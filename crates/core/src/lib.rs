@@ -76,7 +76,8 @@ pub use dynamic::{
 };
 pub use error::CoreError;
 pub use serve::{
-    CacheStats, CachedSession, FaultSession, FtSpanner, FtSpannerView, StretchCertificate,
+    CacheStats, CachedSession, FaultSession, FtSpanner, FtSpannerView, QuerySession,
+    StretchCertificate,
 };
 
 /// Result alias for fault-tolerant spanner constructions.

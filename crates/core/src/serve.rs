@@ -22,6 +22,10 @@
 //!   dominated by repeated `(source, fault scope)` pairs reuse one Dijkstra
 //!   tree per source instead of recomputing per query, with answers
 //!   byte-identical to the plain session at any capacity.
+//! * [`QuerySession`] — the one query surface every session answers
+//!   through (`distance`, `path`, `stretch_certificate`, `cache_stats`), so
+//!   a serving layer dispatches over plain, cached and sharded sessions
+//!   alike.
 //! * Round-trip serialization so artifacts can be built once and served many
 //!   times, on other machines, with no extra dependencies: the versioned
 //!   binary `.ftspan` format ([`FtSpanner::to_binary_writer`] /
@@ -1027,6 +1031,34 @@ pub struct StretchCertificate {
 }
 
 impl StretchCertificate {
+    /// A certificate for `(u, v)` from both distances, the declared bound
+    /// and the witnessing path. The realized stretch is
+    /// `spanner_distance / baseline_distance`, or `1.0` where the guarantee
+    /// is vacuous: the pair coincides or is disconnected in `G \ F`.
+    pub fn new(
+        u: NodeId,
+        v: NodeId,
+        spanner_distance: f64,
+        baseline_distance: f64,
+        bound: f64,
+        path: Option<Vec<NodeId>>,
+    ) -> Self {
+        let stretch = if baseline_distance == 0.0 || baseline_distance.is_infinite() {
+            1.0
+        } else {
+            spanner_distance / baseline_distance
+        };
+        StretchCertificate {
+            u,
+            v,
+            spanner_distance,
+            baseline_distance,
+            stretch,
+            bound,
+            path,
+        }
+    }
+
     /// Returns `true` if the realized stretch is within the declared bound.
     pub fn holds(&self) -> bool {
         self.stretch <= self.bound + EPS
@@ -1161,22 +1193,14 @@ impl<'a> FaultSession<'a> {
             .spanner_csr
             .sssp_with_parents(u, dead, dead_edges)
             .map_err(CoreError::Graph)?;
-        let spanner_distance = dist[v.index()];
-        let baseline_distance = self.baseline_distance(u, v)?;
-        let stretch = if baseline_distance == 0.0 || baseline_distance.is_infinite() {
-            1.0
-        } else {
-            spanner_distance / baseline_distance
-        };
-        Ok(StretchCertificate {
+        Ok(StretchCertificate::new(
             u,
             v,
-            spanner_distance,
-            baseline_distance,
-            stretch,
-            bound: self.artifact.stretch,
-            path: reconstruct_path(&parents, &dist, u, v),
-        })
+            dist[v.index()],
+            self.baseline_distance(u, v)?,
+            self.artifact.stretch,
+            reconstruct_path(&parents, &dist, u, v),
+        ))
     }
 
     /// Worst realized stretch over every surviving edge of the source graph
@@ -1224,7 +1248,7 @@ impl<'a> FaultSession<'a> {
 }
 
 /// A snapshot of a [`CachedSession`]'s source-cache counters
-/// ([`CachedSession::cache_stats`]).
+/// ([`QuerySession::cache_stats`]).
 ///
 /// Hits are queries answered from a resident per-source Dijkstra tree;
 /// misses ran a full traversal. The counters are observability only — they
@@ -1310,15 +1334,6 @@ impl<'a> CachedSession<'a> {
         self.misses
     }
 
-    /// A snapshot of the hit/miss counters (the serving engine aggregates
-    /// these across planned groups into its `EngineStats` surface).
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-
     /// Ensures the tree rooted at `u` is resident and returns its index
     /// (always the most-recent slot, `self.trees.len() - 1`).
     fn ensure_tree(&mut self, u: NodeId) -> Result<usize> {
@@ -1378,21 +1393,6 @@ impl<'a> CachedSession<'a> {
         Ok(())
     }
 
-    /// Shortest-path distance from `u` to `v` in the surviving spanner
-    /// (identical to [`FaultSession::distance`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
-    pub fn distance(&mut self, u: NodeId, v: NodeId) -> Result<f64> {
-        // Endpoints are checked in the same order as the plain session, so
-        // error values are identical too.
-        self.session.check_node(u)?;
-        self.session.check_node(v)?;
-        let slot = self.ensure_tree(u)?;
-        Ok(self.trees[slot].dist[v.index()])
-    }
-
     /// All shortest-path distances from `u` in the surviving spanner
     /// (identical to [`FaultSession::distances_from`]).
     ///
@@ -1430,14 +1430,75 @@ impl<'a> CachedSession<'a> {
     pub fn baseline_distances_from(&mut self, u: NodeId) -> Result<Vec<f64>> {
         Ok(self.distance_row(u, true)?.to_vec())
     }
+}
 
-    /// A shortest surviving spanner path from `u` to `v` (identical to
-    /// [`FaultSession::path`]).
+/// The query surface of a fault-scoped session: the three answers a
+/// serving layer asks for, whatever the session underneath.
+///
+/// [`CachedSession`] and the facade's sharded session implement it
+/// directly; [`FaultSession`] keeps its `&self` methods as the uncached
+/// reference executor and forwards to them. Every implementation checks
+/// `u` before `v` and reports the same typed errors, so callers can swap
+/// one session for another without changing any answer.
+pub trait QuerySession {
+    /// Shortest-path distance from `u` to `v` in the surviving spanner
+    /// `H \ F` (`INFINITY` when disconnected or an endpoint has failed).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
-    pub fn path(&mut self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>> {
+    fn distance(&mut self, u: NodeId, v: NodeId) -> Result<f64>;
+
+    /// A shortest surviving spanner path from `u` to `v`, as the ordered
+    /// vertex sequence (`None` when disconnected or an endpoint has failed).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
+    fn path(&mut self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>>;
+
+    /// A [`StretchCertificate`] for the pair `(u, v)`: both distances, the
+    /// realized stretch against the declared bound, and a witnessing path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
+    fn stretch_certificate(&mut self, u: NodeId, v: NodeId) -> Result<StretchCertificate>;
+
+    /// The session's source-cache counters (zero for a session without a
+    /// cache).
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
+}
+
+impl QuerySession for FaultSession<'_> {
+    fn distance(&mut self, u: NodeId, v: NodeId) -> Result<f64> {
+        FaultSession::distance(self, u, v)
+    }
+
+    fn path(&mut self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>> {
+        FaultSession::path(self, u, v)
+    }
+
+    fn stretch_certificate(&mut self, u: NodeId, v: NodeId) -> Result<StretchCertificate> {
+        FaultSession::stretch_certificate(self, u, v)
+    }
+}
+
+/// Identical answers to the wrapped [`FaultSession`]'s, with per-source
+/// trees served from the cache.
+impl QuerySession for CachedSession<'_> {
+    fn distance(&mut self, u: NodeId, v: NodeId) -> Result<f64> {
+        // Endpoints are checked in the same order as the plain session, so
+        // error values are identical too.
+        self.session.check_node(u)?;
+        self.session.check_node(v)?;
+        let slot = self.ensure_tree(u)?;
+        Ok(self.trees[slot].dist[v.index()])
+    }
+
+    fn path(&mut self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>> {
         self.session.check_node(u)?;
         self.session.check_node(v)?;
         let slot = self.ensure_tree(u)?;
@@ -1445,34 +1506,29 @@ impl<'a> CachedSession<'a> {
         Ok(reconstruct_path(&tree.parents, &tree.dist, u, v))
     }
 
-    /// A [`StretchCertificate`] for the pair `(u, v)` (identical to
-    /// [`FaultSession::stretch_certificate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
-    pub fn stretch_certificate(&mut self, u: NodeId, v: NodeId) -> Result<StretchCertificate> {
+    fn stretch_certificate(&mut self, u: NodeId, v: NodeId) -> Result<StretchCertificate> {
         self.session.check_node(u)?;
         self.session.check_node(v)?;
         let slot = self.ensure_tree(u)?;
         self.ensure_baseline(slot)?;
         let tree = &self.trees[slot];
-        let spanner_distance = tree.dist[v.index()];
-        let baseline_distance = tree.baseline.as_ref().expect("just ensured")[v.index()];
-        let stretch = if baseline_distance == 0.0 || baseline_distance.is_infinite() {
-            1.0
-        } else {
-            spanner_distance / baseline_distance
-        };
-        Ok(StretchCertificate {
+        Ok(StretchCertificate::new(
             u,
             v,
-            spanner_distance,
-            baseline_distance,
-            stretch,
-            bound: self.session.artifact.stretch,
-            path: reconstruct_path(&tree.parents, &tree.dist, u, v),
-        })
+            tree.dist[v.index()],
+            tree.baseline.as_ref().expect("just ensured")[v.index()],
+            self.session.artifact.stretch,
+            reconstruct_path(&tree.parents, &tree.dist, u, v),
+        ))
+    }
+
+    /// A snapshot of the hit/miss counters (the serving engine aggregates
+    /// these across planned groups into its `EngineStats` surface).
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+        }
     }
 }
 

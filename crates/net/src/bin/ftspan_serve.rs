@@ -118,11 +118,9 @@ fn main() -> ExitCode {
     let mut dynamic_count = 0usize;
     if args.dynamic {
         for name in &names {
-            // Only flat registrations are promoted; sharded artifacts keep
-            // their scatter-gather serving path.
-            if engine.sharded_artifact(name).is_some() {
-                continue;
-            }
+            // Only flat registrations are promoted (`artifact` is `None` for
+            // sharded ones); sharded artifacts keep their scatter-gather
+            // serving path.
             let Some(flat) = engine.artifact(name) else {
                 continue;
             };

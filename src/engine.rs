@@ -16,10 +16,19 @@
 //! handful of sources. [`Engine::run_batch`] therefore does not open a fresh
 //! session per query. It **canonicalizes** each query's fault scope (sorted,
 //! deduplicated vertex or edge faults), **groups** the batch by
-//! `(artifact, fault scope)`, builds each group's [`FaultSession`] once, and
-//! fans the groups out across the `ftspan_core::par` worker pool. Within a
-//! group, queries run through a [`CachedSession`] whose bounded LRU reuses
-//! one Dijkstra tree per query source ([`EngineConfig::source_cache_capacity`]).
+//! `(artifact, fault scope)`, opens each group's session once, and fans the
+//! groups out across the `ftspan_core::par` worker pool.
+//!
+//! Every query takes the same path, whatever was registered: one `open`
+//! checks the query's fault kind against the artifact's [`FaultModel`] and
+//! returns a boxed [`QuerySession`], and one `answer` turns the query kind
+//! into a `distance`, `path` or `stretch_certificate` call on it. The session
+//! behind the trait is a [`FaultSession`] on a flat or dynamic artifact
+//! (wrapped in a [`CachedSession`] for a group of more than one query, whose
+//! bounded LRU reuses one Dijkstra tree per query source, see
+//! [`EngineConfig::source_cache_capacity`]), or a
+//! [`ShardedSession`](crate::ShardedSession) that scatter-gathers over the
+//! shards.
 //!
 //! The plan is **observationally transparent**: the results — including
 //! per-query errors — are identical to running every query in its own
@@ -67,8 +76,8 @@
 //! assert!(results.iter().all(|r| r.is_ok()));
 //! ```
 
-use crate::shard::{ShardedArtifact, ShardedSession};
-use ftspan_core::serve::{CachedSession, FaultSession, FtSpanner, StretchCertificate};
+use crate::shard::ShardedArtifact;
+use ftspan_core::serve::{CacheStats, FtSpanner, QuerySession, StretchCertificate};
 use ftspan_core::{
     par, ApplyReport, CoreError, DynamicArtifact, EdgeDelta, FaultModel, RebuildPolicy, Result,
 };
@@ -291,26 +300,17 @@ impl StatsCell {
     }
 }
 
-/// A registered serving target: one flat artifact, a sharded one whose
-/// queries scatter-gather over a boundary overlay, or a dynamic one carrying
-/// its recipe and delta log. Every variant is an `Arc`, so a registry
-/// snapshot is a cheap map clone and an in-flight batch keeps the version it
-/// planned against alive across a concurrent swap.
-#[derive(Debug, Clone)]
-enum Registered {
-    Single(Arc<FtSpanner>),
-    Sharded(Arc<ShardedArtifact>),
-    Dynamic(Arc<DynamicArtifact>),
-}
-
 /// One consistent view of the registry: all queries of a batch are answered
 /// from a single snapshot, taken once before planning.
-type Snapshot = BTreeMap<String, Registered>;
+type Snapshot = BTreeMap<String, ArtifactHandle>;
 
-/// An owned view of a registered serving target, mirroring the three
-/// registration paths ([`Engine::register`] / [`Engine::register_sharded`] /
-/// [`Engine::register_dynamic`]) without forcing callers to guess which one
-/// a name went through.
+/// A registered serving target, one variant per registration path
+/// ([`Engine::register`] / [`Engine::register_sharded`] /
+/// [`Engine::register_dynamic`]): a flat artifact, a sharded one whose
+/// queries scatter-gather over a boundary overlay, or a dynamic one carrying
+/// its recipe and delta log. The registry stores these handles, so a
+/// registry snapshot is a cheap map clone of `Arc`s and an in-flight batch
+/// keeps the version it planned against alive across a concurrent swap.
 ///
 /// Obtained from [`Engine::artifact_handle`]. The uniform accessors
 /// (`fault_model`, `stretch`, [`ArtifactHandle::summary`], …) answer the
@@ -439,7 +439,7 @@ pub struct ArtifactSummary {
     /// Edges of the spanner (for sharded artifacts: the union spanner,
     /// shard spanners plus cut edges).
     pub spanner_edges: usize,
-    /// Number of shards, or `None` for a flat artifact.
+    /// Number of shards, or `None` for a flat or dynamic artifact.
     pub shards: Option<usize>,
 }
 
@@ -520,7 +520,7 @@ impl Engine {
     /// Registers (or replaces) an artifact under `name`.
     pub fn register(&mut self, name: &str, artifact: FtSpanner) -> &mut Self {
         self.registry_mut()
-            .insert(name.to_string(), Registered::Single(Arc::new(artifact)));
+            .insert(name.to_string(), ArtifactHandle::Single(Arc::new(artifact)));
         self
     }
 
@@ -529,8 +529,10 @@ impl Engine {
     /// (scatter-gather over the boundary overlay) is an engine concern, not
     /// a client concern.
     pub fn register_sharded(&mut self, name: &str, artifact: ShardedArtifact) -> &mut Self {
-        self.registry_mut()
-            .insert(name.to_string(), Registered::Sharded(Arc::new(artifact)));
+        self.registry_mut().insert(
+            name.to_string(),
+            ArtifactHandle::Sharded(Arc::new(artifact)),
+        );
         self
     }
 
@@ -538,8 +540,10 @@ impl Engine {
     /// artifacts serve the same [`Query`] values as flat ones and can be
     /// evolved in place with [`Engine::apply_deltas`].
     pub fn register_dynamic(&mut self, name: &str, artifact: DynamicArtifact) -> &mut Self {
-        self.registry_mut()
-            .insert(name.to_string(), Registered::Dynamic(Arc::new(artifact)));
+        self.registry_mut().insert(
+            name.to_string(),
+            ArtifactHandle::Dynamic(Arc::new(artifact)),
+        );
         self
     }
 
@@ -549,11 +553,7 @@ impl Engine {
     /// [`Engine::dynamic_artifact`] remain as kind-specific conveniences
     /// built on top of it.
     pub fn artifact_handle(&self, name: &str) -> Option<ArtifactHandle> {
-        Some(match self.registry().get(name)? {
-            Registered::Single(a) => ArtifactHandle::Single(Arc::clone(a)),
-            Registered::Sharded(a) => ArtifactHandle::Sharded(Arc::clone(a)),
-            Registered::Dynamic(d) => ArtifactHandle::Dynamic(Arc::clone(d)),
-        })
+        self.registry().get(name).cloned()
     }
 
     /// Looks up the served [`FtSpanner`] of a flat **or dynamic**
@@ -562,16 +562,16 @@ impl Engine {
     /// [`Engine::artifact_handle`] for a kind-agnostic view.
     pub fn artifact(&self, name: &str) -> Option<Arc<FtSpanner>> {
         match self.registry().get(name)? {
-            Registered::Single(a) => Some(Arc::clone(a)),
-            Registered::Dynamic(d) => Some(d.artifact_arc()),
-            Registered::Sharded(_) => None,
+            ArtifactHandle::Single(a) => Some(Arc::clone(a)),
+            ArtifactHandle::Dynamic(d) => Some(d.artifact_arc()),
+            ArtifactHandle::Sharded(_) => None,
         }
     }
 
     /// Looks up a registered *sharded* artifact.
     pub fn sharded_artifact(&self, name: &str) -> Option<Arc<ShardedArtifact>> {
         match self.registry().get(name)? {
-            Registered::Sharded(a) => Some(Arc::clone(a)),
+            ArtifactHandle::Sharded(a) => Some(Arc::clone(a)),
             _ => None,
         }
     }
@@ -581,7 +581,7 @@ impl Engine {
     /// the value this `Arc` points at).
     pub fn dynamic_artifact(&self, name: &str) -> Option<Arc<DynamicArtifact>> {
         match self.registry().get(name)? {
-            Registered::Dynamic(d) => Some(Arc::clone(d)),
+            ArtifactHandle::Dynamic(d) => Some(Arc::clone(d)),
             _ => None,
         }
     }
@@ -644,7 +644,7 @@ impl Engine {
                     name: name.to_string(),
                 })
             }
-            Some(Registered::Dynamic(d)) => Arc::clone(d),
+            Some(ArtifactHandle::Dynamic(d)) => Arc::clone(d),
             Some(_) => {
                 return Err(CoreError::InvalidParameter {
                     message: format!(
@@ -660,7 +660,7 @@ impl Engine {
         {
             let mut registry = self.registry_mut();
             match registry.get_mut(name) {
-                Some(Registered::Dynamic(slot)) if Arc::ptr_eq(slot, &current) => {
+                Some(ArtifactHandle::Dynamic(slot)) if Arc::ptr_eq(slot, &current) => {
                     *slot = next;
                 }
                 _ => {
@@ -683,7 +683,7 @@ impl Engine {
         Ok(report)
     }
 
-    fn lookup<'s>(snapshot: &'s Snapshot, query: &Query) -> Result<&'s Registered> {
+    fn lookup<'s>(snapshot: &'s Snapshot, query: &Query) -> Result<&'s ArtifactHandle> {
         snapshot
             .get(&query.artifact)
             .ok_or_else(|| CoreError::UnknownArtifact {
@@ -691,171 +691,108 @@ impl Engine {
             })
     }
 
-    /// The flat serving surface of a registered target: a dynamic artifact
-    /// answers queries exactly like its currently served [`FtSpanner`].
-    fn as_flat(registered: &Registered) -> Option<&FtSpanner> {
-        match registered {
-            Registered::Single(a) => Some(a),
-            Registered::Dynamic(d) => Some(d.artifact()),
-            Registered::Sharded(_) => None,
-        }
-    }
-
-    /// Opens the session a query asks for on a flat artifact, mirroring the
-    /// fault-kind checks of the naive per-query path exactly.
+    /// Opens the session `query`'s fault scope asks for on `target`: a
+    /// [`FaultSession`](ftspan_core::FaultSession) on a flat or dynamic
+    /// artifact, wrapped in a [`CachedSession`](ftspan_core::CachedSession)
+    /// when `grouped` queries will share it, or a
+    /// [`ShardedSession`](crate::ShardedSession) at the configured cache
+    /// capacity.
     ///
-    /// A query carrying the wrong kind of faults for the artifact is a
-    /// typed error — silently ignoring the supplied fault set would return
-    /// confidently wrong (unmasked) answers.
-    fn open_single<'e>(&self, artifact: &'e FtSpanner, query: &Query) -> Result<FaultSession<'e>> {
-        if artifact.fault_model() == FaultModel::Edge {
-            if !query.faults.is_empty() {
-                return Err(CoreError::FaultModelMismatch {
-                    declared: FaultModel::Edge,
-                    requested: FaultModel::Vertex,
-                });
-            }
-            artifact.under_edge_faults(&query.edge_faults)
-        } else {
-            if !query.edge_faults.is_empty() {
-                return Err(CoreError::FaultModelMismatch {
-                    declared: FaultModel::Vertex,
-                    requested: FaultModel::Edge,
-                });
-            }
-            artifact.under_faults(&query.faults)
-        }
-    }
-
-    /// The sharded analogue of [`Engine::open_single`]: identical fault-kind
-    /// checks, scatter-gather session underneath.
-    fn open_sharded<'e>(
+    /// A query carrying the wrong kind of faults for the artifact — alone or
+    /// next to the right kind — is a typed error: silently ignoring the
+    /// supplied fault set would return confidently wrong (unmasked) answers.
+    fn open<'s>(
         &self,
-        artifact: &'e ShardedArtifact,
+        target: &'s ArtifactHandle,
         query: &Query,
-    ) -> Result<ShardedSession<'e>> {
+        grouped: bool,
+    ) -> Result<Box<dyn QuerySession + 's>> {
+        let declared = target.fault_model();
+        let edge = declared == FaultModel::Edge;
+        let (stray, requested) = if edge {
+            (!query.faults.is_empty(), FaultModel::Vertex)
+        } else {
+            (!query.edge_faults.is_empty(), FaultModel::Edge)
+        };
+        if stray {
+            return Err(CoreError::FaultModelMismatch {
+                declared,
+                requested,
+            });
+        }
         let capacity = self.config.source_cache_capacity;
-        if artifact.fault_model() == FaultModel::Edge {
-            if !query.faults.is_empty() {
-                return Err(CoreError::FaultModelMismatch {
-                    declared: FaultModel::Edge,
-                    requested: FaultModel::Vertex,
-                });
-            }
-            artifact.under_edge_faults_with_capacity(&query.edge_faults, capacity)
+        if let ArtifactHandle::Sharded(artifact) = target {
+            return Ok(Box::new(if edge {
+                artifact.under_edge_faults_with_capacity(&query.edge_faults, capacity)?
+            } else {
+                artifact.under_faults_with_capacity(&query.faults, capacity)?
+            }));
+        }
+        let artifact = target.as_single().expect("non-sharded target is flat");
+        let session = if edge {
+            artifact.under_edge_faults(&query.edge_faults)?
         } else {
-            if !query.edge_faults.is_empty() {
-                return Err(CoreError::FaultModelMismatch {
-                    declared: FaultModel::Vertex,
-                    requested: FaultModel::Edge,
-                });
-            }
-            artifact.under_faults_with_capacity(&query.faults, capacity)
-        }
-    }
-
-    fn answer(&self, snapshot: &Snapshot, query: &Query) -> Result<QueryOutcome> {
-        match Self::lookup(snapshot, query)? {
-            Registered::Sharded(artifact) => {
-                let mut session = self.open_sharded(artifact, query)?;
-                Self::answer_sharded(&mut session, query)
-            }
-            registered => {
-                let artifact = Self::as_flat(registered).expect("non-sharded target is flat");
-                let session = self.open_single(artifact, query)?;
-                Ok(match query.kind {
-                    QueryKind::Distance => {
-                        QueryOutcome::Distance(session.distance(query.u, query.v)?)
-                    }
-                    QueryKind::Path => QueryOutcome::Path(session.path(query.u, query.v)?),
-                    QueryKind::Certificate => {
-                        QueryOutcome::Certificate(session.stretch_certificate(query.u, query.v)?)
-                    }
-                })
-            }
-        }
-    }
-
-    fn answer_sharded(session: &mut ShardedSession<'_>, query: &Query) -> Result<QueryOutcome> {
-        Ok(match query.kind {
-            QueryKind::Distance => QueryOutcome::Distance(session.distance(query.u, query.v)?),
-            QueryKind::Path => QueryOutcome::Path(session.path(query.u, query.v)?),
-            QueryKind::Certificate => {
-                QueryOutcome::Certificate(session.stretch_certificate(query.u, query.v)?)
-            }
+            artifact.under_faults(&query.faults)?
+        };
+        Ok(if grouped {
+            Box::new(session.cached(capacity))
+        } else {
+            Box::new(session)
         })
     }
 
-    fn answer_cached(
-        &self,
-        session: &mut CachedSession<'_>,
-        query: &Query,
-    ) -> Result<QueryOutcome> {
+    /// Answers `query` from an open session: the engine's one dispatch on
+    /// the query kind.
+    fn answer(session: &mut dyn QuerySession, query: &Query) -> Result<QueryOutcome> {
+        let (u, v) = (query.u, query.v);
         Ok(match query.kind {
-            QueryKind::Distance => QueryOutcome::Distance(session.distance(query.u, query.v)?),
-            QueryKind::Path => QueryOutcome::Path(session.path(query.u, query.v)?),
-            QueryKind::Certificate => {
-                QueryOutcome::Certificate(session.stretch_certificate(query.u, query.v)?)
-            }
+            QueryKind::Distance => QueryOutcome::Distance(session.distance(u, v)?),
+            QueryKind::Path => QueryOutcome::Path(session.path(u, v)?),
+            QueryKind::Certificate => QueryOutcome::Certificate(session.stretch_certificate(u, v)?),
         })
+    }
+
+    /// Answers `query` in a fresh uncached session of its own: the
+    /// reference semantics every planned answer must match.
+    fn answer_alone(&self, snapshot: &Snapshot, query: &Query) -> Result<QueryOutcome> {
+        let target = Self::lookup(snapshot, query)?;
+        Self::answer(self.open(target, query, false)?.as_mut(), query)
     }
 
     /// Runs one planned work unit: all of `indices` share a canonical fault
-    /// scope, so one session (with one source cache) serves them all. If the
-    /// shared session cannot be opened, every query is answered naively so
-    /// each reports exactly the error it would have produced on its own —
-    /// error queries never poison their group.
+    /// scope, so one session serves them all. A unit of one query has
+    /// nothing to reuse, so it skips the source cache and counts neither
+    /// hits nor misses (the cache is transparent, so the answer is
+    /// identical). If the shared session cannot be opened, every query is
+    /// answered alone so each reports exactly the error it would have
+    /// produced on its own — error queries never poison their group.
     fn run_unit(
         &self,
         snapshot: &Snapshot,
         queries: &[Query],
         indices: &[usize],
     ) -> Vec<Result<QueryOutcome>> {
-        // A unit of one query has nothing to reuse; skip the cache
-        // machinery (the cache is transparent, so the answer is identical).
-        if let [i] = indices {
-            return vec![self.answer(snapshot, &queries[*i])];
-        }
-        let naive = |indices: &[usize]| -> Vec<Result<QueryOutcome>> {
-            indices
+        let grouped = indices.len() > 1;
+        let first = &queries[indices[0]];
+        match Self::lookup(snapshot, first).and_then(|target| self.open(target, first, grouped)) {
+            Ok(mut session) => {
+                let results = indices
+                    .iter()
+                    .map(|&i| Self::answer(session.as_mut(), &queries[i]))
+                    .collect();
+                if grouped {
+                    self.record_cache(session.cache_stats());
+                }
+                results
+            }
+            Err(_) => indices
                 .iter()
-                .map(|&i| self.answer(snapshot, &queries[i]))
-                .collect()
-        };
-        match Self::lookup(snapshot, &queries[indices[0]]) {
-            Err(_) => naive(indices),
-            Ok(Registered::Sharded(artifact)) => {
-                match self.open_sharded(artifact, &queries[indices[0]]) {
-                    Ok(mut session) => {
-                        let results = indices
-                            .iter()
-                            .map(|&i| Self::answer_sharded(&mut session, &queries[i]))
-                            .collect();
-                        self.record_cache(session.cache_stats());
-                        results
-                    }
-                    Err(_) => naive(indices),
-                }
-            }
-            Ok(registered) => {
-                let artifact = Self::as_flat(registered).expect("non-sharded target is flat");
-                match self.open_single(artifact, &queries[indices[0]]) {
-                    Ok(session) => {
-                        let mut cached = session.cached(self.config.source_cache_capacity);
-                        let results = indices
-                            .iter()
-                            .map(|&i| self.answer_cached(&mut cached, &queries[i]))
-                            .collect();
-                        self.record_cache(cached.cache_stats());
-                        results
-                    }
-                    Err(_) => naive(indices),
-                }
-            }
+                .map(|&i| self.answer_alone(snapshot, &queries[i]))
+                .collect(),
         }
     }
 
-    fn record_cache(&self, cache: ftspan_core::serve::CacheStats) {
+    fn record_cache(&self, cache: CacheStats) {
         self.stats
             .cache_hits
             .fetch_add(cache.hits, Ordering::Relaxed);
@@ -945,7 +882,10 @@ impl Engine {
     /// [`Engine::run_batch`].
     pub fn run_batch_naive(&self, queries: &[Query]) -> Vec<Result<QueryOutcome>> {
         let snapshot = self.snapshot();
-        queries.iter().map(|q| self.answer(&snapshot, q)).collect()
+        queries
+            .iter()
+            .map(|q| self.answer_alone(&snapshot, q))
+            .collect()
     }
 }
 
@@ -1102,8 +1042,7 @@ mod tests {
         }
         assert!(engine.artifact_handle("missing").is_none());
 
-        // Kind-specific recovery mirrors Registered::{Single, Sharded,
-        // Dynamic}.
+        // Kind-specific recovery follows the registration path.
         let flat = engine.artifact_handle("net").unwrap();
         assert!(flat.as_single().is_some());
         assert!(flat.as_sharded().is_none());

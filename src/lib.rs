@@ -194,7 +194,8 @@ pub mod prelude {
     pub use crate::shard::{CutEdge, ShardedArtifact, ShardedSession};
     pub use crate::store::ArtifactStore;
     pub use ftspan_core::{
-        CacheStats, CachedSession, FaultSession, FtSpanner, FtSpannerView, StretchCertificate,
+        CacheStats, CachedSession, FaultSession, FtSpanner, FtSpannerView, QuerySession,
+        StretchCertificate,
     };
 
     // The dynamic-graph subsystem: delta logs, build recipes, incremental

@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 /// algorithms of `ftspan-local`. Algorithms are stateless descriptors, so the
 /// registry is built once per process and shared.
 ///
-/// Registered names (see the README for the theorem table):
+/// The names it holds (see the README for the theorem table):
 ///
 /// | name | paper result |
 /// |------|--------------|

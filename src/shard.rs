@@ -36,7 +36,8 @@
 //! distance is the length of a shortest `u`–`v` path in `H \ F` — not an
 //! approximation of it. Baseline distances `d_{G\F}` compose identically
 //! over the shard *source* graphs (the induced subgraphs plus the cut edges
-//! are exactly `G`), which is what [`ShardedSession::stretch_certificate`]
+//! are exactly `G`), which is what a session's
+//! [`stretch_certificate`](QuerySession::stretch_certificate)
 //! reports against.
 //!
 //! That argument is over real numbers. In floating point the overlay sums a
@@ -73,7 +74,7 @@
 //! `2 · Σ_p |B_p| · |V_p|` floats (`B_p` the boundary vertices of part `p`);
 //! [`ShardedArtifact::shared_row_bytes`] reports what it holds now.
 
-use ftspan_core::serve::{CacheStats, CachedSession, FtSpanner};
+use ftspan_core::serve::{CacheStats, CachedSession, FtSpanner, QuerySession};
 use ftspan_core::{CoreError, FaultModel, Result, StretchCertificate};
 use ftspan_graph::partition::{partition, PartitionConfig};
 use ftspan_graph::{Graph, NodeId};
@@ -786,11 +787,11 @@ impl PartialOrd for HeapEntry {
 
 /// A fault-scoped query session over a [`ShardedArtifact`].
 ///
-/// Mirrors the [`FaultSession`](ftspan_core::FaultSession) query surface —
-/// `distance` / `path` / `stretch_certificate` with the same edge-case
-/// semantics (`INFINITY` / `None` for dead or disconnected endpoints,
-/// vacuous stretch `1.0`) — but routes every query through the boundary
-/// overlay described in the module docs.
+/// Implements [`QuerySession`] — `distance` / `path` /
+/// `stretch_certificate` with the same edge-case semantics as a flat
+/// [`FaultSession`](ftspan_core::FaultSession) (`INFINITY` / `None` for
+/// dead or disconnected endpoints, vacuous stretch `1.0`) — but routes every
+/// query through the boundary overlay described in the module docs.
 ///
 /// The session records which shards its fault set leaves *clean* (no
 /// faulted vertex, no faulted intra-shard edge). Boundary rows of clean
@@ -825,18 +826,6 @@ impl<'a> ShardedSession<'a> {
         self.fault_count
     }
 
-    /// Aggregated per-shard source-cache counters (rows read from the
-    /// artifact-wide fault-free table are not counted).
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats { hits: 0, misses: 0 };
-        for s in &self.shards {
-            let cs = s.cache_stats();
-            total.hits += cs.hits;
-            total.misses += cs.misses;
-        }
-        total
-    }
-
     fn check_node(&self, v: NodeId) -> Result<()> {
         let n = self.artifact.nodes;
         if v.index() >= n {
@@ -852,18 +841,6 @@ impl<'a> ShardedSession<'a> {
         !self.dead.is_empty() && self.dead[v.index()]
     }
 
-    /// Shortest-path distance from `u` to `v` in the surviving union spanner
-    /// `H \ F` (`INFINITY` when disconnected or an endpoint has failed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
-    pub fn distance(&mut self, u: NodeId, v: NodeId) -> Result<f64> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        Ok(self.overlay(u, v, false, false)?.0)
-    }
-
     /// Distance from `u` to `v` in the surviving *source* graph `G \ F` —
     /// the baseline the stretch guarantee compares against, composed from
     /// shard source graphs plus cut edges.
@@ -875,47 +852,6 @@ impl<'a> ShardedSession<'a> {
         self.check_node(u)?;
         self.check_node(v)?;
         Ok(self.overlay(u, v, true, false)?.0)
-    }
-
-    /// A shortest surviving spanner path from `u` to `v` in global vertex
-    /// ids, expanded through the shards the overlay route traverses (`None`
-    /// when disconnected or an endpoint has failed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
-    pub fn path(&mut self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        Ok(self.overlay(u, v, false, true)?.1)
-    }
-
-    /// Produces a [`StretchCertificate`] for `(u, v)`: overlay spanner
-    /// distance, overlay baseline distance, realized stretch against the
-    /// declared bound, and a witnessing global path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
-    pub fn stretch_certificate(&mut self, u: NodeId, v: NodeId) -> Result<StretchCertificate> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        let (spanner_distance, path) = self.overlay(u, v, false, true)?;
-        let (baseline_distance, _) = self.overlay(u, v, true, false)?;
-        let stretch = if baseline_distance == 0.0 || baseline_distance.is_infinite() {
-            1.0
-        } else {
-            spanner_distance / baseline_distance
-        };
-        Ok(StretchCertificate {
-            u,
-            v,
-            spanner_distance,
-            baseline_distance,
-            stretch,
-            bound: self.artifact.stretch,
-            path,
-        })
     }
 
     /// The exact overlay Dijkstra. `baseline` selects shard *source* rows
@@ -1078,6 +1014,50 @@ impl<'a> ShardedSession<'a> {
             }
         }
         Ok((total, Some(path)))
+    }
+}
+
+/// Distances and paths come from the overlay over the surviving union
+/// spanner, in global vertex ids; certificate baselines come from the same
+/// overlay over shard source graphs plus cut edges.
+impl QuerySession for ShardedSession<'_> {
+    fn distance(&mut self, u: NodeId, v: NodeId) -> Result<f64> {
+        self.check_node(u)?;
+        self.check_node(v)?;
+        Ok(self.overlay(u, v, false, false)?.0)
+    }
+
+    fn path(&mut self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>> {
+        self.check_node(u)?;
+        self.check_node(v)?;
+        Ok(self.overlay(u, v, false, true)?.1)
+    }
+
+    fn stretch_certificate(&mut self, u: NodeId, v: NodeId) -> Result<StretchCertificate> {
+        self.check_node(u)?;
+        self.check_node(v)?;
+        let (spanner_distance, path) = self.overlay(u, v, false, true)?;
+        let (baseline_distance, _) = self.overlay(u, v, true, false)?;
+        Ok(StretchCertificate::new(
+            u,
+            v,
+            spanner_distance,
+            baseline_distance,
+            self.artifact.stretch,
+            path,
+        ))
+    }
+
+    /// Aggregated per-shard source-cache counters (rows read from the
+    /// artifact-wide fault-free table are not counted).
+    fn cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for s in &self.shards {
+            let cs = s.cache_stats();
+            total.hits += cs.hits;
+            total.misses += cs.misses;
+        }
+        total
     }
 }
 
