@@ -22,6 +22,7 @@ use ftspan_graph::{EdgeId, EdgeSet, Graph, NodeId};
 use ftspan_spanners::SpannerAlgorithm;
 use rand::Rng;
 use rand::RngCore;
+use std::sync::Arc;
 
 /// Parameters of the fault-tolerant conversion (Theorem 2.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -213,40 +214,25 @@ impl FaultTolerantConverter {
     where
         A: SpannerAlgorithm + ?Sized,
     {
-        let n = graph.node_count();
         let p = self.params.sampling_probability();
-        let alpha = self.params.iterations_for(n);
+        let alpha = self.params.iterations_for(graph.node_count());
         let seeds = par::derive_seeds(rng, alpha);
 
         let outcomes = par::map(threads, alpha, |i| {
-            let mut task_rng = par::stream(seeds[i]);
-            // Sample the oversized fault set J.
-            let alive: Vec<bool> = (0..n).map(|_| task_rng.gen::<f64>() >= p).collect();
-            // Build G \ J, remembering how its edge ids map back to G.
-            let (sub, edge_map) = induced_subgraph(graph, &alive);
-            let spanner = algorithm.build(&sub, &mut task_rng);
-            let edges: Vec<EdgeId> = spanner
-                .iter()
-                .map(|sub_edge| edge_map[sub_edge.index()])
-                .collect();
-            let stats = IterationStats {
-                surviving_vertices: alive.iter().filter(|&&a| a).count(),
-                surviving_edges: sub.edge_count(),
-                spanner_edges: spanner.len(),
-                new_edges: 0, // filled during the in-order merge below
-            };
-            (edges, stats)
+            let run = run_iteration(graph, algorithm, seeds[i], p);
+            let surviving_vertices = run.alive.iter().filter(|&&a| a).count();
+            (run.edges, surviving_vertices, run.surviving_edges)
         });
 
         let mut union = graph.empty_edge_set();
         let mut per_iteration = Vec::with_capacity(alpha);
-        for (edges, mut stats) in outcomes {
-            for parent in edges {
-                if union.insert(parent) {
-                    stats.new_edges += 1;
-                }
-            }
-            per_iteration.push(stats);
+        for (edges, surviving_vertices, surviving_edges) in outcomes {
+            per_iteration.push(merge_iteration(
+                &mut union,
+                &edges,
+                surviving_vertices,
+                surviving_edges,
+            ));
         }
 
         ConversionResult {
@@ -257,34 +243,93 @@ impl FaultTolerantConverter {
     }
 }
 
-/// Replay record of one conversion iteration, kept by
-/// [`FaultTolerantConverter::build_traced`].
-///
-/// The oversampled fault set itself is not stored — it is a pure function of
-/// the iteration's seed (the mask consumes exactly `n` `f64` draws from the
-/// seed's private stream), so a repair can recompute it bit-exactly. Only
-/// what the black box *decided* is recorded: the endpoint pairs of the edges
-/// it admitted, in output order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracedIteration {
-    /// Normalized `(u, v)` endpoint pairs of the edges the black box
-    /// admitted, in the order they were merged into the union.
-    pub endpoints: Vec<(NodeId, NodeId)>,
-    /// Number of vertices that survived the oversampled fault set.
-    pub surviving_vertices: usize,
-    /// Number of edges of `G \ J`.
-    pub surviving_edges: usize,
+/// One conversion iteration: the survivor mask of the oversampled fault set
+/// `J`, drawn first from the iteration's private stream, and the black box's
+/// output on `G \ J`, mapped back to the parent graph's edge ids.
+struct IterationRun {
+    alive: Vec<bool>,
+    edges: Vec<EdgeId>,
+    surviving_edges: usize,
 }
 
-/// Everything needed to replay a conversion build iteration-by-iteration:
-/// the per-iteration seeds plus each iteration's admitted edges.
+fn run_iteration<A>(graph: &Graph, algorithm: &A, seed: u64, p: f64) -> IterationRun
+where
+    A: SpannerAlgorithm + ?Sized,
+{
+    let mut task_rng = par::stream(seed);
+    // Sample the oversized fault set J.
+    let alive: Vec<bool> = (0..graph.node_count())
+        .map(|_| task_rng.gen::<f64>() >= p)
+        .collect();
+    // Build G \ J, remembering how its edge ids map back to G.
+    let (sub, edge_map) = induced_subgraph(graph, &alive);
+    let spanner = algorithm.build(&sub, &mut task_rng);
+    let edges = spanner
+        .iter()
+        .map(|sub_edge| edge_map[sub_edge.index()])
+        .collect();
+    IterationRun {
+        alive,
+        edges,
+        surviving_edges: sub.edge_count(),
+    }
+}
+
+/// Adds one iteration's output to the union, in iteration order, and returns
+/// its statistics.
+fn merge_iteration(
+    union: &mut EdgeSet,
+    edges: &[EdgeId],
+    surviving_vertices: usize,
+    surviving_edges: usize,
+) -> IterationStats {
+    let mut stats = IterationStats {
+        surviving_vertices,
+        surviving_edges,
+        spanner_edges: edges.len(),
+        new_edges: 0,
+    };
+    for &parent in edges {
+        if union.insert(parent) {
+            stats.new_edges += 1;
+        }
+    }
+    stats
+}
+
+/// Normalized endpoint pairs of `edges`, in order.
+fn endpoints_of(graph: &Graph, edges: &[EdgeId]) -> Arc<[(NodeId, NodeId)]> {
+    edges
+        .iter()
+        .map(|&id| {
+            let e = graph.edge(id);
+            (e.u, e.v)
+        })
+        .collect()
+}
+
+/// Everything needed to repair a conversion build after an edge-only
+/// change without revisiting the iterations the change cannot affect.
 ///
 /// A trace makes the conversion *incrementally repairable*: after an
 /// edge-only change to the graph, an iteration whose oversampled fault set
 /// does not expose any changed edge (no changed edge has both endpoints
 /// alive) produced — and would again produce — exactly the same black-box
-/// output, so its recorded endpoints can be replayed without re-running the
-/// black box. See [`FaultTolerantConverter::repair_traced`].
+/// output. A repair therefore re-runs only the touched iterations and keeps
+/// everything else. See [`FaultTolerantConverter::repair_traced`].
+///
+/// The trace stores three things per build:
+///
+/// * the **survivor masks** of every iteration as one bitset per vertex, so
+///   the touched set of a change is `OR over changed (u, v) of
+///   alive[u] & alive[v]` — `⌈α/64⌉` word operations per changed edge;
+/// * the **selection counts**: for each edge, the number of iterations
+///   whose black box selected it. The spanner is exactly the edges with a
+///   positive count, so a repair subtracts the touched iterations' old
+///   outputs and adds their new ones instead of re-unioning all `α`;
+/// * each iteration's **output** as endpoint pairs, which stay valid across
+///   edge-id compaction. They are shared (`Arc`) between versions: a repair
+///   replaces only the touched iterations' entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConversionTrace {
     /// Vertex count of the graph the trace was built on. Repair requires the
@@ -294,36 +339,57 @@ pub struct ConversionTrace {
     /// Per-iteration seeds, in iteration order, as drawn by
     /// [`crate::par::derive_seeds`] from the root generator.
     pub seeds: Vec<u64>,
-    /// Per-iteration replay records, in iteration order.
-    pub iterations: Vec<TracedIteration>,
+    /// Survivor masks, vertex-major with `w = ⌈α/64⌉` words per vertex: bit
+    /// `i % 64` of word `v · w + i / 64` is set when vertex `v` survived
+    /// iteration `i`'s oversampled fault set. A pure function of `nodes` and
+    /// `seeds`, so every version of an artifact shares it.
+    pub alive: Arc<[u64]>,
+    /// Per edge id of the traced graph, the number of iterations whose black
+    /// box selected the edge.
+    pub counts: Vec<u32>,
+    /// Per iteration, the normalized `(u, v)` endpoint pairs of the edges the
+    /// black box admitted, in output order.
+    pub outputs: Vec<Arc<[(NodeId, NodeId)]>>,
 }
 
-/// A successful incremental repair: the rebuilt result, the refreshed trace
-/// (valid for the *post-delta* graph), and how much work it took.
+impl ConversionTrace {
+    /// The iterations, ascending, in which some pair in `changed` has both
+    /// endpoints alive — the only iterations whose induced subgraph a change
+    /// to those edges can alter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not below [`ConversionTrace::nodes`].
+    pub fn touched_iterations(&self, changed: &[(NodeId, NodeId)]) -> Vec<usize> {
+        let words = self.seeds.len().div_ceil(64);
+        let mask = |v: NodeId| &self.alive[v.index() * words..(v.index() + 1) * words];
+        let mut touched = vec![0u64; words];
+        for &(u, v) in changed {
+            for ((t, a), b) in touched.iter_mut().zip(mask(u)).zip(mask(v)) {
+                *t |= a & b;
+            }
+        }
+        (0..self.seeds.len())
+            .filter(|&i| touched[i / 64] >> (i % 64) & 1 == 1)
+            .collect()
+    }
+}
+
+/// A successful incremental repair: the spanner on the post-delta graph, the
+/// refreshed trace (valid for the *post-delta* graph), and how much work it
+/// took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairedConversion {
-    /// The conversion result on the post-delta graph — bit-identical to what
-    /// [`FaultTolerantConverter::build_traced`] would produce from scratch
-    /// with the same root generator state.
-    pub result: ConversionResult,
-    /// The refreshed trace, usable for the next repair.
+    /// The spanner on the post-delta graph — the same edge set
+    /// [`FaultTolerantConverter::build_traced`] produces from scratch with
+    /// the same root generator state.
+    pub edges: EdgeSet,
+    /// The refreshed trace, equal to the one a from-scratch
+    /// [`FaultTolerantConverter::build_traced`] records, usable for the next
+    /// repair.
     pub trace: ConversionTrace,
     /// Number of iterations whose black box had to be re-run.
     pub touched_iterations: usize,
-}
-
-/// Outcome of a repair attempt (see
-/// [`FaultTolerantConverter::repair_traced`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RepairAttempt {
-    /// The repair completed within the touched-iteration budget.
-    Repaired(RepairedConversion),
-    /// More iterations were touched than `max_touched` allows; nothing was
-    /// rebuilt — the caller should fall back to a full build.
-    TooManyTouched {
-        /// Number of iterations that would have to re-run the black box.
-        touched: usize,
-    },
 }
 
 impl FaultTolerantConverter {
@@ -348,46 +414,35 @@ impl FaultTolerantConverter {
         let alpha = self.params.iterations_for(n);
         let seeds = par::derive_seeds(rng, alpha);
 
-        let outcomes = par::map(threads, alpha, |i| {
-            let mut task_rng = par::stream(seeds[i]);
-            let alive: Vec<bool> = (0..n).map(|_| task_rng.gen::<f64>() >= p).collect();
-            let (sub, edge_map) = induced_subgraph(graph, &alive);
-            let spanner = algorithm.build(&sub, &mut task_rng);
-            let edges: Vec<EdgeId> = spanner
-                .iter()
-                .map(|sub_edge| edge_map[sub_edge.index()])
-                .collect();
-            let endpoints: Vec<(NodeId, NodeId)> = edges
-                .iter()
-                .map(|&id| {
-                    let e = graph.edge(id);
-                    (e.u, e.v)
-                })
-                .collect();
-            let stats = IterationStats {
-                surviving_vertices: alive.iter().filter(|&&a| a).count(),
-                surviving_edges: sub.edge_count(),
-                spanner_edges: spanner.len(),
-                new_edges: 0, // filled during the in-order merge below
-            };
-            (edges, endpoints, stats)
+        let runs = par::map(threads, alpha, |i| {
+            let run = run_iteration(graph, algorithm, seeds[i], p);
+            let output = endpoints_of(graph, &run.edges);
+            (run, output)
         });
 
+        let words = alpha.div_ceil(64);
+        let mut alive = vec![0u64; n * words];
+        let mut counts = vec![0u32; graph.edge_count()];
         let mut union = graph.empty_edge_set();
         let mut per_iteration = Vec::with_capacity(alpha);
-        let mut iterations = Vec::with_capacity(alpha);
-        for (edges, endpoints, mut stats) in outcomes {
-            for parent in edges {
-                if union.insert(parent) {
-                    stats.new_edges += 1;
-                }
+        let mut outputs = Vec::with_capacity(alpha);
+        for (i, (run, output)) in runs.into_iter().enumerate() {
+            let bit = 1u64 << (i % 64);
+            let mut surviving_vertices = 0;
+            for (v, _) in run.alive.iter().enumerate().filter(|(_, &a)| a) {
+                alive[v * words + i / 64] |= bit;
+                surviving_vertices += 1;
             }
-            iterations.push(TracedIteration {
-                endpoints,
-                surviving_vertices: stats.surviving_vertices,
-                surviving_edges: stats.surviving_edges,
-            });
-            per_iteration.push(stats);
+            for &e in &run.edges {
+                counts[e.index()] += 1;
+            }
+            per_iteration.push(merge_iteration(
+                &mut union,
+                &run.edges,
+                surviving_vertices,
+                run.surviving_edges,
+            ));
+            outputs.push(output);
         }
 
         (
@@ -399,167 +454,158 @@ impl FaultTolerantConverter {
             ConversionTrace {
                 nodes: n,
                 seeds,
-                iterations,
+                alive: alive.into(),
+                counts,
+                outputs,
             },
         )
     }
 
-    /// Incrementally repairs a traced build after an edge-only change.
+    /// Incrementally repairs a traced build after an edge-only change, in
+    /// `O(touched black-box runs + m)`.
     ///
-    /// `new_graph` must be the post-delta graph with the *same vertex set*
-    /// as the traced build and with the relative order of surviving edges
-    /// preserved (deletions compact, insertions append — the contract of
-    /// `ftspan_core::dynamic::apply_deltas`). `changed` lists the endpoint
-    /// pairs of every inserted, deleted, or reweighted edge.
+    /// `graph` is the graph `trace` was built on. `new_graph` must be the
+    /// post-delta graph with the *same vertex set* and with the relative
+    /// order of surviving edges preserved (deletions compact, insertions
+    /// append — the contract of `ftspan_core::dynamic::apply_deltas`).
+    /// `changed` lists the endpoint pairs of every inserted, deleted, or
+    /// reweighted edge.
     ///
-    /// An iteration is *touched* when some changed edge has both endpoints
-    /// alive in that iteration's oversampled mask — only then can its
-    /// induced subgraph differ from the traced build's, so only those
-    /// iterations re-run the black box (from the recorded seed, drawing the
-    /// mask first so the stream position matches a from-scratch run).
-    /// Untouched iterations replay their recorded endpoints. Merging in
-    /// iteration order then reproduces — bit-identically — the result of
-    /// [`FaultTolerantConverter::build_traced`] on `new_graph` from the same
-    /// root generator state, because that build would draw the very same
-    /// seeds (`α` depends only on `n` and the parameters, both unchanged).
-    ///
-    /// When more than `max_touched` iterations are touched the attempt is
-    /// abandoned before any black-box work and
-    /// [`RepairAttempt::TooManyTouched`] is returned.
+    /// Only the touched iterations (see
+    /// [`ConversionTrace::touched_iterations`]) re-run the black box, from
+    /// the recorded seed, drawing the mask first so the stream position
+    /// matches a from-scratch run. The selection counts lose the touched
+    /// iterations' old outputs, follow the surviving edges to their new ids,
+    /// and gain the new outputs; untouched iterations are never visited.
+    /// The result — edge set and trace — equals what
+    /// [`FaultTolerantConverter::build_traced`] records on `new_graph` from
+    /// the same root generator state, because that build would draw the very
+    /// same seeds (`α` depends only on `n` and the parameters, both
+    /// unchanged).
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] if the vertex count changed, if the
-    ///   parameters no longer yield the traced iteration count, or if an
-    ///   untouched iteration's recorded edge is missing from `new_graph`
-    ///   (the `changed` list was incomplete).
+    /// [`CoreError::InvalidParameter`] if the vertex count changed, if the
+    /// parameters no longer yield the traced iteration count, if the trace
+    /// does not belong to `graph`, if a changed endpoint is out of range, or
+    /// if a deleted edge is still selected by an untouched iteration (the
+    /// `changed` list was incomplete).
     pub fn repair_traced<A>(
         &self,
+        graph: &Graph,
         new_graph: &Graph,
         algorithm: &A,
         trace: &ConversionTrace,
         changed: &[(NodeId, NodeId)],
-        max_touched: usize,
         threads: usize,
-    ) -> Result<RepairAttempt>
+    ) -> Result<RepairedConversion>
     where
         A: SpannerAlgorithm + ?Sized,
     {
+        let invalid = |message: String| CoreError::InvalidParameter { message };
         let n = new_graph.node_count();
-        if n != trace.nodes {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "conversion repair requires an unchanged vertex set: trace has {} nodes, \
-                     graph has {n}",
-                    trace.nodes
-                ),
-            });
+        if n != trace.nodes || graph.node_count() != trace.nodes {
+            return Err(invalid(format!(
+                "conversion repair requires an unchanged vertex set: trace has {} nodes, \
+                 graphs have {} and {n}",
+                trace.nodes,
+                graph.node_count()
+            )));
         }
         let alpha = self.params.iterations_for(n);
-        if alpha != trace.seeds.len() || trace.iterations.len() != trace.seeds.len() {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "conversion repair parameters drifted: trace has {} iterations, parameters \
-                     now yield {alpha}",
-                    trace.seeds.len()
-                ),
-            });
+        if alpha != trace.seeds.len() || trace.outputs.len() != trace.seeds.len() {
+            return Err(invalid(format!(
+                "conversion repair parameters drifted: trace has {} iterations, parameters \
+                 now yield {alpha}",
+                trace.seeds.len()
+            )));
+        }
+        if trace.alive.len() != n * alpha.div_ceil(64) || trace.counts.len() != graph.edge_count() {
+            return Err(invalid(format!(
+                "conversion trace does not belong to the {n}-node, {}-edge graph",
+                graph.edge_count()
+            )));
+        }
+        if let Some(&(u, v)) = changed
+            .iter()
+            .find(|(u, v)| u.index() >= n || v.index() >= n)
+        {
+            return Err(invalid(format!(
+                "changed edge ({u}, {v}) is out of range for {n} vertices"
+            )));
         }
         let p = self.params.sampling_probability();
+        let touched = trace.touched_iterations(changed);
 
-        // Pass 1: recompute the masks (n draws each, no subgraphs) and flag
-        // the touched iterations.
-        let touched_flags = par::map(threads, alpha, |i| {
-            let mut task_rng = par::stream(trace.seeds[i]);
-            let alive: Vec<bool> = (0..n).map(|_| task_rng.gen::<f64>() >= p).collect();
-            changed
-                .iter()
-                .any(|&(u, v)| alive[u.index()] && alive[v.index()])
+        let runs = par::map(threads, touched.len(), |t| {
+            let run = run_iteration(new_graph, algorithm, trace.seeds[touched[t]], p);
+            let output = endpoints_of(new_graph, &run.edges);
+            (run.edges, output)
         });
-        let touched = touched_flags.iter().filter(|&&t| t).count();
-        if touched > max_touched {
-            return Ok(RepairAttempt::TooManyTouched { touched });
+
+        // Take the touched iterations' old outputs out of the counts.
+        let mut counts = trace.counts.clone();
+        for &i in &touched {
+            for &(u, v) in trace.outputs[i].iter() {
+                let id = graph
+                    .find_edge(u, v)
+                    .map(|id| id.index())
+                    .filter(|&id| counts[id] > 0)
+                    .ok_or_else(|| {
+                        invalid(format!(
+                            "conversion trace records edge ({u}, {v}) in iteration {i}, but the \
+                             traced graph does not select it"
+                        ))
+                    })?;
+                counts[id] -= 1;
+            }
         }
 
-        // Pass 2: re-run the black box for touched iterations, replay the
-        // recorded endpoints for the rest.
-        let outcomes = par::map(threads, alpha, |i| -> Result<_> {
-            if touched_flags[i] {
-                let mut task_rng = par::stream(trace.seeds[i]);
-                let alive: Vec<bool> = (0..n).map(|_| task_rng.gen::<f64>() >= p).collect();
-                let (sub, edge_map) = induced_subgraph(new_graph, &alive);
-                let spanner = algorithm.build(&sub, &mut task_rng);
-                let edges: Vec<EdgeId> = spanner
-                    .iter()
-                    .map(|sub_edge| edge_map[sub_edge.index()])
-                    .collect();
-                let endpoints: Vec<(NodeId, NodeId)> = edges
-                    .iter()
-                    .map(|&id| {
-                        let e = new_graph.edge(id);
-                        (e.u, e.v)
-                    })
-                    .collect();
-                let record = TracedIteration {
-                    endpoints,
-                    surviving_vertices: alive.iter().filter(|&&a| a).count(),
-                    surviving_edges: sub.edge_count(),
-                };
-                Ok((edges, record))
-            } else {
-                let record = trace.iterations[i].clone();
-                let edges = record
-                    .endpoints
-                    .iter()
-                    .map(|&(u, v)| {
-                        new_graph
-                            .find_edge(u, v)
-                            .ok_or_else(|| CoreError::InvalidParameter {
-                                message: format!(
-                                    "conversion repair replay: recorded edge ({u}, {v}) of \
-                                     iteration {i} is missing from the post-delta graph — the \
-                                     changed-edge list was incomplete"
-                                ),
-                            })
-                    })
-                    .collect::<Result<Vec<EdgeId>>>()?;
-                Ok((edges, record))
-            }
-        });
-
-        let mut union = new_graph.empty_edge_set();
-        let mut per_iteration = Vec::with_capacity(alpha);
-        let mut iterations = Vec::with_capacity(alpha);
-        for outcome in outcomes {
-            let (edges, record) = outcome?;
-            let mut stats = IterationStats {
-                surviving_vertices: record.surviving_vertices,
-                surviving_edges: record.surviving_edges,
-                spanner_edges: record.endpoints.len(),
-                new_edges: 0,
-            };
-            for parent in edges {
-                if union.insert(parent) {
-                    stats.new_edges += 1;
+        // Follow the surviving edges to their post-delta ids: they keep their
+        // relative order, so one merge pass pairs them up. A deleted edge
+        // must have lost every selection with the touched iterations.
+        let mut new_counts = vec![0u32; new_graph.edge_count()];
+        let mut next = 0;
+        for (id, e) in graph.edges() {
+            match new_graph.get_edge(EdgeId::new(next)) {
+                Some(f) if (f.u, f.v) == (e.u, e.v) => {
+                    new_counts[next] = counts[id.index()];
+                    next += 1;
                 }
+                _ if counts[id.index()] > 0 => {
+                    return Err(invalid(format!(
+                        "conversion repair: edge ({}, {}) left the graph but untouched \
+                         iterations still select it — the changed-edge list was incomplete",
+                        e.u, e.v
+                    )));
+                }
+                _ => {}
             }
-            per_iteration.push(stats);
-            iterations.push(record);
         }
 
-        Ok(RepairAttempt::Repaired(RepairedConversion {
-            result: ConversionResult {
-                edges: union,
-                iterations: alpha,
-                per_iteration,
-            },
+        let mut outputs = trace.outputs.clone();
+        for (&i, (edges, output)) in touched.iter().zip(runs) {
+            for e in edges {
+                new_counts[e.index()] += 1;
+            }
+            outputs[i] = output;
+        }
+        let mut edges = new_graph.empty_edge_set();
+        for (id, _) in new_counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+            edges.insert(EdgeId::new(id));
+        }
+
+        Ok(RepairedConversion {
+            edges,
             trace: ConversionTrace {
                 nodes: n,
                 seeds: trace.seeds.clone(),
-                iterations,
+                alive: Arc::clone(&trace.alive),
+                counts: new_counts,
+                outputs,
             },
-            touched_iterations: touched,
-        }))
+            touched_iterations: touched.len(),
+        })
     }
 }
 
@@ -618,6 +664,7 @@ mod tests {
     use ftspan_spanners::{BaswanaSenSpanner, GreedySpanner};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -749,36 +796,75 @@ mod tests {
     #[test]
     fn traced_build_matches_untraced_build_exactly() {
         let g = generate::gnp(22, 0.4, generate::WeightKind::Unit, &mut rng(11));
-        let converter = FaultTolerantConverter::new(ConversionParams::new(2).with_iterations(30));
+        let converter = FaultTolerantConverter::new(ConversionParams::new(2).with_iterations(70));
         let plain = converter.build_with_threads(&g, &GreedySpanner::new(3.0), &mut rng(12), 2);
         let (traced, trace) = converter.build_traced(&g, &GreedySpanner::new(3.0), &mut rng(12), 2);
         assert_eq!(plain, traced);
         assert_eq!(trace.nodes, g.node_count());
-        assert_eq!(trace.seeds.len(), 30);
-        assert_eq!(trace.iterations.len(), 30);
-        for (record, stats) in trace.iterations.iter().zip(&traced.per_iteration) {
-            assert_eq!(record.endpoints.len(), stats.spanner_edges);
-            assert_eq!(record.surviving_vertices, stats.surviving_vertices);
+        assert_eq!(trace.seeds.len(), 70);
+        assert_eq!(trace.outputs.len(), 70);
+        // Two mask words per vertex for α = 70.
+        assert_eq!(trace.alive.len(), 2 * g.node_count());
+        for (i, (output, stats)) in trace.outputs.iter().zip(&traced.per_iteration).enumerate() {
+            assert_eq!(output.len(), stats.spanner_edges);
+            let survivors = (0..g.node_count())
+                .filter(|v| trace.alive[v * 2 + i / 64] >> (i % 64) & 1 == 1)
+                .count();
+            assert_eq!(survivors, stats.surviving_vertices, "iteration {i}");
         }
+        // The spanner is exactly the edges some iteration selected.
+        let selected: Vec<usize> = (0..g.edge_count())
+            .filter(|&e| trace.counts[e] > 0)
+            .collect();
+        let union: Vec<usize> = traced.edges.iter().map(|e| e.index()).collect();
+        assert_eq!(selected, union);
+        let total: u32 = trace.counts.iter().sum();
+        let outputs: usize = trace.outputs.iter().map(|o| o.len()).sum();
+        assert_eq!(total as usize, outputs);
+    }
+
+    /// `g` with edge 0 deleted (compacting), one absent pair inserted, and
+    /// then edge 0 re-inserted at the end with a new weight — the order
+    /// contract of `dynamic::apply_deltas` — plus the changed pairs.
+    fn post_delta(g: &Graph) -> (Graph, Vec<(NodeId, NodeId)>) {
+        let dropped = *g.edge(EdgeId::new(0));
+        let mut new_graph = Graph::new(g.node_count());
+        for (_, e) in g.edges().skip(1) {
+            new_graph.add_edge(e.u, e.v, e.weight).unwrap();
+        }
+        let (u, v) = (0..g.node_count())
+            .flat_map(|u| ((u + 1)..g.node_count()).map(move |v| (NodeId::new(u), NodeId::new(v))))
+            .find(|&(u, v)| !g.has_edge(u, v))
+            .expect("test graph is not complete");
+        new_graph.add_edge(u, v, 1.0).unwrap();
+        new_graph.add_edge(dropped.u, dropped.v, 2.5).unwrap();
+        (new_graph, vec![(dropped.u, dropped.v), (u, v)])
+    }
+
+    fn repaired(
+        converter: &FaultTolerantConverter,
+        g: &Graph,
+        new_graph: &Graph,
+        alg: &dyn SpannerAlgorithm,
+        trace: &ConversionTrace,
+        changed: &[(NodeId, NodeId)],
+        threads: usize,
+    ) -> RepairedConversion {
+        converter
+            .repair_traced(g, new_graph, alg, trace, changed, threads)
+            .unwrap()
     }
 
     #[test]
-    fn repair_with_no_changes_replays_the_trace_verbatim() {
+    fn repair_with_no_changes_keeps_the_trace_verbatim() {
         let g = generate::gnp(20, 0.4, generate::WeightKind::Unit, &mut rng(13));
         let converter = FaultTolerantConverter::new(ConversionParams::new(1).with_iterations(25));
         let alg = GreedySpanner::new(3.0);
         let (result, trace) = converter.build_traced(&g, &alg, &mut rng(14), 1);
-        match converter
-            .repair_traced(&g, &alg, &trace, &[], usize::MAX, 2)
-            .unwrap()
-        {
-            RepairAttempt::Repaired(repaired) => {
-                assert_eq!(repaired.result, result);
-                assert_eq!(repaired.trace, trace);
-                assert_eq!(repaired.touched_iterations, 0);
-            }
-            RepairAttempt::TooManyTouched { .. } => panic!("no change touched an iteration"),
-        }
+        let repaired = repaired(&converter, &g, &g, &alg, &trace, &[], 2);
+        assert_eq!(repaired.edges, result.edges);
+        assert_eq!(repaired.trace, trace);
+        assert_eq!(repaired.touched_iterations, 0);
     }
 
     #[test]
@@ -788,67 +874,159 @@ mod tests {
         let converter = FaultTolerantConverter::new(ConversionParams::new(2).with_iterations(40));
         let alg = GreedySpanner::new(3.0);
         let (_, trace) = converter.build_traced(&g, &alg, &mut rng(16), 2);
+        let (new_graph, changed) = post_delta(&g);
 
-        // Post-delta graph: drop one edge (compacting), append one new edge —
-        // the contract repair_traced documents.
-        let dropped = *g.edge(ftspan_graph::EdgeId::new(0));
-        let mut new_graph = Graph::new(g.node_count());
-        for (id, e) in g.edges() {
-            if id.index() != 0 {
-                new_graph.add_edge(e.u, e.v, e.weight).unwrap();
-            }
-        }
-        let (mut iu, mut iv) = (NodeId::new(0), NodeId::new(0));
-        'outer: for u in 0..g.node_count() {
-            for v in (u + 1)..g.node_count() {
-                if g.find_edge(NodeId::new(u), NodeId::new(v)).is_none() {
-                    iu = NodeId::new(u);
-                    iv = NodeId::new(v);
-                    break 'outer;
-                }
-            }
-        }
-        assert_ne!(iu, iv, "test graph unexpectedly complete");
-        new_graph.add_edge(iu, iv, 1.0).unwrap();
-        let changed = vec![(dropped.u, dropped.v), (iu, iv)];
-
-        let (reference, _) = converter.build_traced(&new_graph, &alg, &mut rng(16), 1);
+        let (reference, reference_trace) =
+            converter.build_traced(&new_graph, &alg, &mut rng(16), 1);
         for threads in [1usize, 2, 8] {
-            match converter
-                .repair_traced(&new_graph, &alg, &trace, &changed, usize::MAX, threads)
-                .unwrap()
-            {
-                RepairAttempt::Repaired(repaired) => {
-                    assert_eq!(repaired.result, reference, "threads = {threads}");
-                    assert!(repaired.touched_iterations > 0);
-                    assert!(repaired.touched_iterations < trace.seeds.len());
-                }
-                RepairAttempt::TooManyTouched { .. } => panic!("unlimited budget"),
-            }
+            let repaired = repaired(&converter, &g, &new_graph, &alg, &trace, &changed, threads);
+            assert_eq!(repaired.edges, reference.edges, "threads = {threads}");
+            assert_eq!(repaired.trace, reference_trace, "threads = {threads}");
+            assert!(repaired.touched_iterations > 0);
+            assert!(repaired.touched_iterations < trace.seeds.len());
+        }
+    }
+
+    /// A black box that counts its runs.
+    struct Counting<A> {
+        inner: A,
+        builds: AtomicUsize,
+    }
+
+    impl<A: SpannerAlgorithm> SpannerAlgorithm for Counting<A> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn stretch(&self) -> f64 {
+            self.inner.stretch()
+        }
+
+        fn build(&self, graph: &Graph, rng: &mut dyn RngCore) -> EdgeSet {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            self.inner.build(graph, rng)
+        }
+
+        fn size_bound(&self, n: usize) -> f64 {
+            self.inner.size_bound(n)
+        }
+    }
+
+    /// The touched set recomputed from the seeds alone: redraw every
+    /// iteration's mask and test every changed pair against it.
+    fn touched_from_seeds(
+        params: &ConversionParams,
+        trace: &ConversionTrace,
+        changed: &[(NodeId, NodeId)],
+    ) -> Vec<usize> {
+        let p = params.sampling_probability();
+        (0..trace.seeds.len())
+            .filter(|&i| {
+                let mut task_rng = par::stream(trace.seeds[i]);
+                let alive: Vec<bool> = (0..trace.nodes)
+                    .map(|_| task_rng.gen::<f64>() >= p)
+                    .collect();
+                changed
+                    .iter()
+                    .any(|&(u, v)| alive[u.index()] && alive[v.index()])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repair_runs_the_black_box_only_for_touched_iterations() {
+        let g = generate::grid(8, 9);
+        let params = ConversionParams::new(1).with_iterations(130);
+        let converter = FaultTolerantConverter::new(params);
+        let alg = Counting {
+            inner: BaswanaSenSpanner::new(2),
+            builds: AtomicUsize::new(0),
+        };
+        let (_, trace) = converter.build_traced(&g, &alg, &mut rng(19), 2);
+        assert_eq!(alg.builds.swap(0, Ordering::Relaxed), 130);
+        let (new_graph, changed) = post_delta(&g);
+
+        let touched = trace.touched_iterations(&changed);
+        assert_eq!(touched, touched_from_seeds(&params, &trace, &changed));
+        for pair in &changed {
+            let single = std::slice::from_ref(pair);
+            assert_eq!(
+                trace.touched_iterations(single),
+                touched_from_seeds(&params, &trace, single)
+            );
+        }
+
+        let repaired = repaired(&converter, &g, &new_graph, &alg, &trace, &changed, 2);
+        assert_eq!(repaired.touched_iterations, touched.len());
+        assert_eq!(alg.builds.load(Ordering::Relaxed), touched.len());
+        // Masks, counts and per-iteration outputs all equal the trace a
+        // from-scratch build records on the post-delta graph.
+        let (reference, reference_trace) =
+            converter.build_traced(&new_graph, &alg, &mut rng(19), 1);
+        assert_eq!(repaired.trace.alive, reference_trace.alive);
+        assert_eq!(repaired.trace.counts, reference_trace.counts);
+        assert_eq!(repaired.trace.outputs, reference_trace.outputs);
+        assert_eq!(repaired.trace, reference_trace);
+        assert_eq!(repaired.edges, reference.edges);
+        // Untouched iterations' outputs are shared with the old trace, not
+        // copied.
+        for i in (0..130).filter(|i| !touched.contains(i)) {
+            assert!(Arc::ptr_eq(&repaired.trace.outputs[i], &trace.outputs[i]));
         }
     }
 
     #[test]
-    fn repair_respects_the_touched_budget_and_rejects_node_changes() {
+    fn repair_rejects_an_incomplete_changed_list() {
         let g = generate::gnp(18, 0.5, generate::WeightKind::Unit, &mut rng(17));
         let converter = FaultTolerantConverter::new(ConversionParams::new(1).with_iterations(20));
         let alg = GreedySpanner::new(3.0);
         let (_, trace) = converter.build_traced(&g, &alg, &mut rng(18), 1);
-        let e = *g.edge(ftspan_graph::EdgeId::new(0));
-        let changed = vec![(e.u, e.v)];
-        // p = 1/2: both endpoints alive in ~1/4 of 20 iterations; budget 0
-        // forces the fallback signal.
-        match converter
-            .repair_traced(&g, &alg, &trace, &changed, 0, 1)
-            .unwrap()
-        {
-            RepairAttempt::TooManyTouched { touched } => assert!(touched > 0),
-            RepairAttempt::Repaired(_) => panic!("budget 0 must refuse any touched iteration"),
+        // Delete an edge some iteration selected, but leave it off the list.
+        let doomed = (0..g.edge_count())
+            .find(|&e| trace.counts[e] > 0)
+            .expect("some edge is selected");
+        let mut new_graph = Graph::new(g.node_count());
+        for (id, e) in g.edges() {
+            if id.index() != doomed {
+                new_graph.add_edge(e.u, e.v, e.weight).unwrap();
+            }
         }
+        let err = converter
+            .repair_traced(&g, &new_graph, &alg, &trace, &[], 1)
+            .unwrap_err();
+        assert!(
+            matches!(&err, CoreError::InvalidParameter { message } if message.contains("incomplete")),
+            "{err:?}"
+        );
+        // With the deleted pair listed, the same repair succeeds.
+        let e = *g.edge(EdgeId::new(doomed));
+        assert!(converter
+            .repair_traced(&g, &new_graph, &alg, &trace, &[(e.u, e.v)], 1)
+            .is_ok());
+    }
+
+    #[test]
+    fn repair_rejects_node_changes_and_foreign_traces() {
+        let g = generate::gnp(18, 0.5, generate::WeightKind::Unit, &mut rng(17));
+        let converter = FaultTolerantConverter::new(ConversionParams::new(1).with_iterations(20));
+        let alg = GreedySpanner::new(3.0);
+        let (_, trace) = converter.build_traced(&g, &alg, &mut rng(18), 1);
         let bigger = Graph::new(g.node_count() + 1);
         assert!(converter
-            .repair_traced(&bigger, &alg, &trace, &[], usize::MAX, 1)
+            .repair_traced(&g, &bigger, &alg, &trace, &[], 1)
             .is_err());
+        // A trace of a different graph on the same vertices.
+        let other = Graph::new(g.node_count());
+        assert!(converter
+            .repair_traced(&other, &other, &alg, &trace, &[], 1)
+            .is_err());
+        let out_of_range = [(NodeId::new(0), NodeId::new(g.node_count()))];
+        assert!(converter
+            .repair_traced(&g, &g, &alg, &trace, &out_of_range, 1)
+            .is_err());
+        // Parameters that no longer yield the traced iteration count.
+        let drifted = FaultTolerantConverter::new(ConversionParams::new(1).with_iterations(21));
+        assert!(drifted.repair_traced(&g, &g, &alg, &trace, &[], 1).is_err());
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::SpannerAlgorithm;
 use ftspan_graph::{EdgeId, EdgeSet, Graph, NodeId};
 use rand::Rng;
 use rand::RngCore;
-use std::collections::{BTreeMap, HashSet};
 
 /// The Baswana–Sen randomized `(2k−1)`-spanner construction.
 ///
@@ -53,48 +52,58 @@ impl BaswanaSenSpanner {
         self.k
     }
 
-    /// Minimum-weight alive edge from `v` to each adjacent cluster.
+    /// Minimum-weight alive edge from `v` to each adjacent cluster, as
+    /// `(cluster, weight, edge)` entries written into `best`.
     ///
-    /// Keyed by a `BTreeMap` so iteration (and therefore tie-breaking among
-    /// equal-weight edges) is ordered by cluster id: the construction must be
-    /// a pure function of `(graph, rng state)` for the workspace's
-    /// determinism guarantees, which rules out hash-ordered traversal.
+    /// `best` is kept sorted by cluster id, so iteration (and therefore
+    /// tie-breaking among equal-weight edges) is ordered by cluster id: the
+    /// construction must be a pure function of `(graph, rng state)` for the
+    /// workspace's determinism guarantees, which rules out hash-ordered
+    /// traversal. Among equal-weight edges into one cluster the first
+    /// incident one wins. The buffer is reused across vertices, so the
+    /// kernel allocates nothing per vertex.
     fn neighbor_clusters(
         graph: &Graph,
         alive: &[bool],
         cluster: &[Option<usize>],
         v: NodeId,
-    ) -> BTreeMap<usize, (f64, EdgeId)> {
-        let mut best: BTreeMap<usize, (f64, EdgeId)> = BTreeMap::new();
+        best: &mut Vec<(usize, f64, EdgeId)>,
+    ) {
+        best.clear();
         for (u, eid) in graph.incident(v) {
             if !alive[eid.index()] {
                 continue;
             }
             if let Some(c) = cluster[u.index()] {
                 let w = graph.edge(eid).weight;
-                best.entry(c)
-                    .and_modify(|entry| {
-                        if w < entry.0 {
-                            *entry = (w, eid);
+                match best.binary_search_by_key(&c, |entry| entry.0) {
+                    Ok(slot) => {
+                        if w < best[slot].1 {
+                            best[slot] = (c, w, eid);
                         }
-                    })
-                    .or_insert((w, eid));
+                    }
+                    Err(slot) => best.insert(slot, (c, w, eid)),
+                }
             }
         }
-        best
     }
 
-    /// Discards every alive edge between `v` and the cluster `c`.
-    fn discard_edges_to_cluster(
+    /// Discards every alive edge between `v` and a cluster `c` for which
+    /// `drop(c)` holds.
+    fn discard_edges(
         graph: &Graph,
         alive: &mut [bool],
         cluster: &[Option<usize>],
         v: NodeId,
-        c: usize,
+        drop: impl Fn(usize) -> bool,
     ) {
         for (u, eid) in graph.incident(v) {
-            if alive[eid.index()] && cluster[u.index()] == Some(c) {
-                alive[eid.index()] = false;
+            if alive[eid.index()] {
+                if let Some(c) = cluster[u.index()] {
+                    if drop(c) {
+                        alive[eid.index()] = false;
+                    }
+                }
             }
         }
     }
@@ -120,68 +129,71 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
         let mut alive = vec![true; graph.edge_count()];
         // cluster[v] = Some(center) while v is clustered, None once discarded.
         let mut cluster: Vec<Option<usize>> = (0..n).map(Some).collect();
+        let mut next_cluster: Vec<Option<usize>> = vec![None; n];
+        let mut is_center = vec![false; n];
+        let mut sampled = vec![false; n];
+        let mut neighbors: Vec<(usize, f64, EdgeId)> = Vec::new();
 
         // Phase 1: k - 1 rounds of cluster sampling.
         for _round in 0..self.k.saturating_sub(1) {
             // Which cluster centers survive this round? The coin flips are
             // assigned to centers in ascending id order so the sampled set is
-            // a pure function of the rng state (hash order is not).
-            let mut centers: Vec<usize> = cluster.iter().flatten().copied().collect();
-            centers.sort_unstable();
-            centers.dedup();
-            let sampled: HashSet<usize> = centers
-                .into_iter()
-                .filter(|_| rng.gen::<f64>() < p)
-                .collect();
+            // a pure function of the rng state.
+            is_center.fill(false);
+            for &c in cluster.iter().flatten() {
+                is_center[c] = true;
+            }
+            for c in 0..n {
+                sampled[c] = is_center[c] && rng.gen::<f64>() < p;
+            }
 
-            let mut next_cluster: Vec<Option<usize>> = vec![None; n];
             // Vertices of sampled clusters stay put.
             for v in 0..n {
-                if let Some(c) = cluster[v] {
-                    if sampled.contains(&c) {
-                        next_cluster[v] = Some(c);
-                    }
-                }
+                next_cluster[v] = cluster[v].filter(|&c| sampled[c]);
             }
 
             for v_idx in 0..n {
                 let v = NodeId::new(v_idx);
                 let Some(own) = cluster[v_idx] else { continue };
-                if sampled.contains(&own) {
+                if sampled[own] {
                     continue;
                 }
-                let neighbors = Self::neighbor_clusters(graph, &alive, &cluster, v);
-                // Closest sampled neighbor cluster, if any.
+                Self::neighbor_clusters(graph, &alive, &cluster, v, &mut neighbors);
+                // Closest sampled neighbor cluster, if any (the first of
+                // equally close ones in cluster-id order).
                 let best_sampled = neighbors
                     .iter()
-                    .filter(|(c, _)| sampled.contains(c))
-                    .min_by(|a, b| {
-                        a.1 .0
-                            .partial_cmp(&b.1 .0)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(&c, &(w, e))| (c, w, e));
+                    .filter(|(c, _, _)| sampled[*c])
+                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .copied();
 
                 match best_sampled {
                     None => {
                         // No sampled neighbor: buy the cheapest edge to every
                         // neighboring cluster and drop out of the clustering.
-                        for (&c, &(_w, e)) in &neighbors {
+                        for &(_c, _w, e) in &neighbors {
                             spanner.insert(e);
-                            Self::discard_edges_to_cluster(graph, &mut alive, &cluster, v, c);
                         }
+                        Self::discard_edges(graph, &mut alive, &cluster, v, |_| true);
                         next_cluster[v_idx] = None;
                     }
                     Some((c_star, w_star, e_star)) => {
                         spanner.insert(e_star);
                         next_cluster[v_idx] = Some(c_star);
-                        Self::discard_edges_to_cluster(graph, &mut alive, &cluster, v, c_star);
-                        for (&c, &(w, e)) in &neighbors {
+                        for &(c, w, e) in &neighbors {
                             if c != c_star && w < w_star {
                                 spanner.insert(e);
-                                Self::discard_edges_to_cluster(graph, &mut alive, &cluster, v, c);
                             }
                         }
+                        let bought = |c: usize| {
+                            c == c_star || {
+                                let slot = neighbors
+                                    .binary_search_by_key(&c, |entry| entry.0)
+                                    .expect("every adjacent cluster has an entry");
+                                neighbors[slot].1 < w_star
+                            }
+                        };
+                        Self::discard_edges(graph, &mut alive, &cluster, v, bought);
                     }
                 }
             }
@@ -199,18 +211,18 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
                 }
             }
 
-            cluster = next_cluster;
+            std::mem::swap(&mut cluster, &mut next_cluster);
         }
 
         // Phase 2: every vertex buys the cheapest edge to each remaining
         // adjacent cluster.
         for v_idx in 0..n {
             let v = NodeId::new(v_idx);
-            let neighbors = Self::neighbor_clusters(graph, &alive, &cluster, v);
-            for (&c, &(_w, e)) in &neighbors {
+            Self::neighbor_clusters(graph, &alive, &cluster, v, &mut neighbors);
+            for &(_c, _w, e) in &neighbors {
                 spanner.insert(e);
-                Self::discard_edges_to_cluster(graph, &mut alive, &cluster, v, c);
             }
+            Self::discard_edges(graph, &mut alive, &cluster, v, |_| true);
         }
 
         spanner

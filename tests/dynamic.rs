@@ -181,6 +181,108 @@ fn forced_patch_and_forced_rebuild_agree_with_each_other() {
     assert_eq!(patched.applied_seq(), rebuilt.applied_seq());
 }
 
+/// The `serve-churn` shape at test size: the conversion over Baswana–Sen at
+/// r = 1 on a road-like mesh, one edge per batch, as roads close, reweight
+/// and reopen. Every sixth batch reopens the road closed just before it, so
+/// the same pair leaves the graph and comes back under a new, last edge id —
+/// the selection counts must follow it. At every version the default
+/// policy (which patches), `always_rebuild` and a from-scratch build land on
+/// the same artifact, at 1, 2 and 8 workers.
+#[test]
+fn single_edge_stream_on_a_mesh_patches_like_a_rebuild() {
+    let g = GeneratorSpec::PlanarMesh {
+        rows: 12,
+        cols: 12,
+        diagonal_p: 0.3,
+        jitter: 0.3,
+        seed: 2011,
+    }
+    .generate()
+    .expect("valid mesh");
+    for workers in [1usize, 2, 8] {
+        let request = SpannerRequest {
+            faults: 1,
+            stretch: 3.0,
+            black_box: BlackBoxKind::BaswanaSen,
+            threads: Some(workers),
+            ..SpannerRequest::default()
+        };
+        let recipe = BuildRecipe::new("conversion", request, 2011);
+        let mut patched = DynamicArtifact::build(&g, recipe.clone()).expect("base build");
+        let mut rebuilt = patched.clone();
+        let mut rng = ChaCha8Rng::seed_from_u64(0xde17a);
+        let mut closed: Vec<(NodeId, NodeId, f64)> = Vec::new();
+        for round in 0..48 {
+            let graph = patched.artifact().source_graph();
+            let open: Vec<(NodeId, NodeId, f64)> =
+                graph.edges().map(|(_, e)| (e.u, e.v, e.weight)).collect();
+            let choice = match round % 6 {
+                0 => 0,
+                1 => 2,
+                _ => rng.gen_range(0..3u32),
+            };
+            let delta = match choice {
+                0 => {
+                    let road = open[rng.gen_range(0..open.len())];
+                    closed.push(road);
+                    EdgeDelta::Delete {
+                        u: road.0,
+                        v: road.1,
+                    }
+                }
+                2 if !closed.is_empty() => {
+                    let road = if round % 6 == 1 {
+                        closed.pop().expect("closed in the previous round")
+                    } else {
+                        closed.swap_remove(rng.gen_range(0..closed.len()))
+                    };
+                    EdgeDelta::Insert {
+                        u: road.0,
+                        v: road.1,
+                        weight: road.2,
+                    }
+                }
+                _ => {
+                    let (u, v, w) = open[rng.gen_range(0..open.len())];
+                    EdgeDelta::Reweight {
+                        u,
+                        v,
+                        weight: w * rng.gen_range(1.0..3.0),
+                    }
+                }
+            };
+            let batch = std::slice::from_ref(&delta);
+            let (next, report) = patched
+                .apply(batch, &RebuildPolicy::default())
+                .expect("the stream is valid");
+            assert!(
+                report.action.is_patch(),
+                "round {round} workers {workers}: the default policy must patch, got {:?}",
+                report.action
+            );
+            patched = next;
+            let (next, report) = rebuilt
+                .apply(batch, &RebuildPolicy::always_rebuild())
+                .expect("the stream is valid");
+            assert!(!report.action.is_patch());
+            rebuilt = next;
+
+            let post = patched.artifact().source_graph().clone();
+            let fresh = DynamicArtifact::build(&post, recipe.clone()).expect("rebuild succeeds");
+            assert_eq!(
+                patched.artifact(),
+                rebuilt.artifact(),
+                "round {round} workers {workers} ({delta}): patch and rebuild diverge"
+            );
+            assert_eq!(
+                patched.artifact(),
+                fresh.artifact(),
+                "round {round} workers {workers} ({delta}): patch diverges from a fresh build"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
