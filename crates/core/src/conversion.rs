@@ -220,19 +220,13 @@ impl FaultTolerantConverter {
 
         let outcomes = par::map(threads, alpha, |i| {
             let run = run_iteration(graph, algorithm, seeds[i], p);
-            let surviving_vertices = run.alive.iter().filter(|&&a| a).count();
-            (run.edges, surviving_vertices, run.surviving_edges)
+            (run.edges, run.stats)
         });
 
         let mut union = graph.empty_edge_set();
         let mut per_iteration = Vec::with_capacity(alpha);
-        for (edges, surviving_vertices, surviving_edges) in outcomes {
-            per_iteration.push(merge_iteration(
-                &mut union,
-                &edges,
-                surviving_vertices,
-                surviving_edges,
-            ));
+        for (edges, stats) in outcomes {
+            per_iteration.push(merge_iteration(&mut union, &edges, stats));
         }
 
         ConversionResult {
@@ -244,12 +238,13 @@ impl FaultTolerantConverter {
 }
 
 /// One conversion iteration: the survivor mask of the oversampled fault set
-/// `J`, drawn first from the iteration's private stream, and the black box's
-/// output on `G \ J`, mapped back to the parent graph's edge ids.
+/// `J`, drawn first from the iteration's private stream, the black box's
+/// output on `G \ J`, mapped back to the parent graph's edge ids, and its
+/// statistics (`new_edges` is filled by the in-order merge).
 struct IterationRun {
     alive: Vec<bool>,
     edges: Vec<EdgeId>,
-    surviving_edges: usize,
+    stats: IterationStats,
 }
 
 fn run_iteration<A>(graph: &Graph, algorithm: &A, seed: u64, p: f64) -> IterationRun
@@ -264,31 +259,30 @@ where
     // Build G \ J, remembering how its edge ids map back to G.
     let (sub, edge_map) = induced_subgraph(graph, &alive);
     let spanner = algorithm.build(&sub, &mut task_rng);
-    let edges = spanner
+    let edges: Vec<EdgeId> = spanner
         .iter()
         .map(|sub_edge| edge_map[sub_edge.index()])
         .collect();
-    IterationRun {
-        alive,
-        edges,
+    let stats = IterationStats {
+        surviving_vertices: alive.iter().filter(|&&a| a).count(),
         surviving_edges: sub.edge_count(),
-    }
-}
-
-/// Adds one iteration's output to the union, in iteration order, and returns
-/// its statistics.
-fn merge_iteration(
-    union: &mut EdgeSet,
-    edges: &[EdgeId],
-    surviving_vertices: usize,
-    surviving_edges: usize,
-) -> IterationStats {
-    let mut stats = IterationStats {
-        surviving_vertices,
-        surviving_edges,
         spanner_edges: edges.len(),
         new_edges: 0,
     };
+    IterationRun {
+        alive,
+        edges,
+        stats,
+    }
+}
+
+/// Adds one iteration's output to the union, in iteration order, counting
+/// the edges new to it.
+fn merge_iteration(
+    union: &mut EdgeSet,
+    edges: &[EdgeId],
+    mut stats: IterationStats,
+) -> IterationStats {
     for &parent in edges {
         if union.insert(parent) {
             stats.new_edges += 1;
@@ -427,21 +421,13 @@ impl FaultTolerantConverter {
         let mut per_iteration = Vec::with_capacity(alpha);
         let mut outputs = Vec::with_capacity(alpha);
         for (i, (run, output)) in runs.into_iter().enumerate() {
-            let bit = 1u64 << (i % 64);
-            let mut surviving_vertices = 0;
             for (v, _) in run.alive.iter().enumerate().filter(|(_, &a)| a) {
-                alive[v * words + i / 64] |= bit;
-                surviving_vertices += 1;
+                alive[v * words + i / 64] |= 1 << (i % 64);
             }
             for &e in &run.edges {
                 counts[e.index()] += 1;
             }
-            per_iteration.push(merge_iteration(
-                &mut union,
-                &run.edges,
-                surviving_vertices,
-                run.surviving_edges,
-            ));
+            per_iteration.push(merge_iteration(&mut union, &run.edges, run.stats));
             outputs.push(output);
         }
 

@@ -524,11 +524,17 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
 /// default touched budget is the whole construction
 /// (`max_touched_fraction = 1.0`). A single changed edge touches a
 /// `(1 − p)²` share of the iterations (25% at `r = 1`), so a patch costs
-/// roughly a quarter of a build plus the `O(m)` copies. On the 2 500-vertex
-/// road mesh of the `serve-churn` benchmark (conversion over Baswana–Sen,
-/// `r = 1`, 94 iterations, 2 workers) the earlier guess of a 25% budget
-/// rebuilt 25 of 60 single-edge applies, for a mean apply of 37.4 ms
-/// against 21.3 ms when always patching, and a full rebuild took 63.8 ms.
+/// roughly a quarter of a build plus the `O(m)` copies.
+///
+/// Measured on the 2 500-vertex road mesh of the `serve-churn` benchmark
+/// (conversion over Baswana–Sen, `r = 1`, 94 iterations, 2 workers on a
+/// 2-vCPU Xeon VM), over 60 single-edge applies: a 25% touched budget
+/// rebuilt 25 of them, for a mean apply of 37.4 ms (p90 66.9 ms), while
+/// always patching averaged 21.3 ms (p90 26.3 ms) against 63.8 ms for a
+/// full rebuild. A patch that visits only the touched iterations (the
+/// default) takes 8–10 ms at the median and 10–15 ms at p90 in the
+/// benchmark's traced applies, against 28–35 ms for a full build.
+///
 /// The delta-volume limit stays: a batch large enough to touch every
 /// iteration gains nothing from the patch bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq)]
