@@ -532,8 +532,8 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
 /// rebuilt 25 of them, for a mean apply of 37.4 ms (p90 66.9 ms), while
 /// always patching averaged 21.3 ms (p90 26.3 ms) against 63.8 ms for a
 /// full rebuild. A patch that visits only the touched iterations (the
-/// default) takes 8–10 ms at the median and 10–15 ms at p90 in the
-/// benchmark's traced applies, against 28–35 ms for a full build.
+/// default) takes 7–10 ms at the median and 9–15 ms at p90 in the
+/// benchmark's traced applies, against 22–35 ms for a full build.
 ///
 /// The delta-volume limit stays: a batch large enough to touch every
 /// iteration gains nothing from the patch bookkeeping.
