@@ -22,6 +22,7 @@
 //! * `--addr` — listen address (default `127.0.0.1:0`; port 0 lets the OS
 //!   pick).
 //! * `--workers` — batch-executing worker threads (default: one per CPU).
+//!   Each batch runs on one worker; this is the server's only parallelism.
 //! * `--queue-capacity` — pending-batch queue bound; beyond it batches are
 //!   answered `Overloaded` (default 64).
 //! * `--timeout-secs` — per-connection read/write timeout (default 30).
@@ -201,10 +202,7 @@ fn main() -> ExitCode {
     }
 
     // Block until a client requests shutdown, then drain and exit.
-    let handle = running.handle();
-    while !handle.is_shutting_down() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    running.handle().wait_for_shutdown();
     match running.shutdown() {
         Ok(stats) => {
             eprintln!(

@@ -3,13 +3,19 @@
 //!
 //! # Architecture
 //!
-//! One acceptor thread polls a non-blocking listener. Each accepted
-//! connection gets its own thread that reads request frames and answers
-//! them. [`Request::RunBatch`] frames do
+//! One acceptor thread blocks in `accept()`; an idle server does no work.
+//! Each accepted connection gets its own thread that reads request frames
+//! and answers them. [`Request::RunBatch`] frames do
 //! **not** run on the connection thread: they are admitted into a bounded
 //! pending-batch queue and executed by a fixed worker pool, so one slow
 //! batch cannot starve protocol handling and the server's concurrency is
 //! capped regardless of how many clients connect.
+//!
+//! That pool is the only parallelism on the serving path. [`Server::bind`]
+//! runs its engine at one worker, so each batch executes on the single
+//! server worker that popped it — one session and one source cache per
+//! `(artifact, fault scope)` group, no threads spawned per batch — and
+//! batches run in parallel across workers, never inside one.
 //!
 //! Admission control is non-blocking: when the queue is full the batch is
 //! answered immediately with a typed
@@ -21,7 +27,8 @@
 //!
 //! [`ServerHandle::request_shutdown`] (or a
 //! [`Request::Shutdown`] frame) drains
-//! rather than drops: the acceptor stops accepting, newly arriving batches
+//! rather than drops: the acceptor is woken out of `accept()` by a single
+//! loopback connect and stops accepting, newly arriving batches
 //! are answered `ShuttingDown`, queued and in-flight batches run to
 //! completion and their responses are written, and only then are connection
 //! read-halves shut down to unblock idle readers. Responses for drained
@@ -34,7 +41,7 @@ use fault_tolerant_spanners::core::CoreError;
 use fault_tolerant_spanners::{EdgeDelta, Engine, Query, QueryOutcome, RebuildPolicy};
 use std::collections::VecDeque;
 use std::io::BufWriter;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,7 +52,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Worker threads executing admitted batches (clamped to at least 1).
-    /// Defaults to one per available CPU.
+    /// Defaults to one per available CPU. This is the server's only
+    /// parallelism: each batch runs on one worker, and the engine's own
+    /// [`EngineConfig::workers`](fault_tolerant_spanners::EngineConfig::workers)
+    /// is ignored.
     pub workers: usize,
     /// Capacity of the pending-batch queue (clamped to at least 1). A batch
     /// arriving while the queue holds this many is answered `Overloaded`.
@@ -170,6 +180,13 @@ struct Shared {
     counters: Counters,
     rebuild_policy: RebuildPolicy,
     shutting_down: AtomicBool,
+    /// Paired with `shutdown_signal` so [`ServerHandle::wait_for_shutdown`]
+    /// can block until `shutting_down` is set.
+    shutdown_lock: Mutex<()>,
+    shutdown_signal: Condvar,
+    /// A connectable form of the listener's address: the one loopback
+    /// connect that wakes the acceptor out of `accept()` goes here.
+    wake_addr: SocketAddr,
     /// Read-half handles of live connections, so shutdown can unblock
     /// threads parked in `read`. Writes stay open for drained responses.
     /// Slots are cleared when a connection thread exits, so a dead
@@ -178,6 +195,24 @@ struct Shared {
 }
 
 impl Shared {
+    /// Starts a graceful shutdown; later calls are no-ops. Sets the flag
+    /// (connection threads reject new batches), closes the queue (workers
+    /// drain what was admitted, then exit), signals
+    /// [`ServerHandle::wait_for_shutdown`], and wakes the acceptor.
+    fn begin_shutdown(&self) {
+        if self.shutting_down.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.queue.close();
+        // Taking the lock once means a waiter either saw the flag or is
+        // already parked and gets this notification.
+        drop(self.shutdown_lock.lock().expect("shutdown lock poisoned"));
+        self.shutdown_signal.notify_all();
+        // The acceptor sees the flag once this connection is accepted. If
+        // the connect fails the listener is already gone, so nobody waits.
+        TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1)).ok();
+    }
+
     fn stats(&self) -> ServerStats {
         ServerStats {
             connections_accepted: self.counters.connections_accepted.load(Ordering::Relaxed),
@@ -262,12 +297,24 @@ impl Server {
         config: ServerConfig,
     ) -> Result<Server, NetError> {
         let listener = TcpListener::bind(addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
-            engine,
+            // The worker pool is the only parallelism: a batch runs on the
+            // worker that popped it and never fans out again.
+            engine: engine.with_workers(1),
             queue: BoundedQueue::new(config.queue_capacity),
             counters: Counters::default(),
             rebuild_policy: config.rebuild_policy,
             shutting_down: AtomicBool::new(false),
+            shutdown_lock: Mutex::new(()),
+            shutdown_signal: Condvar::new(),
+            wake_addr,
             connections: Mutex::new(Vec::new()),
         });
         Ok(Server {
@@ -345,11 +392,10 @@ impl RunningServer {
     /// `ShuttingDown`, drain queued and in-flight batches (their responses
     /// are written), then close connections and join every thread.
     pub fn shutdown(self) -> Result<ServerStats, NetError> {
-        // Order matters. (1) Flag: the acceptor stops accepting and
-        // connection threads reject newly arriving batches.
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // (2) Close the queue: workers drain what was admitted, then exit.
-        self.shared.queue.close();
+        // Order matters. (1) Flag, closed queue, woken acceptor: nothing new
+        // is accepted or admitted, and workers drain what was admitted.
+        self.shared.begin_shutdown();
+        // (2) Workers exit once the queue is drained.
         for worker in self.workers {
             worker.join().map_err(|_| NetError::Io {
                 message: "a worker thread panicked".into(),
@@ -369,7 +415,7 @@ impl RunningServer {
         {
             conn.shutdown(Shutdown::Read).ok();
         }
-        // (4) The acceptor notices the flag, joins the connection threads
+        // (4) The acceptor has left `accept()`, joins the connection threads
         // (their reads now return 0) and exits.
         self.acceptor.join().map_err(|_| NetError::Io {
             message: "the acceptor thread panicked".into(),
@@ -388,13 +434,18 @@ impl ServerHandle {
     /// Requests shutdown. The acceptor and workers begin draining; call
     /// [`RunningServer::shutdown`] to join the threads.
     pub fn request_shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
+        self.shared.begin_shutdown();
     }
 
-    /// `true` once shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
+    /// Blocks until shutdown has been requested, by this handle or by a
+    /// [`Request::Shutdown`] frame.
+    pub fn wait_for_shutdown(&self) {
+        let shared = &self.shared;
+        let guard = shared.shutdown_lock.lock().expect("shutdown lock poisoned");
+        let _guard = shared
+            .shutdown_signal
+            .wait_while(guard, |_| !shared.shutting_down.load(Ordering::SeqCst))
+            .expect("shutdown lock poisoned");
     }
 
     /// A snapshot of the server's counters.
@@ -421,18 +472,17 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>, config: &ServerConfig) {
-    listener
-        .set_nonblocking(true)
-        .expect("listener supports non-blocking accept");
     let mut connection_threads = Vec::new();
     while !shared.shutting_down.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The wake-up connect from `begin_shutdown` (or a client that
+            // raced it): drop it unserved.
+            Ok(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 shared
                     .counters
                     .connections_accepted
                     .fetch_add(1, Ordering::Relaxed);
-                stream.set_nonblocking(false).ok();
                 stream.set_nodelay(true).ok();
                 stream.set_read_timeout(config.read_timeout).ok();
                 stream.set_write_timeout(config.write_timeout).ok();
@@ -453,9 +503,8 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>, config: &ServerCo
                     connection_threads.push(handle);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // Back off on real errors (e.g. out of file descriptors) rather
+            // than spin on them.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -486,8 +535,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Request::ListArtifacts => Response::Artifacts(shared.artifact_infos()),
             Request::Stats => Response::Stats(shared.stats()),
             Request::Shutdown => {
-                shared.shutting_down.store(true, Ordering::SeqCst);
-                shared.queue.close();
+                shared.begin_shutdown();
                 Response::ShuttingDown
             }
             // Runs inline on the connection thread, NOT on the worker pool:

@@ -164,6 +164,58 @@ fn batches_after_shutdown_request_get_a_typed_shutting_down_reply() {
     assert_eq!(stats.batches_completed, 0);
 }
 
+/// Runs `route` against a fresh idle server (no connection ever accepted
+/// before shutdown starts) and asserts it finishes within a few seconds.
+/// The route runs on its own thread, so a hung shutdown fails the test
+/// instead of hanging it.
+fn assert_idle_shutdown_is_prompt(
+    bind: &str,
+    route: impl FnOnce(ftspan_net::RunningServer) + Send + 'static,
+) {
+    let server = Server::bind(build_engine(47, 32), bind, ServerConfig::default())
+        .expect("bind")
+        .spawn()
+        .expect("server spawns");
+    assert_eq!(server.stats().connections_accepted, 0);
+    let (done, finished) = std::sync::mpsc::channel();
+    let runner = thread::spawn(move || {
+        route(server);
+        done.send(()).ok();
+    });
+    let outcome = finished.recv_timeout(Duration::from_secs(5));
+    if outcome.is_ok() || runner.is_finished() {
+        // Re-raise a panic inside `route` with its own message.
+        runner.join().expect("shutdown route");
+    }
+    assert!(outcome.is_ok(), "idle shutdown on {bind} took over 5 s");
+}
+
+#[test]
+fn idle_server_shuts_down_promptly_by_every_route() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        assert_idle_shutdown_is_prompt(bind, |server| {
+            let stats = server.shutdown().expect("clean shutdown");
+            assert_eq!(stats.connections_accepted, 0);
+        });
+        assert_idle_shutdown_is_prompt(bind, |server| {
+            let handle = server.handle();
+            let requester = thread::spawn(move || handle.request_shutdown());
+            server.handle().wait_for_shutdown();
+            requester.join().expect("requester thread");
+            let stats = server.shutdown().expect("clean shutdown");
+            assert_eq!(stats.connections_accepted, 0);
+        });
+        assert_idle_shutdown_is_prompt(bind, |server| {
+            let port = server.addr().port();
+            let mut client = Client::connect(("127.0.0.1", port)).expect("client connects");
+            client.shutdown_server().expect("shutdown acknowledged");
+            drop(client);
+            let stats = server.shutdown().expect("clean shutdown");
+            assert_eq!(stats.connections_accepted, 1, "only the client counts");
+        });
+    }
+}
+
 fn wait_until(
     server: &ftspan_net::RunningServer,
     condition: impl Fn(&ftspan_net::ServerStats) -> bool,

@@ -114,8 +114,10 @@ fn server_results_are_identical_to_in_process_at_every_worker_count() {
     );
 
     for workers in [1usize, 2, 8] {
+        // The engine asks for 8 workers; the server must ignore that and run
+        // each batch on one of its own workers.
         let server = Server::bind(
-            engine.clone(),
+            engine.clone().with_workers(8),
             "127.0.0.1:0",
             ServerConfig {
                 workers,
@@ -128,6 +130,8 @@ fn server_results_are_identical_to_in_process_at_every_worker_count() {
 
         // Whole batch in one frame.
         let mut client = Client::connect(server.addr()).expect("loopback connect");
+        // Engine clones share one stats sink, so compare deltas.
+        let before = client.stats().expect("stats succeed").engine;
         let one_shot = client
             .run_batch(&queries)
             .expect("request succeeds")
@@ -136,6 +140,16 @@ fn server_results_are_identical_to_in_process_at_every_worker_count() {
         assert_eq!(
             one_shot, expected,
             "one-frame batch differs at workers={workers}"
+        );
+        // A served batch is never split: each (artifact, fault scope) group
+        // is one unit, with one session and one source cache.
+        let after = client.stats().expect("stats succeed").engine;
+        let groups = after.planner_groups - before.planner_groups;
+        assert!(groups > 1, "the batch spans several scope groups");
+        assert_eq!(
+            after.planner_units - before.planner_units,
+            groups,
+            "the server split a batch at workers={workers}"
         );
 
         // Same batch chunked across many frames: per-query answers are

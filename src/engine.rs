@@ -197,7 +197,9 @@ impl QueryOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads query batches fan out across (clamped to at least 1).
-    /// The default is one per available CPU.
+    /// The default is one per available CPU. `ftspan_net::Server` ignores
+    /// this and runs its engine at one worker: its own worker pool
+    /// parallelises across batches instead.
     pub workers: usize,
     /// Capacity of the per-session LRU source cache the planner threads
     /// through grouped queries: the number of distinct query sources whose
