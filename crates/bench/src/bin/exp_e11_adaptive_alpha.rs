@@ -5,8 +5,7 @@
 //! in batches and stops once the union passes a verification battery. This
 //! binary reports, for growing `r`, the iterations the adaptive construction
 //! used, the theorem's budget, and the sizes of both outputs — quantifying
-//! how conservative the union-bound analysis is (the ablation DESIGN.md
-//! calls out).
+//! how conservative the union-bound analysis is.
 
 use fault_tolerant_spanners::prelude::*;
 use ftspan_bench::{fmt, Table};

@@ -1,14 +1,14 @@
 //! Shared infrastructure for the experiment binaries and the perf scenarios.
 //!
-//! Every experiment binary (one per experiment of DESIGN.md's index, E1–E11)
-//! prints an aligned table to stdout and writes the same rows as CSV under
-//! `target/experiments/`, so EXPERIMENTS.md can quote them directly.
+//! Every experiment binary (`exp_e1` … `exp_e12`) prints an aligned table
+//! to stdout and writes the same rows as CSV under `target/experiments/`.
+//! Where an experiment runs a substitute for a construction the paper
+//! cites, the README's *Substitutions* section names it.
 //!
 //! The [`scenarios`] module is the structured counterpart: a seeded, named
 //! perf-scenario suite whose `bench_runner` binary emits machine-readable
 //! `BENCH.json` results and gates CI against a checked-in baseline.
 
-pub mod hist;
 pub mod scenarios;
 
 use std::fmt::Display;

@@ -8,7 +8,7 @@
 //!   conversion theorem improves on; experiment E3 measures the contrast.
 //!   (The real CLPR09 algorithm shares the work between fault sets via the
 //!   Thorup–Zwick hierarchy, but its size bound keeps the `k^{r+1}` factor —
-//!   see DESIGN.md for the substitution note.)
+//!   see the *Substitutions* section of the workspace README.)
 //! * [`dk10_two_spanner`] — the Dinitz–Krauthgamer (arXiv 2010)
 //!   `O(r log n)`-approximation for the 2-spanner case: the same threshold
 //!   rounding, but applied to the weaker relaxation (no knapsack-cover

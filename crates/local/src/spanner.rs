@@ -17,7 +17,7 @@
 //! and — unlike ball-carving with weak-diameter clusters — has connected
 //! (star) clusters, so the stretch argument is exact. It stands in for the
 //! Derbel–Gavoille–Peleg–Viennot construction of Corollary 2.4 (see the
-//! substitution note in DESIGN.md).
+//! *Substitutions* section of the workspace README).
 
 use crate::simulator::{RoundStats, Simulator};
 use ftspan_graph::{EdgeSet, Graph, NodeId};

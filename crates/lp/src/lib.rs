@@ -13,7 +13,8 @@
 //!   relaxation, ask the oracle for violated constraints, add them, repeat.
 //!
 //! The substitution of simplex + cutting planes for the Ellipsoid method is
-//! recorded in DESIGN.md; the LP being solved is identical.
+//! recorded in the *Substitutions* section of the workspace README; the LP
+//! being solved is identical.
 //!
 //! # Example
 //!

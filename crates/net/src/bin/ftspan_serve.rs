@@ -165,7 +165,7 @@ fn main() -> ExitCode {
     let server = match Server::bind(engine, args.addr.as_str(), args.config.clone()) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("ftspan_serve: cannot bind {}: {e}", args.addr);
+            eprintln!("ftspan_serve: cannot serve on {}: {e}", args.addr);
             return ExitCode::FAILURE;
         }
     };

@@ -54,6 +54,13 @@ pub enum NetError {
     },
     /// The peer closed the connection cleanly between frames.
     Closed,
+    /// A [`ServerConfig`](crate::ServerConfig) timeout was
+    /// `Some(Duration::ZERO)`. The OS rejects a zero socket timeout, so it
+    /// would silently mean "wait forever"; `None` says that explicitly.
+    ZeroTimeout {
+        /// The config field: `"read_timeout"` or `"write_timeout"`.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -81,6 +88,10 @@ impl fmt::Display for NetError {
             NetError::Malformed { message } => write!(f, "malformed payload: {message}"),
             NetError::Io { message } => write!(f, "network i/o failed: {message}"),
             NetError::Closed => write!(f, "connection closed by peer"),
+            NetError::ZeroTimeout { field } => write!(
+                f,
+                "server {field} is zero; a timeout must be positive (None waits forever)"
+            ),
         }
     }
 }
@@ -122,6 +133,9 @@ mod tests {
                 message: "connection reset".into(),
             },
             NetError::Closed,
+            NetError::ZeroTimeout {
+                field: "read_timeout",
+            },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

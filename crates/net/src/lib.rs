@@ -18,8 +18,9 @@
 //! losslessly — at any worker count and any queue capacity.
 //!
 //! The `ftspan_serve` binary wraps [`Server`] around an artifact-store
-//! directory; the `ftspan_loadgen` binary (in the bench crate) drives a
-//! server with seeded open-loop traffic and reports latency histograms.
+//! directory. The repository benchmark (`perfbench/`) drives it with an
+//! open-loop load generator and reports CPU time per query; the
+//! `delta_smoke` example is the end-to-end smoke driver.
 //!
 //! Everything is dependency-free `std`: threads, `TcpListener`, a
 //! `Mutex<VecDeque>` + condvar queue.

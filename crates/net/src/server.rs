@@ -61,9 +61,10 @@ pub struct ServerConfig {
     /// arriving while the queue holds this many is answered `Overloaded`.
     pub queue_capacity: usize,
     /// Per-connection read timeout. A connection idle longer than this is
-    /// closed. `None` waits forever.
+    /// closed. `None` waits forever; [`Server::bind`] rejects zero.
     pub read_timeout: Option<Duration>,
-    /// Per-connection write timeout for response frames.
+    /// Per-connection write timeout for response frames. `None` waits
+    /// forever; [`Server::bind`] rejects zero.
     pub write_timeout: Option<Duration>,
     /// Patch-vs-rebuild policy applied to [`Request::ApplyDeltas`] frames.
     pub rebuild_policy: RebuildPolicy,
@@ -290,12 +291,21 @@ pub struct Server {
 impl Server {
     /// Binds a listener and prepares the shared state. `addr` may use port
     /// 0 to let the OS pick an ephemeral port ([`Server::local_addr`] /
-    /// [`RunningServer::addr`] report the resolved address).
+    /// [`RunningServer::addr`] report the resolved address). A zero read or
+    /// write timeout is rejected with [`NetError::ZeroTimeout`].
     pub fn bind(
         engine: Engine,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> Result<Server, NetError> {
+        for (field, timeout) in [
+            ("read_timeout", config.read_timeout),
+            ("write_timeout", config.write_timeout),
+        ] {
+            if timeout == Some(Duration::ZERO) {
+                return Err(NetError::ZeroTimeout { field });
+            }
+        }
         let listener = TcpListener::bind(addr)?;
         let mut wake_addr = listener.local_addr()?;
         if wake_addr.ip().is_unspecified() {

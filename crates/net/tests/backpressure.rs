@@ -8,9 +8,11 @@
 //! to completion, delivering their full responses.
 
 use fault_tolerant_spanners::prelude::*;
-use ftspan_net::{BatchReply, Client, Server, ServerConfig};
+use ftspan_net::{BatchReply, Client, NetError, Server, ServerConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::io::Read;
+use std::process::{Command, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -214,6 +216,72 @@ fn idle_server_shuts_down_promptly_by_every_route() {
             assert_eq!(stats.connections_accepted, 1, "only the client counts");
         });
     }
+}
+
+#[test]
+fn zero_timeouts_are_rejected_at_bind() {
+    // std refuses a zero socket timeout, so a server that accepted one would
+    // leave every connection blocking forever instead of timing out.
+    let engine = build_engine(53, 24);
+    for field in ["read_timeout", "write_timeout"] {
+        let mut config = ServerConfig::default();
+        match field {
+            "read_timeout" => config.read_timeout = Some(Duration::ZERO),
+            _ => config.write_timeout = Some(Duration::ZERO),
+        }
+        let outcome = Server::bind(engine.clone(), "127.0.0.1:0", config);
+        assert_eq!(
+            outcome.err(),
+            Some(NetError::ZeroTimeout { field }),
+            "a zero {field} must be a typed bind error"
+        );
+    }
+
+    // `ftspan_serve --timeout-secs 0` exits non-zero with that message
+    // instead of serving connections that never time out.
+    let dir = std::env::temp_dir().join(format!("ftspan-zero-timeout-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = ArtifactStore::open(&dir).expect("store directory is creatable");
+    let artifact = engine.artifact("backbone").expect("backbone is registered");
+    store.save("backbone", &artifact).expect("artifact saves");
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_ftspan_serve"))
+        .arg("--store")
+        .arg(&dir)
+        .args(["--timeout-secs", "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ftspan_serve starts");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = serve.try_wait().expect("wait on ftspan_serve") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            serve.kill().ok();
+            serve.wait().ok();
+            std::fs::remove_dir_all(&dir).ok();
+            panic!("ftspan_serve --timeout-secs 0 kept serving");
+        }
+        thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    serve
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr is readable");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!status.success(), "ftspan_serve must exit non-zero");
+    let expected = NetError::ZeroTimeout {
+        field: "read_timeout",
+    }
+    .to_string();
+    assert!(
+        stderr.contains(&expected),
+        "stderr must carry {expected:?}, got {stderr:?}"
+    );
 }
 
 fn wait_until(

@@ -11,7 +11,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Two vertex-fault artifacts with different sizes, budgets and weights.
+/// Two vertex-fault artifacts with different sizes, budgets and weights,
+/// plus a sharded one served by scatter-gather (the same input as the demo
+/// store's `wide`: G(60, 0.15) in 3 parts, `conversion` at r = 1).
 fn build_engine(seed: u64) -> Engine {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let g = generate::connected_gnp(40, 0.25, generate::WeightKind::Unit, &mut rng);
@@ -29,15 +31,23 @@ fn build_engine(seed: u64) -> Engine {
         .faults(1)
         .build_artifact(&h)
         .expect("mesh artifact builds");
+    let wide = generate::connected_gnp(60, 0.15, generate::WeightKind::Unit, &mut rng);
+    let wide = ShardedArtifact::build(
+        &wide,
+        &FtSpannerBuilder::new("conversion").faults(1),
+        &partition::PartitionConfig::new(3).with_seed(seed),
+    )
+    .expect("wide artifact builds");
     let mut engine = Engine::new();
     engine.register("backbone", backbone);
     engine.register("mesh", mesh);
+    engine.register_sharded("wide", wide);
     engine
 }
 
-/// A mixed batch: every query kind, repeated and fresh fault scopes, both
-/// artifacts, plus queries that must fail with typed errors (unknown
-/// artifact, out-of-range vertex, over-budget scope, wrong fault model).
+/// A mixed batch: every query kind, repeated and fresh fault scopes, all
+/// three artifacts, plus queries that must fail with typed errors (unknown
+/// artifact, out-of-range vertex, over-budget scopes, wrong fault model).
 fn mixed_batch(seed: u64) -> Vec<Query> {
     let scopes = [
         vec![],
@@ -64,6 +74,17 @@ fn mixed_batch(seed: u64) -> Vec<Query> {
             0 => Query::certificate(name, scope, u, v),
             1 => Query::path(name, scope, u, v),
             _ => Query::distance(name, scope, u, v),
+        });
+    }
+    for q in 0..60usize {
+        // wide's budget is 1 as well.
+        let scope = scopes[[0, 1, 3][q % 3]].clone();
+        let u = NodeId::new((q * 13 + 2) % 60);
+        let v = NodeId::new((q * 17 + 5) % 60);
+        queries.push(match q % 4 {
+            0 => Query::certificate("wide", scope, u, v),
+            1 => Query::path("wide", scope, u, v),
+            _ => Query::distance("wide", scope, u, v),
         });
     }
     // Typed-error queries: each must come back as the SAME CoreError the
@@ -96,6 +117,12 @@ fn mixed_batch(seed: u64) -> Vec<Query> {
         NodeId::new(0),
         NodeId::new(3),
     ));
+    queries.push(Query::distance(
+        "wide",
+        vec![NodeId::new(5), NodeId::new(11)],
+        NodeId::new(0),
+        NodeId::new(9),
+    ));
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x51);
     queries.shuffle(&mut rng);
     queries
@@ -109,9 +136,15 @@ fn server_results_are_identical_to_in_process_at_every_worker_count() {
     assert_eq!(expected.len(), queries.len());
     let error_count = expected.iter().filter(|r| r.is_err()).count();
     assert!(
-        error_count >= 5,
+        error_count >= 6,
         "the batch must exercise typed errors (got {error_count})"
     );
+    let sharded_answers = queries
+        .iter()
+        .zip(&expected)
+        .filter(|(q, r)| q.artifact == "wide" && r.is_ok())
+        .count();
+    assert_eq!(sharded_answers, 60, "every in-budget sharded query answers");
 
     for workers in [1usize, 2, 8] {
         // The engine asks for 8 workers; the server must ignore that and run
@@ -190,7 +223,7 @@ fn artifact_listing_and_stats_reflect_the_engine() {
 
     let mut artifacts = client.artifacts().expect("listing succeeds");
     artifacts.sort_by(|a, b| a.name.cmp(&b.name));
-    assert_eq!(artifacts.len(), 2);
+    assert_eq!(artifacts.len(), 3);
     assert_eq!(artifacts[0].name, "backbone");
     assert_eq!(artifacts[0].fault_budget, 2);
     assert_eq!(artifacts[0].nodes, 40);
@@ -198,6 +231,9 @@ fn artifact_listing_and_stats_reflect_the_engine() {
     assert_eq!(artifacts[1].name, "mesh");
     assert_eq!(artifacts[1].fault_budget, 1);
     assert_eq!(artifacts[1].nodes, 24);
+    assert_eq!(artifacts[2].name, "wide");
+    assert_eq!(artifacts[2].fault_budget, 1);
+    assert_eq!(artifacts[2].nodes, 60);
 
     let before = client.stats().expect("stats succeed");
     assert_eq!(before.batches_completed, 0);

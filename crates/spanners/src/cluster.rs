@@ -21,7 +21,8 @@ use std::collections::{HashMap, VecDeque};
 ///
 /// This construction is the sequential counterpart of the algorithm run by
 /// `ftspan-local`; it stands in for the Derbel–Gavoille–Peleg–Viennot
-/// construction referenced by Corollary 2.4 of the paper (see DESIGN.md).
+/// construction referenced by Corollary 2.4 of the paper (see the
+/// *Substitutions* section of the workspace README).
 /// On weighted graphs it still produces a spanning structure but the stretch
 /// guarantee applies to hop counts only.
 ///

@@ -15,7 +15,8 @@
 //!   built on; expected size `O(k n^{1+1/k})` for stretch `2k−1`.
 //! * [`ClusterSpanner`] — a simple ball-carving cluster spanner that is easy
 //!   to run distributedly; it stands in for the Derbel–Gavoille–Peleg–Viennot
-//!   construction used by Corollary 2.4 (see DESIGN.md for the substitution).
+//!   construction used by Corollary 2.4 (see the *Substitutions* section of
+//!   the workspace README).
 //! * [`SpannerAlgorithm`] — the trait all of them implement, and which
 //!   `ftspan-core::conversion` consumes.
 //!
