@@ -97,16 +97,18 @@ impl ClprStyleBaseline {
         let outcomes = par::map(threads, fault_sets.len(), |i| {
             let mut task_rng = par::stream(seeds[i]);
             let dead = fault_sets[i].to_dead_mask(n);
-            let (sub, edge_map) = induced_subgraph(graph, &dead);
-            let spanner = algorithm.build(&sub, &mut task_rng);
-            let edges: Vec<EdgeId> = spanner
+            let live: Vec<bool> = graph
+                .edges()
+                .map(|(_, e)| !dead[e.u.index()] && !dead[e.v.index()])
+                .collect();
+            let edges: Vec<EdgeId> = algorithm
+                .build_masked(graph, &live, &mut task_rng)
                 .iter()
-                .map(|sub_edge| edge_map[sub_edge.index()])
                 .collect();
             let stats = crate::conversion::IterationStats {
                 surviving_vertices: n - fault_sets[i].len(),
-                surviving_edges: sub.edge_count(),
-                spanner_edges: spanner.len(),
+                surviving_edges: live.iter().filter(|&&l| l).count(),
+                spanner_edges: edges.len(),
                 new_edges: 0, // filled during the in-order merge below
             };
             (edges, stats)
@@ -128,19 +130,6 @@ impl ClprStyleBaseline {
             per_iteration,
         }
     }
-}
-
-fn induced_subgraph(graph: &Graph, dead: &[bool]) -> (Graph, Vec<EdgeId>) {
-    let mut sub = Graph::new(graph.node_count());
-    let mut map = Vec::new();
-    for (id, e) in graph.edges() {
-        if !dead[e.u.index()] && !dead[e.v.index()] {
-            sub.add_edge(e.u, e.v, e.weight)
-                .expect("edges of a valid graph remain valid in a subgraph");
-            map.push(id);
-        }
-    }
-    (sub, map)
 }
 
 /// The DK10 baseline for minimum-cost `r`-fault-tolerant 2-spanner: the same

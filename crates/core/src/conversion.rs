@@ -5,7 +5,9 @@
 //!
 //! 1. every vertex joins a sampled "oversized fault set" `J` independently
 //!    with probability `p = 1 − 1/r` (`p = 1/2` when `r ≤ 1`);
-//! 2. the given black-box `k`-spanner algorithm is run on `G \ J`;
+//! 2. the given black-box `k`-spanner algorithm is run on `G \ J`, given as
+//!    a mask over `G`'s edges (live when both endpoints survive) — `G \ J`
+//!    is never materialized as a graph of its own;
 //! 3. the resulting edges are added to the output.
 //!
 //! For any real fault set `F` (`|F| ≤ r`) and any surviving edge `(u, v)`
@@ -239,8 +241,8 @@ impl FaultTolerantConverter {
 
 /// One conversion iteration: the survivor mask of the oversampled fault set
 /// `J`, drawn first from the iteration's private stream, the black box's
-/// output on `G \ J`, mapped back to the parent graph's edge ids, and its
-/// statistics (`new_edges` is filled by the in-order merge).
+/// output on `G \ J` (over the parent graph's edge ids), and its statistics
+/// (`new_edges` is filled by the in-order merge).
 struct IterationRun {
     alive: Vec<bool>,
     edges: Vec<EdgeId>,
@@ -256,16 +258,18 @@ where
     let alive: Vec<bool> = (0..graph.node_count())
         .map(|_| task_rng.gen::<f64>() >= p)
         .collect();
-    // Build G \ J, remembering how its edge ids map back to G.
-    let (sub, edge_map) = induced_subgraph(graph, &alive);
-    let spanner = algorithm.build(&sub, &mut task_rng);
-    let edges: Vec<EdgeId> = spanner
+    // Run the black box on G \ J as an edge mask over G.
+    let live: Vec<bool> = graph
+        .edges()
+        .map(|(_, e)| alive[e.u.index()] && alive[e.v.index()])
+        .collect();
+    let edges: Vec<EdgeId> = algorithm
+        .build_masked(graph, &live, &mut task_rng)
         .iter()
-        .map(|sub_edge| edge_map[sub_edge.index()])
         .collect();
     let stats = IterationStats {
         surviving_vertices: alive.iter().filter(|&&a| a).count(),
-        surviving_edges: sub.edge_count(),
+        surviving_edges: live.iter().filter(|&&l| l).count(),
         spanner_edges: edges.len(),
         new_edges: 0,
     };
@@ -595,22 +599,6 @@ impl FaultTolerantConverter {
     }
 }
 
-/// Builds the subgraph of `graph` induced by the vertices with
-/// `alive[v] == true`, preserving vertex identifiers, together with a map
-/// from the subgraph's edge ids back to the parent graph's edge ids.
-fn induced_subgraph(graph: &Graph, alive: &[bool]) -> (Graph, Vec<EdgeId>) {
-    let mut sub = Graph::new(graph.node_count());
-    let mut map = Vec::new();
-    for (id, e) in graph.edges() {
-        if alive[e.u.index()] && alive[e.v.index()] {
-            sub.add_edge(e.u, e.v, e.weight)
-                .expect("edges of a valid graph remain valid in a subgraph");
-            map.push(id);
-        }
-    }
-    (sub, map)
-}
-
 /// Corollary 2.2: the conversion applied to the greedy spanner of Althöfer et
 /// al., giving `r`-fault-tolerant `k`-spanners of size
 /// `O(r^{2−2/(k+1)} n^{1+2/(k+1)} log n)` for odd `k ≥ 1`.
@@ -888,9 +876,9 @@ mod tests {
             self.inner.stretch()
         }
 
-        fn build(&self, graph: &Graph, rng: &mut dyn RngCore) -> EdgeSet {
+        fn build_masked(&self, graph: &Graph, live: &[bool], rng: &mut dyn RngCore) -> EdgeSet {
             self.builds.fetch_add(1, Ordering::Relaxed);
-            self.inner.build(graph, rng)
+            self.inner.build_masked(graph, live, rng)
         }
 
         fn size_bound(&self, n: usize) -> f64 {

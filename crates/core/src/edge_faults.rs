@@ -24,7 +24,7 @@
 //! [`ftspan_graph::verify`].
 
 use crate::par;
-use ftspan_graph::{EdgeId, EdgeSet, Graph};
+use ftspan_graph::{EdgeSet, Graph};
 use ftspan_spanners::SpannerAlgorithm;
 use rand::Rng;
 use rand::RngCore;
@@ -194,24 +194,18 @@ where
 
     let outcomes = par::map(threads, alpha, |i| {
         let mut task_rng = par::stream(seeds[i]);
-        // Sample the oversized edge fault set J and build (V, E \ J).
-        let alive: Vec<bool> = (0..m).map(|_| task_rng.gen::<f64>() >= p).collect();
-        let (sub, edge_map) = edge_subgraph(graph, &alive);
-        let spanner = algorithm.build(&sub, &mut task_rng);
-        let edges: Vec<EdgeId> = spanner
-            .iter()
-            .map(|sub_edge| edge_map[sub_edge.index()])
-            .collect();
-        (edges, sub.edge_count())
+        // Sample the oversized edge fault set J; its complement is the mask
+        // the black box runs on.
+        let live: Vec<bool> = (0..m).map(|_| task_rng.gen::<f64>() >= p).collect();
+        let edges = algorithm.build_masked(graph, &live, &mut task_rng);
+        (edges, live.iter().filter(|&&l| l).count())
     });
 
     let mut union = graph.empty_edge_set();
     let mut surviving_edges = Vec::with_capacity(alpha);
     for (edges, surviving) in outcomes {
         surviving_edges.push(surviving);
-        for parent in edges {
-            union.insert(parent);
-        }
+        union.union_with(&edges);
     }
 
     EdgeFaultResult {
@@ -219,22 +213,6 @@ where
         iterations: alpha,
         surviving_edges,
     }
-}
-
-/// Builds the subgraph of `graph` keeping only the edges with
-/// `alive[e] == true` (full vertex set), together with a map from the
-/// subgraph's edge ids back to the parent graph's.
-fn edge_subgraph(graph: &Graph, alive: &[bool]) -> (Graph, Vec<EdgeId>) {
-    let mut sub = Graph::new(graph.node_count());
-    let mut map = Vec::new();
-    for (id, e) in graph.edges() {
-        if alive[id.index()] {
-            sub.add_edge(e.u, e.v, e.weight)
-                .expect("edges of a valid graph remain valid in a subgraph");
-            map.push(id);
-        }
-    }
-    (sub, map)
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@ use rand::RngCore;
 /// The conversion theorem of the paper (Theorem 2.1, implemented in
 /// `ftspan-core::conversion`) accepts any type implementing this trait, runs
 /// it on `O(r³ log n)` random vertex-induced subgraphs, and unions the
-/// results into an `r`-fault-tolerant `k`-spanner.
+/// results into an `r`-fault-tolerant `k`-spanner. It never materializes
+/// those subgraphs: each run is [`SpannerAlgorithm::build_masked`] on the
+/// parent graph with the dead edges masked out.
 ///
 /// Deterministic algorithms simply ignore the random source.
 ///
@@ -28,11 +30,32 @@ pub trait SpannerAlgorithm: Sync {
     /// The stretch `k` this construction guarantees.
     fn stretch(&self) -> f64;
 
-    /// Builds a spanner of `graph`, returning the selected edges.
+    /// Builds a spanner of the subgraph of `graph` made of the edges `e`
+    /// with `live[e.index()]` (all vertices kept), returning the selected
+    /// edges over `graph`'s edge ids.
+    ///
+    /// The mask contract: `live` has one entry per edge of `graph`, and the
+    /// result — edges *and* the draws taken from `rng` — is exactly what
+    /// [`SpannerAlgorithm::build`] returns on the materialized subgraph
+    /// (the live edges added in edge-id order, on the same vertex set),
+    /// with each of its edge ids mapped back to the parent's. Kernels meet
+    /// it by skipping dead edges wherever they read adjacency: a graph's
+    /// adjacency lists are sorted by neighbor, so the parent's, filtered,
+    /// equal the subgraph's, and the id map preserves edge order.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `live.len() != graph.edge_count()`.
+    fn build_masked(&self, graph: &Graph, live: &[bool], rng: &mut dyn RngCore) -> EdgeSet;
+
+    /// Builds a spanner of `graph`, returning the selected edges: a
+    /// [`SpannerAlgorithm::build_masked`] with every edge live.
     ///
     /// The result must be a `self.stretch()`-spanner of `graph`; randomized
     /// constructions may use `rng`.
-    fn build(&self, graph: &Graph, rng: &mut dyn RngCore) -> EdgeSet;
+    fn build(&self, graph: &Graph, rng: &mut dyn RngCore) -> EdgeSet {
+        self.build_masked(graph, &vec![true; graph.edge_count()], rng)
+    }
 
     /// The size guarantee `f(n)` of this construction: an upper bound on the
     /// number of edges produced on any `n`-vertex graph (up to the constant
@@ -90,7 +113,7 @@ impl SpannerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftspan_graph::generate;
+    use ftspan_graph::{generate, EdgeId};
 
     struct KeepAll;
 
@@ -101,8 +124,10 @@ mod tests {
         fn stretch(&self) -> f64 {
             1.0
         }
-        fn build(&self, graph: &Graph, _rng: &mut dyn RngCore) -> EdgeSet {
-            graph.full_edge_set()
+        fn build_masked(&self, graph: &Graph, live: &[bool], _rng: &mut dyn RngCore) -> EdgeSet {
+            let mut kept = graph.empty_edge_set();
+            kept.extend((0..live.len()).filter(|&e| live[e]).map(EdgeId::new));
+            kept
         }
         fn size_bound(&self, n: usize) -> f64 {
             (n * n) as f64

@@ -118,15 +118,17 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
         (2 * self.k - 1) as f64
     }
 
-    fn build(&self, graph: &Graph, rng: &mut dyn RngCore) -> EdgeSet {
+    fn build_masked(&self, graph: &Graph, live: &[bool], rng: &mut dyn RngCore) -> EdgeSet {
         let n = graph.node_count();
         let mut spanner = graph.empty_edge_set();
-        if n == 0 || graph.edge_count() == 0 {
+        if n == 0 || !live.contains(&true) {
             return spanner;
         }
         let p = (n as f64).powf(-1.0 / self.k as f64);
 
-        let mut alive = vec![true; graph.edge_count()];
+        // Dead edges start out discarded; every pass below reads only alive
+        // ones.
+        let mut alive = live.to_vec();
         // cluster[v] = Some(center) while v is clustered, None once discarded.
         let mut cluster: Vec<Option<usize>> = (0..n).map(Some).collect();
         let mut next_cluster: Vec<Option<usize>> = vec![None; n];

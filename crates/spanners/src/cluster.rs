@@ -78,7 +78,7 @@ impl SpannerAlgorithm for ClusterSpanner {
         (4 * self.radius + 1) as f64
     }
 
-    fn build(&self, graph: &Graph, rng: &mut dyn RngCore) -> EdgeSet {
+    fn build_masked(&self, graph: &Graph, live: &[bool], rng: &mut dyn RngCore) -> EdgeSet {
         let n = graph.node_count();
         let mut spanner = graph.empty_edge_set();
         if n == 0 {
@@ -107,7 +107,7 @@ impl SpannerAlgorithm for ClusterSpanner {
                 if depth == self.radius {
                     continue;
                 }
-                for (u, eid) in graph.incident(v) {
+                for (u, eid) in graph.incident(v).filter(|(_, eid)| live[eid.index()]) {
                     if cluster[u.index()] == usize::MAX {
                         cluster[u.index()] = cid;
                         spanner.insert(eid);
@@ -119,7 +119,7 @@ impl SpannerAlgorithm for ClusterSpanner {
 
         // One representative edge per pair of adjacent clusters.
         let mut picked: HashMap<(usize, usize), ftspan_graph::EdgeId> = HashMap::new();
-        for (eid, e) in graph.edges() {
+        for (eid, e) in graph.edges().filter(|(eid, _)| live[eid.index()]) {
             let cu = cluster[e.u.index()];
             let cv = cluster[e.v.index()];
             if cu != cv {

@@ -86,8 +86,12 @@ impl SpannerAlgorithm for GreedySpanner {
         self.stretch
     }
 
-    fn build(&self, graph: &Graph, _rng: &mut dyn RngCore) -> EdgeSet {
-        let mut order: Vec<_> = graph.edges().map(|(id, e)| (e.weight, id)).collect();
+    fn build_masked(&self, graph: &Graph, live: &[bool], _rng: &mut dyn RngCore) -> EdgeSet {
+        let mut order: Vec<_> = graph
+            .edges()
+            .filter(|(id, _)| live[id.index()])
+            .map(|(id, e)| (e.weight, id))
+            .collect();
         order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
         let n = graph.node_count();

@@ -65,9 +65,9 @@ impl ThorupZwickSpanner {
     }
 }
 
-/// Multi-source Dijkstra: distance from every vertex to its nearest source.
-/// Returns `INFINITY` entries when `sources` is empty.
-fn multi_source_distances(graph: &Graph, sources: &[bool]) -> Vec<f64> {
+/// Multi-source Dijkstra over the live edges: distance from every vertex to
+/// its nearest source. Returns `INFINITY` entries when `sources` is empty.
+fn multi_source_distances(graph: &Graph, live: &[bool], sources: &[bool]) -> Vec<f64> {
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut heap = BinaryHeap::new();
@@ -84,7 +84,7 @@ fn multi_source_distances(graph: &Graph, sources: &[bool]) -> Vec<f64> {
         if d > dist[v.index()] {
             continue;
         }
-        for (u, eid) in graph.incident(v) {
+        for (u, eid) in graph.incident(v).filter(|(_, eid)| live[eid.index()]) {
             let nd = d + graph.edge(eid).weight;
             if nd < dist[u.index()] {
                 dist[u.index()] = nd;
@@ -95,10 +95,16 @@ fn multi_source_distances(graph: &Graph, sources: &[bool]) -> Vec<f64> {
     dist
 }
 
-/// Dijkstra from `center`, restricted to the cluster
+/// Dijkstra from `center` over the live edges, restricted to the cluster
 /// `{ v : d(center, v) < bound[v] }`; inserts the tree edge of every cluster
 /// member into `spanner`.
-fn grow_cluster(graph: &Graph, center: NodeId, bound: &[f64], spanner: &mut EdgeSet) {
+fn grow_cluster(
+    graph: &Graph,
+    live: &[bool],
+    center: NodeId,
+    bound: &[f64],
+    spanner: &mut EdgeSet,
+) {
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut via: Vec<Option<EdgeId>> = vec![None; n];
@@ -115,7 +121,7 @@ fn grow_cluster(graph: &Graph, center: NodeId, bound: &[f64], spanner: &mut Edge
         if let Some(e) = via[v.index()] {
             spanner.insert(e);
         }
-        for (u, eid) in graph.incident(v) {
+        for (u, eid) in graph.incident(v).filter(|(_, eid)| live[eid.index()]) {
             let nd = d + graph.edge(eid).weight;
             // The defining condition of a Thorup-Zwick cluster: only grow
             // into u while the distance from the center stays strictly below
@@ -138,10 +144,10 @@ impl SpannerAlgorithm for ThorupZwickSpanner {
         (2 * self.k - 1) as f64
     }
 
-    fn build(&self, graph: &Graph, rng: &mut dyn RngCore) -> EdgeSet {
+    fn build_masked(&self, graph: &Graph, live: &[bool], rng: &mut dyn RngCore) -> EdgeSet {
         let n = graph.node_count();
         let mut spanner = graph.empty_edge_set();
-        if n == 0 || graph.edge_count() == 0 {
+        if n == 0 || !live.contains(&true) {
             return spanner;
         }
         let p = (n as f64).powf(-1.0 / self.k as f64);
@@ -163,11 +169,11 @@ impl SpannerAlgorithm for ThorupZwickSpanner {
             // Distance of every vertex to the next level A_{i+1}
             // (INFINITY at the top level, so the last clusters are whole
             // shortest-path trees — exactly the Thorup-Zwick definition).
-            let bound = multi_source_distances(graph, &levels[i + 1]);
+            let bound = multi_source_distances(graph, live, &levels[i + 1]);
             for (w, (&in_level, &in_next)) in levels[i].iter().zip(levels[i + 1].iter()).enumerate()
             {
                 if in_level && !in_next {
-                    grow_cluster(graph, NodeId::new(w), &bound, &mut spanner);
+                    grow_cluster(graph, live, NodeId::new(w), &bound, &mut spanner);
                 }
             }
         }
