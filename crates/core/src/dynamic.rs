@@ -512,8 +512,8 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
 /// much work the next version costs.
 ///
 /// The defaults follow from the cost of the two paths. With `c_iter` the
-/// cost of one conversion iteration (mask draw, induced subgraph, black
-/// box):
+/// cost of one conversion iteration (mask draw, then the black box on the
+/// masked graph):
 ///
 /// * a patch costs `touched × c_iter + O(m)` — it re-runs only the touched
 ///   iterations and updates the per-edge selection counts of the
@@ -528,12 +528,9 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
 ///
 /// Measured on the 2 500-vertex road mesh of the `serve-churn` benchmark
 /// (conversion over Baswana–Sen, `r = 1`, 94 iterations, 2 workers on a
-/// 2-vCPU Xeon VM), over 60 single-edge applies: a 25% touched budget
-/// rebuilt 25 of them, for a mean apply of 37.4 ms (p90 66.9 ms), while
-/// always patching averaged 21.3 ms (p90 26.3 ms) against 63.8 ms for a
-/// full rebuild. A patch that visits only the touched iterations (the
-/// default) takes 7–10 ms at the median and 9–15 ms at p90 in the
-/// benchmark's traced applies, against 22–35 ms for a full build.
+/// 2-vCPU Xeon VM), traced seeds 1–5: a single-edge patch takes 4.4–6.0 ms
+/// at the median and 5.4–7.6 ms at p90 (`dynamic.apply_ms`), against
+/// 13.8–24.5 ms for a full build (`dynamic.promote_s`).
 ///
 /// The delta-volume limit stays: a batch large enough to touch every
 /// iteration gains nothing from the patch bookkeeping.
