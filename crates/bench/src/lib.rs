@@ -1,14 +1,18 @@
-//! Shared infrastructure for the experiment binaries and the perf scenarios.
+//! Shared infrastructure for the paper-claims table and the perf scenarios.
 //!
-//! Every experiment binary (`exp_e1` … `exp_e12`) prints an aligned table
-//! to stdout and writes the same rows as CSV under `target/experiments/`.
-//! Where an experiment runs a substitute for a construction the paper
-//! cites, the README's *Substitutions* section names it.
+//! The [`paper`] module computes the paper's checkable claims (iteration
+//! counts, size bounds, approximation ratios, LOCAL rounds and messages) as
+//! rows of one checked table. The `exp_paper` binary prints it as an aligned
+//! [`Table`] and writes the same rows as CSV under `target/experiments/`;
+//! `tests/paper_claims.rs` asserts every row and pins the table's digest.
+//! Where a row runs a substitute for a construction the paper cites, the
+//! README's *Substitutions* section names it.
 //!
 //! The [`scenarios`] module is the structured counterpart: a seeded, named
 //! perf-scenario suite whose `bench_runner` binary emits machine-readable
 //! `BENCH.json` results and gates CI against a checked-in baseline.
 
+pub mod paper;
 pub mod scenarios;
 
 use std::fmt::Display;
@@ -16,7 +20,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-/// A simple experiment table: named columns, rows of values, aligned text
+/// A simple results table: named columns, rows of values, aligned text
 /// output plus CSV export.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -26,7 +30,7 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates a table with the given experiment name and column headers.
+    /// Creates a table with the given name and column headers.
     pub fn new(name: &str, columns: &[&str]) -> Self {
         Table {
             name: name.to_string(),
@@ -117,15 +121,14 @@ impl Table {
     }
 }
 
-/// Formats a float with a fixed number of decimals (shared by experiments).
+/// Formats a float with a fixed number of decimals.
 pub fn fmt(value: f64, decimals: usize) -> String {
     format!("{value:.decimals$}")
 }
 
 /// Parses a `--seed <N>` (or `--seed=<N>`) command-line argument, falling
-/// back to the experiment's historical constant so default runs reproduce
-/// the published tables while `--seed` makes runs comparable across
-/// machines.
+/// back to `default` so a default run reproduces the pinned table while
+/// `--seed` makes runs comparable across machines.
 ///
 /// # Panics
 ///

@@ -135,32 +135,32 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// FNV-1a, the workspace's dependency-free digest.
 #[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(Self::OFFSET)
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    fn write_f64(&mut self, v: f64) {
+    pub(crate) fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
     }
 
-    fn finish(self) -> u64 {
+    pub(crate) fn finish(self) -> u64 {
         self.0
     }
 }

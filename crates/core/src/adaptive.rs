@@ -2,8 +2,9 @@
 //!
 //! Theorem 2.1's `α = Θ(r³ log n)` iterations come from a conservative union
 //! bound; in practice far fewer iterations already give a valid
-//! `r`-fault-tolerant spanner (the `ablation_alpha` benchmark quantifies
-//! this). [`adaptive_fault_tolerant_spanner`] turns that observation into an
+//! `r`-fault-tolerant spanner (the `adaptive/iterations` row of
+//! `ftspan-bench`'s `exp_paper` table quantifies this).
+//! [`adaptive_fault_tolerant_spanner`] turns that observation into an
 //! algorithm: it runs the conversion in small batches and stops as soon as
 //! the accumulated union passes a verification battery (sampled random fault
 //! sets plus adversarial heuristics, or exhaustive enumeration on small

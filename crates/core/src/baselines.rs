@@ -5,7 +5,8 @@
 //!   the paper: apply a spanner construction to `G \ F` for every possible
 //!   fault set `F` and take the union. Its size grows with the number of
 //!   fault sets (exponentially in `r`), which is exactly the behaviour the
-//!   conversion theorem improves on; experiment E3 measures the contrast.
+//!   conversion theorem improves on; the `clpr09/fault-sets` rows of the
+//!   `exp_paper` table measure the contrast.
 //!   (The real CLPR09 algorithm shares the work between fault sets via the
 //!   Thorup–Zwick hierarchy, but its size bound keeps the `k^{r+1}` factor —
 //!   see the *Substitutions* section of the workspace README.)

@@ -37,7 +37,8 @@ pub struct ConversionParams {
     /// Multiplier on the default iteration count. The paper's analysis uses a
     /// conservative union bound; experiments can lower this (and re-verify
     /// the output) to study how many iterations are needed in practice — the
-    /// `ablation_alpha` benchmark does exactly that.
+    /// `adaptive/iterations` row of `ftspan-bench`'s `exp_paper` table puts
+    /// the adaptive conversion's count next to the full budget.
     pub scale: f64,
 }
 

@@ -357,7 +357,7 @@ mod tests {
         // some omitted out-arc has fewer than r+1 two-paths), so OPT >=
         // (r+1)·n arcs. The symmetric fractional solution of LP (3) sets
         // every x_e = (r+1)/(n+r-1), which is strictly cheaper — the LP gap
-        // the E5 experiment quantifies.
+        // the `sec3.1/kn-lp3` rows of the `exp_paper` table check.
         let n = 7usize;
         let r = 3usize;
         let g = generate::complete_digraph(n);
