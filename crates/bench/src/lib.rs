@@ -8,9 +8,12 @@
 //! Where a row runs a substitute for a construction the paper cites, the
 //! README's *Substitutions* section names it.
 //!
-//! The [`scenarios`] module is the structured counterpart: a seeded, named
-//! perf-scenario suite whose `bench_runner` binary emits machine-readable
-//! `BENCH.json` results and gates CI against a checked-in baseline.
+//! The [`scenarios`] module is the second checked table: a seeded, named
+//! scenario suite whose rows carry a digest of the output and exact work
+//! counters (black-box iterations, planner units, cache hits, patched
+//! iterations). `tests/scenario_table.rs` pins every row; the `bench_runner`
+//! binary prints the rows with wall-clock and throughput and writes them as
+//! `BENCH.json`.
 
 pub mod paper;
 pub mod scenarios;

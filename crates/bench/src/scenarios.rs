@@ -1,27 +1,26 @@
-//! The seeded perf-scenario suite behind `bench_runner` and the CI
-//! `perf-smoke` gate.
+//! The seeded scenario suite behind `bench_runner` and the checked
+//! scenario table.
 //!
 //! A **scenario** is a named, fully seeded workload: a graph family at a
 //! profile-dependent size, a registry algorithm (or the serving [`Engine`]),
-//! and fixed request knobs. Running one produces a [`ScenarioResult`] with
-//! wall-clock time, throughput (input edges/sec for constructions,
-//! queries/sec for serving) and a **digest** — an FNV-1a hash of the
-//! scenario's semantic output (selected edges, costs, query answers). The
-//! digest is what the determinism suite pins: for a fixed seed it must be
-//! identical across runs *and across worker counts*.
+//! and fixed request knobs. Running one produces a [`ScenarioResult`] row:
 //!
-//! Two [`Profile`]s exist: [`Profile::Ci`] (small sizes, seconds total — what
-//! the CI gate runs) and [`Profile::Full`] (larger sizes for tracking real
-//! trends). [`run_all`] executes every scenario; [`BenchReport`] serializes
-//! the results as `BENCH.json` (dependency-free writer and reader) and
-//! [`compare`] implements the regression gate: any scenario slower than
-//! baseline by more than the tolerance fails.
+//! * a **digest** — an FNV-1a hash of the scenario's semantic output
+//!   (selected edges, costs, query answers), identical across runs and
+//!   across worker counts for a fixed seed;
+//! * **work counters** the library already reports — black-box iterations
+//!   and the edges handed to them, planner groups and units, source-cache
+//!   hits and misses, warm swaps, patched iterations, bytes on disk — exact
+//!   functions of the seed and the worker count;
+//! * wall-clock time and throughput (input edges/sec for constructions,
+//!   queries/sec for serving), which are reported only.
 //!
-//! Re-baseline with:
-//!
-//! ```text
-//! cargo run --release -p ftspan-bench --bin bench_runner -- --profile ci --out bench/baseline.json
-//! ```
+//! `tests/scenario_table.rs` pins every row's digest and counters at zero
+//! tolerance, so it catches wrong answers and extra work on any host; slow
+//! code is `perfbench`'s job. Two [`Profile`]s exist: [`Profile::Ci`]
+//! (small sizes, seconds total — what the table pins) and [`Profile::Full`]
+//! (larger sizes for tracking real trends). [`run_all`] executes every
+//! scenario and [`BenchReport`] writes the rows as `BENCH.json`.
 
 use fault_tolerant_spanners::prelude::*;
 use fault_tolerant_spanners::{ArtifactStore, Engine, Query, QueryOutcome};
@@ -33,7 +32,7 @@ use std::time::Instant;
 /// Which sizes the suite runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// Small sizes with fixed seeds: the CI perf-smoke gate.
+    /// Small sizes with fixed seeds: the pinned scenario table.
     Ci,
     /// Larger sizes for tracking real performance trends.
     Full,
@@ -73,24 +72,18 @@ pub struct ScenarioConfig {
     /// `seed ^ fnv1a(name)`, so scenarios are independent of suite order.
     pub seed: u64,
     /// Worker threads for constructions and the engine (`None` = one per
-    /// available CPU). Digests are identical at any worker count.
+    /// available CPU). Digests are identical at any worker count; planner
+    /// units and cache counts depend on it.
     pub threads: Option<usize>,
-    /// Measurement repeats per scenario; the reported wall-clock is the
-    /// **minimum** over repeats (best-of-N), which is what makes millisecond
-    /// scenarios stable enough for a 25% gate. Digests must agree across
-    /// repeats (enforced at run time). Clamped to at least 1.
-    pub repeats: usize,
 }
 
 impl ScenarioConfig {
-    /// The default configuration for a profile (seed 2011, auto threads,
-    /// best-of-3 timing).
+    /// The default configuration for a profile (seed 2011, auto threads).
     pub fn new(profile: Profile) -> Self {
         ScenarioConfig {
             profile,
             seed: 2011,
             threads: None,
-            repeats: 3,
         }
     }
 }
@@ -113,24 +106,13 @@ pub struct ScenarioResult {
     pub edges_per_sec: Option<f64>,
     /// Queries answered per second (serving scenarios).
     pub queries_per_sec: Option<f64>,
-    /// Peak resident set size of the bench process when the scenario
-    /// finished, in kilobytes (`VmHWM` from `/proc/self/status`). `None`
-    /// off Linux. Process-wide and monotone over a suite run, so within one
-    /// `BENCH.json` it is the large-n scenarios' number that is meaningful;
-    /// it is recorded, not gated.
-    pub peak_rss_kb: Option<u64>,
+    /// Exact work counters, in a fixed per-scenario order: what the library
+    /// reports about the work it did (see the module docs). A function of
+    /// the seed and the worker count only.
+    pub counters: Vec<(&'static str, u64)>,
     /// FNV-1a digest of the semantic output; seed-stable and worker-count
     /// invariant.
     pub digest: String,
-}
-
-/// Peak resident set size of this process in kilobytes, read from the
-/// `VmHWM` line of `/proc/self/status`. Dependency-free; `None` on
-/// platforms without procfs.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// FNV-1a, the workspace's dependency-free digest.
@@ -249,7 +231,7 @@ enum Workload {
 /// A named, seeded benchmark workload.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
-    /// Stable name (key of `BENCH.json` and the baseline).
+    /// Stable name (key of `BENCH.json` and of the pinned table).
     pub name: &'static str,
     /// One-line description shown by `bench_runner --list`.
     pub description: &'static str,
@@ -428,7 +410,7 @@ pub fn all() -> Vec<Scenario> {
 }
 
 /// The exact scenario name set, in run order — what `bench_runner --list`
-/// prints and the perf gate tracks (pinned by a unit test so the suite
+/// prints and the scenario table pins (pinned by a unit test so the suite
 /// cannot silently lose a scenario).
 pub fn names() -> Vec<&'static str> {
     all().iter().map(|s| s.name).collect()
@@ -446,36 +428,9 @@ impl Scenario {
         base ^ fnv1a_str(self.name)
     }
 
-    /// Runs the scenario and measures it: [`ScenarioConfig::repeats`]
-    /// identical runs, reporting the fastest (the workload is seeded, so
-    /// every repeat computes the same thing — and must digest identically).
-    ///
-    /// # Panics
-    ///
-    /// Panics if two repeats disagree on the digest (a determinism bug).
+    /// Runs the scenario once and measures it.
     pub fn run(&self, config: &ScenarioConfig) -> ScenarioResult {
-        let mut best: Option<ScenarioResult> = None;
-        for _ in 0..config.repeats.max(1) {
-            let result = self.run_once(config);
-            match &mut best {
-                None => best = Some(result),
-                Some(b) => {
-                    assert_eq!(
-                        b.digest, result.digest,
-                        "scenario `{}`: repeats disagree on the digest",
-                        self.name
-                    );
-                    if result.wall_ms < b.wall_ms {
-                        *b = result;
-                    }
-                }
-            }
-        }
-        best.expect("repeats >= 1")
-    }
-
-    fn run_once(&self, config: &ScenarioConfig) -> ScenarioResult {
-        let mut result = match self.workload {
+        match self.workload {
             Workload::Construction {
                 algorithm,
                 family,
@@ -493,9 +448,7 @@ impl Scenario {
             Workload::LargeSssp => self.run_sssp_large(config),
             Workload::DeltaReplay => self.run_delta_replay(config),
             Workload::ServeUnderChurn => self.run_serve_under_churn(config),
-        };
-        result.peak_rss_kb = peak_rss_kb();
-        result
+        }
     }
 
     fn run_construction(
@@ -562,7 +515,7 @@ impl Scenario {
             spanner_edges: report.size(),
             edges_per_sec: throughput(edges, wall_ms),
             queries_per_sec: None,
-            peak_rss_kb: None,
+            counters: report_counters(&report),
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -609,7 +562,7 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
+            counters: serving_counters(engine.stats()),
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -634,7 +587,7 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
+            counters: serving_counters(engine.stats()),
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -687,7 +640,7 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
+            counters: serving_counters(engine.stats()),
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -728,7 +681,7 @@ impl Scenario {
             workers: config.threads.unwrap_or_else(par::available_threads),
             ..ftspan_net::ServerConfig::default()
         };
-        let server = ftspan_net::Server::bind(engine, "127.0.0.1:0", server_config)
+        let server = ftspan_net::Server::bind(engine.clone(), "127.0.0.1:0", server_config)
             .expect("loopback bind succeeds")
             .spawn()
             .expect("server threads start");
@@ -761,7 +714,7 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
+            counters: serving_counters(engine.stats()),
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -773,7 +726,8 @@ impl Scenario {
     /// and the repairs themselves. The digest pins the final version,
     /// applied sequence and a query battery over the final artifact — so
     /// any drift in the repair path (at any worker count) fails the
-    /// determinism suite before it could reach serving.
+    /// scenario table before it could reach serving; the touched-iteration
+    /// and rebuild counters catch a repair that does more work than needed.
     fn run_delta_replay(&self, config: &ScenarioConfig) -> ScenarioResult {
         let seed = self.seed_for(config.seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -788,6 +742,7 @@ impl Scenario {
 
         let policy = RebuildPolicy::default();
         let mut applied_total = 0usize;
+        let (mut touched_iterations, mut rebuilds) = (0u64, 0u64);
         let start = Instant::now();
         for _ in 0..rounds {
             let deltas = churn_batch(current.artifact().source_graph(), &mut rng, churn);
@@ -795,6 +750,13 @@ impl Scenario {
                 .apply(&deltas, &policy)
                 .expect("churn batches are valid against the current graph");
             applied_total += report.applied;
+            match report.action {
+                ApplyAction::Patched {
+                    touched_iterations: t,
+                    ..
+                } => touched_iterations += t as u64,
+                ApplyAction::Rebuilt { .. } => rebuilds += 1,
+            }
             current = next;
         }
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -829,7 +791,10 @@ impl Scenario {
             spanner_edges,
             edges_per_sec: throughput(applied_total, wall_ms),
             queries_per_sec: None,
-            peak_rss_kb: None,
+            counters: vec![
+                ("touched_iterations", touched_iterations),
+                ("rebuilds", rebuilds),
+            ],
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -909,6 +874,13 @@ impl Scenario {
         drop(client);
         server.shutdown().expect("server drains cleanly");
 
+        let stats = engine.stats();
+        let mut counters = serving_counters(stats);
+        counters.extend([
+            ("swaps", stats.swaps),
+            ("deltas_applied", stats.deltas_applied),
+            ("rebuilds", stats.rebuilds),
+        ]);
         ScenarioResult {
             name: self.name.to_string(),
             wall_ms,
@@ -917,7 +889,7 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(rounds * per_round, wall_ms),
-            peak_rss_kb: None,
+            counters,
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -950,6 +922,10 @@ impl Scenario {
             let artifact = builder.build_artifact(&g).expect("scenario inputs build");
             store.save(name, &artifact).expect("temp store is writable");
         }
+        let bytes_on_disk: u64 = std::fs::read_dir(&dir)
+            .expect("temp store is readable")
+            .map(|entry| entry.and_then(|e| e.metadata()).map_or(0, |m| m.len()))
+            .sum();
         let edge_pair = {
             let (_, e) = g.edges().next().expect("connected graph has edges");
             (e.u, e.v)
@@ -975,6 +951,8 @@ impl Scenario {
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
         std::fs::remove_dir_all(&dir).ok();
+        let mut counters = serving_counters(engine.stats());
+        counters.push(("bytes_on_disk", bytes_on_disk));
         let mut digest = Fnv::new();
         for name in &loaded {
             digest.write_bytes(name.as_bytes());
@@ -988,7 +966,7 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
+            counters,
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -1034,7 +1012,7 @@ impl Scenario {
             spanner_edges: sharded.spanner_edge_count(),
             edges_per_sec: throughput(g.edge_count(), wall_ms),
             queries_per_sec: None,
-            peak_rss_kb: None,
+            counters: vec![("cut_edges", sharded.cut_edge_count() as u64)],
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -1088,7 +1066,7 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
+            counters: serving_counters(engine.stats()),
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -1097,7 +1075,8 @@ impl Scenario {
     /// a seeded G(n, m) spec streams through [`FtSpannerBuilder::on_graph`]
     /// (CSR packed once at the boundary, adopted by the artifact), with the
     /// conversion capped at two Baswana–Sen iterations so the scenario
-    /// measures pipeline scale rather than the full Θ(r³ log n) union.
+    /// measures pipeline scale rather than the full Θ(r³ log n) union. The
+    /// artifact keeps no [`SpannerReport`], so the row carries no counters.
     fn run_construct_large(&self, config: &ScenarioConfig) -> ScenarioResult {
         let seed = self.seed_for(config.seed);
         let (nodes, edges) = match config.profile {
@@ -1142,7 +1121,7 @@ impl Scenario {
             spanner_edges: artifact.spanner_edge_count(),
             edges_per_sec: throughput(edges, wall_ms),
             queries_per_sec: None,
-            peak_rss_kb: None,
+            counters: Vec::new(),
             digest: format!("{:016x}", digest.finish()),
         }
     }
@@ -1151,7 +1130,8 @@ impl Scenario {
     /// detour), swept from a rotating set of sources through one reused
     /// [`SsspWorkspace`]. At these sizes the automatic strategy picks the
     /// bucket queue; the digest folds every distance of every sweep, so the
-    /// result also pins the bucket/heap distance equivalence at scale.
+    /// result also pins the bucket/heap distance equivalence at scale. The
+    /// library counts no SSSP work, so the row carries no counters.
     ///
     /// [`SsspWorkspace`]: ftspan_graph::csr::SsspWorkspace
     fn run_sssp_large(&self, config: &ScenarioConfig) -> ScenarioResult {
@@ -1189,14 +1169,12 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(sources, wall_ms),
-            peak_rss_kb: None,
+            counters: Vec::new(),
             digest: format!("{:016x}", digest.finish()),
         }
     }
 }
 
-/// The shared serving-scenario setup: a builder for `algorithm` with
-/// `config.threads` threaded through.
 /// A seeded, always-valid delta batch against `g`: deletes and reweights
 /// draw from the current edge list, inserts draw fresh absent pairs, and no
 /// pair is touched twice within one batch — so the batch always applies
@@ -1270,6 +1248,8 @@ fn dynamic_recipe(config: &ScenarioConfig, seed: u64) -> BuildRecipe {
     BuildRecipe::new("corollary-2.2", request, seed)
 }
 
+/// The shared serving-scenario setup: a builder for `algorithm` with
+/// `config.threads` threaded through.
 fn configured_builder(
     config: &ScenarioConfig,
     algorithm: &str,
@@ -1379,6 +1359,40 @@ fn digest_outcomes(
     }
 }
 
+/// A construction row's counters: black-box iterations, the edges of
+/// `G \ J` handed to the black boxes, and the LP rounding diagnostics where
+/// the algorithm sets them.
+fn report_counters(report: &SpannerReport) -> Vec<(&'static str, u64)> {
+    let mut counters = vec![("iterations", report.iterations as u64)];
+    if !report.per_iteration.is_empty() {
+        let handed: usize = report.per_iteration.iter().map(|i| i.surviving_edges).sum();
+        counters.push(("black_box_edges", handed as u64));
+    }
+    if report.alpha.is_some() {
+        counters.push(("repaired_arcs", report.repaired_arcs as u64));
+    }
+    for (name, value) in [
+        ("cuts_added", report.cuts_added),
+        ("resamples", report.resamples),
+    ] {
+        if let Some(v) = value {
+            counters.push((name, v as u64));
+        }
+    }
+    counters
+}
+
+/// A serving row's planner counters. Every scenario serves from a fresh
+/// engine, so its lifetime [`EngineStats`] are the scenario's own.
+fn serving_counters(stats: EngineStats) -> Vec<(&'static str, u64)> {
+    vec![
+        ("planner_groups", stats.planner_groups),
+        ("planner_units", stats.planner_units),
+        ("cache_hits", stats.cache_hits),
+        ("cache_misses", stats.cache_misses),
+    ]
+}
+
 fn throughput(items: usize, wall_ms: f64) -> Option<f64> {
     if wall_ms <= 0.0 {
         None
@@ -1477,16 +1491,20 @@ impl BenchReport {
         }
     }
 
-    /// Serializes the report as pretty-printed JSON (one key per line — the
-    /// same shape [`BenchReport::parse_json`] reads back).
+    /// Serializes the report as pretty-printed JSON, one key per line.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"ftspan-bench/1\",\n");
+        out.push_str("  \"schema\": \"ftspan-bench/2\",\n");
         out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str("  \"scenarios\": [\n");
         for (i, s) in self.scenarios.iter().enumerate() {
+            let counters: Vec<String> = s
+                .counters
+                .iter()
+                .map(|(name, value)| format!("\"{name}\": {value}"))
+                .collect();
             out.push_str("    {\n");
             out.push_str(&format!("      \"name\": \"{}\",\n", s.name));
             out.push_str(&format!("      \"wall_ms\": {:.3},\n", s.wall_ms));
@@ -1502,11 +1520,8 @@ impl BenchReport {
                 json_number(s.queries_per_sec)
             ));
             out.push_str(&format!(
-                "      \"peak_rss_kb\": {},\n",
-                match s.peak_rss_kb {
-                    Some(v) => v.to_string(),
-                    None => "null".to_string(),
-                }
+                "      \"counters\": {{{}}},\n",
+                counters.join(", ")
             ));
             out.push_str(&format!("      \"digest\": \"{}\"\n", s.digest));
             out.push_str(if i + 1 == self.scenarios.len() {
@@ -1519,85 +1534,6 @@ impl BenchReport {
         out.push_str("}\n");
         out
     }
-
-    /// Reads a report back from the JSON shape [`BenchReport::to_json`]
-    /// writes (a deliberately minimal reader: one `"key": value` pair per
-    /// line, scenarios delimited by `{` / `}` lines).
-    ///
-    /// Returns `None` when the document does not carry the expected schema
-    /// marker.
-    pub fn parse_json(text: &str) -> Option<Self> {
-        if !text.contains("\"schema\": \"ftspan-bench/1\"") {
-            return None;
-        }
-        let mut profile = String::new();
-        let mut seed = 0u64;
-        let mut scenarios = Vec::new();
-        let mut current: Option<ScenarioResult> = None;
-        let mut in_scenarios = false;
-        for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if !in_scenarios {
-                if line.starts_with("\"scenarios\"") {
-                    in_scenarios = true;
-                } else if let Some((key, value)) = split_json_pair(line) {
-                    match key {
-                        "profile" => profile = value.trim_matches('"').to_string(),
-                        "seed" => seed = value.parse().unwrap_or(0),
-                        _ => {}
-                    }
-                }
-                continue;
-            }
-            if line == "{" {
-                current = Some(ScenarioResult {
-                    name: String::new(),
-                    wall_ms: 0.0,
-                    input_nodes: 0,
-                    input_edges: 0,
-                    spanner_edges: 0,
-                    edges_per_sec: None,
-                    queries_per_sec: None,
-                    peak_rss_kb: None,
-                    digest: String::new(),
-                });
-                continue;
-            }
-            if line == "}" {
-                if let Some(s) = current.take() {
-                    if !s.name.is_empty() {
-                        scenarios.push(s);
-                    }
-                }
-                continue;
-            }
-            let Some((key, value)) = split_json_pair(line) else {
-                continue;
-            };
-            match (&mut current, key) {
-                (Some(s), "name") => s.name = value.trim_matches('"').to_string(),
-                (Some(s), "wall_ms") => s.wall_ms = value.parse().unwrap_or(0.0),
-                (Some(s), "input_nodes") => s.input_nodes = value.parse().unwrap_or(0),
-                (Some(s), "input_edges") => s.input_edges = value.parse().unwrap_or(0),
-                (Some(s), "spanner_edges") => s.spanner_edges = value.parse().unwrap_or(0),
-                (Some(s), "edges_per_sec") => s.edges_per_sec = value.parse().ok(),
-                (Some(s), "queries_per_sec") => s.queries_per_sec = value.parse().ok(),
-                (Some(s), "peak_rss_kb") => s.peak_rss_kb = value.parse().ok(),
-                (Some(s), "digest") => s.digest = value.trim_matches('"').to_string(),
-                _ => {}
-            }
-        }
-        Some(BenchReport {
-            profile,
-            seed,
-            scenarios,
-        })
-    }
-
-    /// The result for a named scenario, if present.
-    pub fn scenario(&self, name: &str) -> Option<&ScenarioResult> {
-        self.scenarios.iter().find(|s| s.name == name)
-    }
 }
 
 fn json_number(value: Option<f64>) -> String {
@@ -1607,86 +1543,9 @@ fn json_number(value: Option<f64>) -> String {
     }
 }
 
-fn split_json_pair(line: &str) -> Option<(&str, &str)> {
-    let rest = line.strip_prefix('"')?;
-    let (key, rest) = rest.split_once('"')?;
-    let value = rest.strip_prefix(':')?.trim();
-    Some((key, value))
-}
-
-/// One regression found by [`compare`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// The scenario that regressed (or disappeared).
-    pub scenario: String,
-    /// Human-readable explanation with the numbers.
-    pub message: String,
-}
-
-/// Absolute grace added to every scenario's budget, in milliseconds: below
-/// this scale, scheduler jitter dominates and a pure percentage gate would
-/// flake on sub-millisecond scenarios.
-pub const ABSOLUTE_GRACE_MS: f64 = 1.0;
-
-/// The perf gate: compares a current run against a baseline report.
-///
-/// A scenario **fails** when its wall-clock exceeds
-/// `baseline * (1 + tolerance) + ABSOLUTE_GRACE_MS` (tolerance 0.25 = 25%),
-/// or when it exists in the baseline but not in the current run. Scenarios
-/// new in the current run pass (they have no baseline yet — re-baseline to
-/// start tracking them).
-pub fn compare(
-    baseline: &BenchReport,
-    current: &[ScenarioResult],
-    tolerance: f64,
-) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    for base in &baseline.scenarios {
-        let Some(now) = current.iter().find(|s| s.name == base.name) else {
-            regressions.push(Regression {
-                scenario: base.name.clone(),
-                message: format!(
-                    "scenario `{}` is in the baseline but was not run",
-                    base.name
-                ),
-            });
-            continue;
-        };
-        let budget = base.wall_ms * (1.0 + tolerance) + ABSOLUTE_GRACE_MS;
-        if now.wall_ms > budget {
-            regressions.push(Regression {
-                scenario: base.name.clone(),
-                message: format!(
-                    "scenario `{}` regressed: {:.2} ms vs baseline {:.2} ms (budget {:.2} ms at +{:.0}%)",
-                    base.name,
-                    now.wall_ms,
-                    base.wall_ms,
-                    budget,
-                    tolerance * 100.0
-                ),
-            });
-        }
-    }
-    regressions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn result(name: &str, wall_ms: f64) -> ScenarioResult {
-        ScenarioResult {
-            name: name.to_string(),
-            wall_ms,
-            input_nodes: 10,
-            input_edges: 20,
-            spanner_edges: 5,
-            edges_per_sec: Some(123.456),
-            queries_per_sec: None,
-            peak_rss_kb: Some(4096),
-            digest: "00ff00ff00ff00ff".to_string(),
-        }
-    }
 
     #[test]
     fn suite_has_at_least_eight_named_scenarios() {
@@ -1709,9 +1568,9 @@ mod tests {
 
     #[test]
     fn scenario_set_is_pinned() {
-        // The exact set `bench_runner --list` prints and the CI perf gate
-        // tracks. A scenario can only be added or removed by updating this
-        // test (and re-baselining) — the gate cannot silently lose one.
+        // The exact set `bench_runner --list` prints and
+        // `tests/scenario_table.rs` pins row by row. A scenario can only be
+        // added or removed by updating this test and the table.
         assert_eq!(
             names(),
             vec![
@@ -1742,104 +1601,9 @@ mod tests {
     }
 
     #[test]
-    fn network_serving_scenario_runs_and_digests_deterministically() {
-        let config = ScenarioConfig {
-            profile: Profile::Ci,
-            seed: 6,
-            threads: Some(2),
-            repeats: 1,
-        };
-        let scenario = find("serve-net-throughput").unwrap();
-        let a = scenario.run(&config);
-        let b = scenario.run(&config);
-        assert_eq!(a.digest, b.digest);
-        assert!(a.queries_per_sec.is_some());
-        // The digest must also be worker-count invariant: the wire path may
-        // not reorder or alter results.
-        let four = ScenarioConfig {
-            threads: Some(4),
-            ..config
-        };
-        assert_eq!(scenario.run(&four).digest, a.digest);
-    }
-
-    #[test]
-    fn a_serving_scenario_runs_and_digests_deterministically() {
-        let config = ScenarioConfig {
-            profile: Profile::Ci,
-            seed: 5,
-            threads: Some(2),
-            repeats: 1,
-        };
-        let scenario = find("serve-repeated-faults").unwrap();
-        let a = scenario.run(&config);
-        let b = scenario.run(&config);
-        assert_eq!(a.digest, b.digest);
-        assert!(a.queries_per_sec.is_some());
-        assert_eq!(a.spanner_edges, 0);
-    }
-
-    #[test]
     fn scenario_seeds_differ_by_name() {
         let a = find("conversion-gnp").unwrap().seed_for(1);
         let b = find("conversion-grid").unwrap().seed_for(1);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let config = ScenarioConfig::new(Profile::Ci);
-        let report = BenchReport::new(&config, vec![result("a", 12.5), result("b", 3.25)]);
-        let parsed = BenchReport::parse_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.profile, "ci");
-        assert_eq!(parsed.seed, 2011);
-        assert_eq!(parsed.scenarios.len(), 2);
-        assert_eq!(parsed.scenario("a").unwrap().wall_ms, 12.5);
-        assert_eq!(parsed.scenario("b").unwrap().digest, "00ff00ff00ff00ff");
-        assert_eq!(parsed.scenario("a").unwrap().edges_per_sec, Some(123.456));
-        assert_eq!(parsed.scenario("a").unwrap().queries_per_sec, None);
-    }
-
-    #[test]
-    fn parse_rejects_foreign_documents() {
-        assert!(BenchReport::parse_json("{\"something\": 1}").is_none());
-    }
-
-    #[test]
-    fn compare_flags_only_real_regressions() {
-        let config = ScenarioConfig::new(Profile::Ci);
-        let baseline = BenchReport::new(
-            &config,
-            vec![
-                result("stable", 10.0),
-                result("slow", 10.0),
-                result("gone", 1.0),
-            ],
-        );
-        let current = vec![
-            result("stable", 13.4),    // within 25% + 1 ms grace of 10 ms
-            result("slow", 14.0),      // beyond the 13.5 ms budget — regression
-            result("brand-new", 99.0), // no baseline — passes
-        ];
-        let regressions = compare(&baseline, &current, 0.25);
-        let names: Vec<&str> = regressions.iter().map(|r| r.scenario.as_str()).collect();
-        assert_eq!(names, vec!["slow", "gone"]);
-        assert!(regressions[0].message.contains("regressed"));
-    }
-
-    #[test]
-    fn a_cheap_scenario_runs_and_digests_deterministically() {
-        let config = ScenarioConfig {
-            profile: Profile::Ci,
-            seed: 7,
-            threads: Some(2),
-            repeats: 2,
-        };
-        let scenario = find("two-spanner-greedy-gnp").unwrap();
-        let a = scenario.run(&config);
-        let b = scenario.run(&config);
-        assert_eq!(a.digest, b.digest);
-        assert!(a.spanner_edges > 0);
-        assert!(a.edges_per_sec.is_some());
     }
 }

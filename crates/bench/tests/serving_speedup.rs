@@ -22,7 +22,6 @@ fn planner_is_at_least_2x_faster_than_naive_per_query_sessions() {
         profile: Profile::Ci,
         seed: 2011,
         threads: Some(1),
-        repeats: 1,
     };
     let (engine, _, queries) = repeated_fault_workload(&config, 42);
 
@@ -55,7 +54,6 @@ fn planned_results_are_identical_at_any_worker_count_and_cache_capacity() {
         profile: Profile::Ci,
         seed: 2011,
         threads: Some(1),
-        repeats: 1,
     };
     let (engine, _, queries) = repeated_fault_workload(&config, 7);
     let reference = engine.run_batch_naive(&queries);

@@ -105,7 +105,9 @@ impl ArtifactStore {
             && !name.starts_with('.')
     }
 
-    fn path_of(&self, name: &str) -> Result<PathBuf> {
+    /// The path of `<name>.<extension>` in the store, after checking that
+    /// `name` is addressable.
+    fn path_with_extension(&self, name: &str, extension: &str) -> Result<PathBuf> {
         if !Self::is_valid_name(name) {
             return Err(CoreError::InvalidParameter {
                 message: format!(
@@ -114,18 +116,20 @@ impl ArtifactStore {
                 ),
             });
         }
-        Ok(self.dir.join(format!("{name}.{ARTIFACT_EXTENSION}")))
+        Ok(self.dir.join(format!("{name}.{extension}")))
     }
 
     /// Writes `artifact` as `<name>.ftspan` (replacing any previous version)
-    /// and returns the path.
+    /// and returns the path. The write goes through a synced temp file
+    /// renamed into place, and on Unix the directory is synced after the
+    /// rename, so a returned `Ok` survives a crash or power loss.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] on an invalid name or a write
     /// failure.
     pub fn save(&self, name: &str, artifact: &FtSpanner) -> Result<PathBuf> {
-        let path = self.path_of(name)?;
+        let path = self.path_with_extension(name, ARTIFACT_EXTENSION)?;
         self.write_atomic(&path, |writer| artifact.to_binary_writer(writer))?;
         Ok(path)
     }
@@ -138,6 +142,11 @@ impl ArtifactStore {
     /// name cannot interleave on a shared temp file.) The explicit flush
     /// matters too — artifacts are smaller than BufWriter's buffer, so Drop
     /// would do the real write and swallow a full disk.
+    ///
+    /// Durability: the temp file is synced before the rename, and on Unix the
+    /// store directory is synced after it, so once this returns `Ok` the new
+    /// file survives a power loss instead of reverting to the previous one
+    /// (the rename lives in the directory's entries, not in the file).
     fn write_atomic(
         &self,
         path: &Path,
@@ -168,6 +177,12 @@ impl ArtifactStore {
                 message: format!("cannot write {}: {e}", path.display()),
             });
         }
+        #[cfg(unix)]
+        File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| CoreError::InvalidParameter {
+                message: format!("cannot sync store directory {}: {e}", self.dir.display()),
+            })?;
         Ok(())
     }
 
@@ -178,7 +193,7 @@ impl ArtifactStore {
     /// Returns [`CoreError::InvalidParameter`] on an invalid name, or one
     /// naming the file when it is missing or holds malformed artifact data.
     pub fn load(&self, name: &str) -> Result<FtSpanner> {
-        FtSpanner::from_binary_file(self.path_of(name)?)
+        FtSpanner::from_binary_file(self.path_with_extension(name, ARTIFACT_EXTENSION)?)
     }
 
     /// The names of every stored artifact (`.ftspan` file stems), sorted.
@@ -225,18 +240,6 @@ impl ArtifactStore {
         Ok(names)
     }
 
-    fn manifest_path_of(&self, name: &str) -> Result<PathBuf> {
-        if !Self::is_valid_name(name) {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "invalid artifact name `{name}`: expected [A-Za-z0-9._-]+ not starting \
-                     with a dot"
-                ),
-            });
-        }
-        Ok(self.dir.join(format!("{name}.{SHARD_MANIFEST_EXTENSION}")))
-    }
-
     /// The store name of shard `i` of sharded artifact `name`.
     fn shard_stem(name: &str, i: usize) -> String {
         format!("{name}.shard{i}")
@@ -254,7 +257,7 @@ impl ArtifactStore {
     /// Returns [`CoreError::InvalidParameter`] on an invalid name or a write
     /// failure.
     pub fn save_sharded(&self, name: &str, artifact: &ShardedArtifact) -> Result<PathBuf> {
-        let path = self.manifest_path_of(name)?;
+        let path = self.path_with_extension(name, SHARD_MANIFEST_EXTENSION)?;
         for (i, shard) in artifact.shards().iter().enumerate() {
             self.save(&Self::shard_stem(name, i), shard)?;
         }
@@ -288,7 +291,7 @@ impl ArtifactStore {
     /// or malformed manifest (the error names the file), a missing or
     /// corrupt shard file, or mutually inconsistent parts.
     pub fn load_sharded(&self, name: &str) -> Result<ShardedArtifact> {
-        let path = self.manifest_path_of(name)?;
+        let path = self.path_with_extension(name, SHARD_MANIFEST_EXTENSION)?;
         let text = std::fs::read_to_string(&path).map_err(|e| CoreError::InvalidParameter {
             message: format!("cannot open {}: {e}", path.display()),
         })?;
@@ -385,18 +388,6 @@ impl ArtifactStore {
         self.stems_with_extension(SHARD_MANIFEST_EXTENSION)
     }
 
-    fn delta_log_path_of(&self, name: &str) -> Result<PathBuf> {
-        if !Self::is_valid_name(name) {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "invalid artifact name `{name}`: expected [A-Za-z0-9._-]+ not starting \
-                     with a dot"
-                ),
-            });
-        }
-        Ok(self.dir.join(format!("{name}.{DELTA_LOG_EXTENSION}")))
-    }
-
     /// Writes `log` as `<name>.ftdelta` (replacing any previous version)
     /// through the same crash-safe temp-file-and-rename discipline as
     /// [`save`](ArtifactStore::save), and returns the path. Persisting the
@@ -408,7 +399,7 @@ impl ArtifactStore {
     /// Returns [`CoreError::InvalidParameter`] on an invalid name or a write
     /// failure.
     pub fn save_delta_log(&self, name: &str, log: &DeltaLog) -> Result<PathBuf> {
-        let path = self.delta_log_path_of(name)?;
+        let path = self.path_with_extension(name, DELTA_LOG_EXTENSION)?;
         self.write_atomic(&path, |writer| log.to_binary_writer(writer))?;
         Ok(path)
     }
@@ -420,7 +411,7 @@ impl ArtifactStore {
     /// Returns [`CoreError::InvalidParameter`] on an invalid name, a missing
     /// file, or malformed log data (the error names the file).
     pub fn load_delta_log(&self, name: &str) -> Result<DeltaLog> {
-        let path = self.delta_log_path_of(name)?;
+        let path = self.path_with_extension(name, DELTA_LOG_EXTENSION)?;
         let file = File::open(&path).map_err(|e| CoreError::InvalidParameter {
             message: format!("cannot open {}: {e}", path.display()),
         })?;
