@@ -65,7 +65,7 @@ const TABLE: [Row; 22] = [
         name: "adaptive-gnp",
         digest: "a502114f7f2b4817",
         spanner_edges: 168,
-        counters: &[("iterations", 16)],
+        counters: &[("iterations", 16), ("black_box_edges", 771)],
     },
     Row {
         name: "clpr09-sampled-gnp",

@@ -15,7 +15,7 @@
 //! typically several times smaller and faster to build than the
 //! worst-case-α construction, which is what a practical deployment wants.
 
-use crate::conversion::{ConversionParams, FaultTolerantConverter};
+use crate::conversion::{ConversionParams, FaultTolerantConverter, IterationStats};
 use ftspan_graph::faults::{articulation_faults, count_fault_sets, high_degree_faults};
 use ftspan_graph::{verify, EdgeSet, Graph};
 use ftspan_spanners::SpannerAlgorithm;
@@ -93,6 +93,9 @@ pub struct AdaptiveResult {
     pub edges: EdgeSet,
     /// Total iterations of the underlying conversion that were run.
     pub iterations: usize,
+    /// Per-iteration statistics over every batch, in order; `new_edges`
+    /// counts against the union accumulated across batches.
+    pub per_iteration: Vec<IterationStats>,
     /// The iteration budget Theorem 2.1 would have used (`α`).
     pub theorem_iterations: usize,
     /// `true` if the final verification round passed; `false` means the full
@@ -208,15 +211,17 @@ where
     let theorem_iterations = ConversionParams::new(config.faults).iterations_for(n);
 
     let mut union = graph.empty_edge_set();
+    let mut per_iteration = Vec::new();
     let mut iterations = 0usize;
     let mut verified = false;
 
     while iterations < theorem_iterations {
         let batch = config.batch.min(theorem_iterations - iterations);
         let params = ConversionParams::new(config.faults).with_iterations(batch);
-        let partial =
-            FaultTolerantConverter::new(params).build_with_threads(graph, algorithm, rng, threads);
-        union.union_with(&partial.edges);
+        per_iteration.extend(
+            FaultTolerantConverter::new(params)
+                .build_into(graph, algorithm, rng, threads, &mut union),
+        );
         iterations += batch;
         if passes(
             graph,
@@ -247,6 +252,7 @@ where
     AdaptiveResult {
         edges: union,
         iterations,
+        per_iteration,
         theorem_iterations,
         verified,
     }

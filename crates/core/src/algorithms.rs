@@ -363,6 +363,7 @@ impl FtSpannerAlgorithm for AdaptiveAlgorithm {
             cost,
         );
         report.iterations = result.iterations;
+        report.per_iteration = result.per_iteration;
         report.theorem_iterations = Some(result.theorem_iterations);
         report.verified = Some(result.verified);
         report.elapsed = elapsed;
@@ -868,6 +869,11 @@ mod tests {
             .unwrap();
         assert_eq!(report.verified, Some(true));
         assert!(report.theorem_iterations.unwrap() >= report.iterations);
+        assert_eq!(report.per_iteration.len(), report.iterations);
+        // `new_edges` counts against the union across batches, so the
+        // batches' new edges add up to the spanner.
+        let new_edges: usize = report.per_iteration.iter().map(|s| s.new_edges).sum();
+        assert_eq!(new_edges, report.size());
         assert!(report.budget_fraction() <= 1.0);
         assert!(verify::is_fault_tolerant_k_spanner(
             &g,

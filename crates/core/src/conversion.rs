@@ -217,6 +217,29 @@ impl FaultTolerantConverter {
     where
         A: SpannerAlgorithm + ?Sized,
     {
+        let mut union = graph.empty_edge_set();
+        let per_iteration = self.build_into(graph, algorithm, rng, threads, &mut union);
+        ConversionResult {
+            edges: union,
+            iterations: per_iteration.len(),
+            per_iteration,
+        }
+    }
+
+    /// [`FaultTolerantConverter::build_with_threads`] merged, in iteration
+    /// order, into a caller's running `union`; each returned
+    /// [`IterationStats::new_edges`] counts against that union.
+    pub(crate) fn build_into<A>(
+        &self,
+        graph: &Graph,
+        algorithm: &A,
+        rng: &mut dyn RngCore,
+        threads: usize,
+        union: &mut EdgeSet,
+    ) -> Vec<IterationStats>
+    where
+        A: SpannerAlgorithm + ?Sized,
+    {
         let p = self.params.sampling_probability();
         let alpha = self.params.iterations_for(graph.node_count());
         let seeds = par::derive_seeds(rng, alpha);
@@ -225,18 +248,10 @@ impl FaultTolerantConverter {
             let run = run_iteration(graph, algorithm, seeds[i], p);
             (run.edges, run.stats)
         });
-
-        let mut union = graph.empty_edge_set();
-        let mut per_iteration = Vec::with_capacity(alpha);
-        for (edges, stats) in outcomes {
-            per_iteration.push(merge_iteration(&mut union, &edges, stats));
-        }
-
-        ConversionResult {
-            edges: union,
-            iterations: alpha,
-            per_iteration,
-        }
+        outcomes
+            .into_iter()
+            .map(|(edges, stats)| merge_iteration(union, &edges, stats))
+            .collect()
     }
 }
 

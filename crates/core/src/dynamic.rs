@@ -1,27 +1,30 @@
-//! Dynamic-graph subsystem: delta logs, incremental artifact repair, and the
-//! rebuild scheduler.
+//! Dynamic-graph subsystem: edge deltas, incremental artifact repair, and
+//! the rebuild scheduler.
 //!
 //! Every [`crate::FtSpanner`] is a snapshot of its source graph. This module
 //! makes the snapshot *maintainable* under edge churn:
 //!
-//! * [`DeltaLog`] — a versioned, append-only, replayable log of edge
-//!   [`EdgeDelta`]s (insert / delete / reweight) with monotone sequence
-//!   numbers and a `.ftdelta` binary codec (magic, version, length-prefixed
-//!   records, typed decode errors, no allocation bombs).
+//! * [`EdgeDelta`] — one edge mutation (insert / delete / reweight);
+//!   [`SequencedDelta`] stamps it with a strictly increasing sequence number.
 //! * [`apply_deltas`] — the canonical post-delta graph: deletions compact,
 //!   insertions append, so the relative order of surviving edges is
 //!   preserved. That order contract is what makes incremental repair sound.
 //! * [`DynamicArtifact`] — an artifact bundled with its build recipe, its
-//!   delta log, and (for the conversion-family constructions) a
-//!   [`ConversionTrace`]. [`DynamicArtifact::apply`] produces the next
-//!   version either by **incremental repair** — re-running the black box
-//!   only for the iterations whose oversampled fault set exposes a changed
-//!   edge — or by a full rebuild, and the result is pinned bit-identical to
-//!   a from-scratch build on the post-delta graph either way.
+//!   last applied sequence number, and (for the conversion-family
+//!   constructions) a [`ConversionTrace`]. [`DynamicArtifact::apply`]
+//!   produces the next version either by **incremental repair** —
+//!   re-running the black box only for the iterations whose oversampled
+//!   fault set exposes a changed edge — or by a full rebuild, and the result
+//!   is pinned bit-identical to a from-scratch build on the post-delta graph
+//!   either way.
 //! * [`RebuildPolicy`] — the scheduler deciding patch vs. rebuild from the
-//!   delta volume relative to the artifact and from the touched-iteration
-//!   budget. By default it patches whenever a trace exists and the batch is
-//!   small, because a patch never costs more than a rebuild.
+//!   delta volume relative to the artifact. By default it patches whenever a
+//!   trace exists and the batch is small, because a patch never costs more
+//!   than a rebuild.
+//!
+//! Deltas are volatile: a version is fully determined by its recipe and its
+//! post-delta graph, so no delta history is kept or persisted. A restart
+//! serves the stored base artifact, and clients re-send their deltas.
 //!
 //! The locality argument is the same one the sharded overlay uses: the
 //! conversion of Theorem 2.1 unions independent black-box runs, each a pure
@@ -51,18 +54,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
 use std::sync::Arc;
-
-/// Magic bytes opening a `.ftdelta` stream.
-const DELTA_MAGIC: [u8; 4] = *b"FTDL";
-/// Current `.ftdelta` format version.
-const DELTA_VERSION: u32 = 1;
-/// Upper bound on a single record's declared length. Real records are 17 or
-/// 25 bytes; anything larger is a lie and is rejected before allocation.
-const MAX_RECORD_LEN: u32 = 64;
-/// Capacity clamp when pre-allocating from an untrusted record count.
-const DECODE_CAPACITY_CLAMP: usize = 1024;
 
 /// A single edge mutation.
 ///
@@ -130,281 +122,14 @@ impl fmt::Display for EdgeDelta {
     }
 }
 
-/// An [`EdgeDelta`] stamped with its position in the log.
+/// An [`EdgeDelta`] stamped with its sequence number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequencedDelta {
-    /// Monotone sequence number (1-based; assigned by [`DeltaLog::append`]).
+    /// Monotone sequence number (1-based; [`DynamicArtifact::apply`]
+    /// continues from the artifact's last applied one).
     pub seq: u64,
     /// The mutation.
     pub delta: EdgeDelta,
-}
-
-/// A versioned, append-only, replayable log of edge mutations.
-///
-/// Sequence numbers start at 1 and increase strictly; [`DeltaLog::append`]
-/// assigns them. The log replays onto the graph it was recorded against via
-/// [`DeltaLog::replay`], and serializes to the `.ftdelta` binary format —
-/// magic `FTDL`, a `u32` version, a `u64` record count, then length-prefixed
-/// records — with typed decode errors mirroring the `.ftspan` discipline:
-/// decoding untrusted bytes returns [`CoreError::InvalidParameter`], never
-/// panics, and never allocates proportionally to a lying length field.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeltaLog {
-    records: Vec<SequencedDelta>,
-    next_seq: u64,
-}
-
-impl DeltaLog {
-    /// An empty log; the first appended delta receives sequence number 1.
-    pub fn new() -> Self {
-        DeltaLog {
-            records: Vec::new(),
-            next_seq: 1,
-        }
-    }
-
-    /// Rebuilds a log from already-sequenced records.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] if the sequence numbers are not
-    /// strictly increasing or start at 0.
-    pub fn from_records(records: Vec<SequencedDelta>) -> Result<Self> {
-        let mut prev = 0u64;
-        for record in &records {
-            if record.seq <= prev {
-                return Err(CoreError::InvalidParameter {
-                    message: format!(
-                        "delta log sequence numbers must increase strictly: {} after {prev}",
-                        record.seq
-                    ),
-                });
-            }
-            prev = record.seq;
-        }
-        Ok(DeltaLog {
-            next_seq: prev + 1,
-            records,
-        })
-    }
-
-    /// Appends a delta, assigning and returning its sequence number.
-    pub fn append(&mut self, delta: EdgeDelta) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.records.push(SequencedDelta { seq, delta });
-        seq
-    }
-
-    /// Number of records in the log.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` if the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// All records, in sequence order.
-    pub fn records(&self) -> &[SequencedDelta] {
-        &self.records
-    }
-
-    /// The records with sequence numbers strictly greater than `seq`.
-    pub fn records_since(&self, seq: u64) -> &[SequencedDelta] {
-        let start = self.records.partition_point(|r| r.seq <= seq);
-        &self.records[start..]
-    }
-
-    /// The highest assigned sequence number, if any.
-    pub fn last_seq(&self) -> Option<u64> {
-        self.records.last().map(|r| r.seq)
-    }
-
-    /// The sequence number the next [`DeltaLog::append`] will assign.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Replays the whole log onto `base`, producing the post-delta graph.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`apply_deltas`].
-    pub fn replay(&self, base: &Graph) -> Result<Graph> {
-        apply_deltas(base, &self.records)
-    }
-
-    /// Writes the log in the `.ftdelta` binary format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `writer`.
-    pub fn to_binary_writer<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writer.write_all(&DELTA_MAGIC)?;
-        writer.write_all(&DELTA_VERSION.to_le_bytes())?;
-        writer.write_all(&(self.records.len() as u64).to_le_bytes())?;
-        for record in &self.records {
-            let mut payload = Vec::with_capacity(25);
-            payload.extend_from_slice(&record.seq.to_le_bytes());
-            match record.delta {
-                EdgeDelta::Insert { u, v, weight } => {
-                    payload.push(0u8);
-                    payload.extend_from_slice(&(u.index() as u32).to_le_bytes());
-                    payload.extend_from_slice(&(v.index() as u32).to_le_bytes());
-                    payload.extend_from_slice(&weight.to_le_bytes());
-                }
-                EdgeDelta::Delete { u, v } => {
-                    payload.push(1u8);
-                    payload.extend_from_slice(&(u.index() as u32).to_le_bytes());
-                    payload.extend_from_slice(&(v.index() as u32).to_le_bytes());
-                }
-                EdgeDelta::Reweight { u, v, weight } => {
-                    payload.push(2u8);
-                    payload.extend_from_slice(&(u.index() as u32).to_le_bytes());
-                    payload.extend_from_slice(&(v.index() as u32).to_le_bytes());
-                    payload.extend_from_slice(&weight.to_le_bytes());
-                }
-            }
-            writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-            writer.write_all(&payload)?;
-        }
-        Ok(())
-    }
-
-    /// Reads a log previously written by [`DeltaLog::to_binary_writer`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] on a bad magic, an unsupported
-    /// version, a truncated stream, a lying record length, an unknown record
-    /// tag, a non-monotone sequence number, or trailing bytes. Never panics
-    /// on malformed input.
-    pub fn from_binary_reader<R: Read>(mut reader: R) -> Result<Self> {
-        let mut header = [0u8; 16];
-        read_delta_exact(&mut reader, &mut header, "header")?;
-        if header[..4] != DELTA_MAGIC {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "bad magic in ftdelta data: expected `FTDL`, got {:?}",
-                    &header[..4]
-                ),
-            });
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != DELTA_VERSION {
-            return Err(CoreError::InvalidParameter {
-                message: format!(
-                    "unsupported ftdelta version {version} (this build reads version \
-                     {DELTA_VERSION})"
-                ),
-            });
-        }
-        let count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")) as usize;
-        // The count has no backing bytes yet — records stream in one at a
-        // time, so a lying count can cost at most this clamped capacity.
-        let mut records = Vec::with_capacity(count.min(DECODE_CAPACITY_CLAMP));
-        let mut prev_seq = 0u64;
-        for i in 0..count {
-            let mut len_bytes = [0u8; 4];
-            read_delta_exact(&mut reader, &mut len_bytes, "record length")?;
-            let len = u32::from_le_bytes(len_bytes);
-            if len > MAX_RECORD_LEN {
-                return Err(CoreError::InvalidParameter {
-                    message: format!(
-                        "ftdelta record {i} declares {len} bytes (limit {MAX_RECORD_LEN}): \
-                         refusing the allocation"
-                    ),
-                });
-            }
-            let mut payload = vec![0u8; len as usize];
-            read_delta_exact(&mut reader, &mut payload, "record payload")?;
-            let record = decode_delta_record(&payload, i)?;
-            if record.seq <= prev_seq {
-                return Err(CoreError::InvalidParameter {
-                    message: format!(
-                        "ftdelta record {i} breaks sequence monotonicity: {} after {prev_seq}",
-                        record.seq
-                    ),
-                });
-            }
-            prev_seq = record.seq;
-            records.push(record);
-        }
-        let mut trailing = [0u8; 1];
-        match reader.read(&mut trailing) {
-            Ok(0) => {}
-            Ok(_) => {
-                return Err(CoreError::InvalidParameter {
-                    message: "trailing bytes after the last ftdelta record".to_string(),
-                })
-            }
-            Err(e) => {
-                return Err(CoreError::InvalidParameter {
-                    message: format!("read error in ftdelta data: {e}"),
-                })
-            }
-        }
-        DeltaLog::from_records(records)
-    }
-}
-
-fn read_delta_exact<R: Read>(reader: &mut R, buf: &mut [u8], what: &str) -> Result<()> {
-    reader
-        .read_exact(buf)
-        .map_err(|e| CoreError::InvalidParameter {
-            message: format!("truncated ftdelta data while reading {what}: {e}"),
-        })
-}
-
-fn decode_delta_record(payload: &[u8], index: usize) -> Result<SequencedDelta> {
-    let malformed = |why: &str| CoreError::InvalidParameter {
-        message: format!("malformed ftdelta record {index}: {why}"),
-    };
-    if payload.len() < 17 {
-        return Err(malformed(&format!("{} bytes is too short", payload.len())));
-    }
-    let seq = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let tag = payload[8];
-    let u = NodeId::new(u32::from_le_bytes(payload[9..13].try_into().expect("4 bytes")) as usize);
-    let v = NodeId::new(u32::from_le_bytes(payload[13..17].try_into().expect("4 bytes")) as usize);
-    let weight_of = |payload: &[u8]| -> Result<f64> {
-        if payload.len() != 25 {
-            return Err(malformed(&format!(
-                "expected 25 bytes for a weighted record, got {}",
-                payload.len()
-            )));
-        }
-        let w = f64::from_le_bytes(payload[17..25].try_into().expect("8 bytes"));
-        if !w.is_finite() || w < 0.0 {
-            return Err(malformed(&format!("invalid weight {w}")));
-        }
-        Ok(w)
-    };
-    let delta = match tag {
-        0 => EdgeDelta::Insert {
-            u,
-            v,
-            weight: weight_of(payload)?,
-        },
-        1 => {
-            if payload.len() != 17 {
-                return Err(malformed(&format!(
-                    "expected 17 bytes for a delete record, got {}",
-                    payload.len()
-                )));
-            }
-            EdgeDelta::Delete { u, v }
-        }
-        2 => EdgeDelta::Reweight {
-            u,
-            v,
-            weight: weight_of(payload)?,
-        },
-        other => return Err(malformed(&format!("unknown record tag {other}"))),
-    };
-    Ok(SequencedDelta { seq, delta })
 }
 
 /// Applies sequenced deltas to `base`, producing the canonical post-delta
@@ -507,11 +232,11 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
 /// The rebuild scheduler: decides whether a delta batch is patched
 /// incrementally or triggers a full rebuild.
 ///
-/// Both limits are *performance* knobs — patch and rebuild produce
+/// The limit is a *performance* knob — patch and rebuild produce
 /// bit-identical artifacts, so the policy never affects answers, only how
 /// much work the next version costs.
 ///
-/// The defaults follow from the cost of the two paths. With `c_iter` the
+/// The default follows from the cost of the two paths. With `c_iter` the
 /// cost of one conversion iteration (mask draw, then the black box on the
 /// masked graph):
 ///
@@ -520,9 +245,8 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
 ///   [`ConversionTrace`];
 /// * a rebuild costs `α × c_iter + O(m)`.
 ///
-/// Since `touched ≤ α`, a patch is never the more expensive path, so the
-/// default touched budget is the whole construction
-/// (`max_touched_fraction = 1.0`). A single changed edge touches a
+/// Since `touched ≤ α`, a patch is never the more expensive path, so there
+/// is no touched-iteration budget. A single changed edge touches a
 /// `(1 − p)²` share of the iterations (25% at `r = 1`), so a patch costs
 /// roughly a quarter of a build plus the `O(m)` copies.
 ///
@@ -540,16 +264,12 @@ pub struct RebuildPolicy {
     /// source-edge-count` deltas (minimum 1); larger batches invalidate so
     /// many iterations that a rebuild is no more expensive.
     pub max_delta_fraction: f64,
-    /// Fall back to a full rebuild when more than `max_touched_fraction × α`
-    /// iterations would have to re-run the black box.
-    pub max_touched_fraction: f64,
 }
 
 impl Default for RebuildPolicy {
     fn default() -> Self {
         RebuildPolicy {
             max_delta_fraction: 0.05,
-            max_touched_fraction: 1.0,
         }
     }
 }
@@ -560,16 +280,14 @@ impl RebuildPolicy {
     pub fn always_rebuild() -> Self {
         RebuildPolicy {
             max_delta_fraction: -1.0,
-            max_touched_fraction: -1.0,
         }
     }
 
-    /// A policy that patches whenever a trace exists, with no touched-set
-    /// budget.
+    /// A policy that patches whenever a trace exists, whatever the batch
+    /// size.
     pub fn always_patch() -> Self {
         RebuildPolicy {
             max_delta_fraction: f64::INFINITY,
-            max_touched_fraction: f64::INFINITY,
         }
     }
 
@@ -585,18 +303,6 @@ impl RebuildPolicy {
         let budget = (self.max_delta_fraction * source_edges.max(1) as f64).floor() as usize;
         deltas <= budget.max(1)
     }
-
-    /// The maximum number of touched iterations a patch may re-run before
-    /// falling back to a rebuild.
-    pub fn touched_budget(&self, iterations: usize) -> usize {
-        if self.max_touched_fraction < 0.0 {
-            return 0;
-        }
-        if self.max_touched_fraction.is_infinite() {
-            return usize::MAX;
-        }
-        (self.max_touched_fraction * iterations as f64).floor() as usize
-    }
 }
 
 /// Why an apply fell back to a full rebuild.
@@ -606,12 +312,6 @@ pub enum RebuildReason {
     NoTrace,
     /// The batch exceeded [`RebuildPolicy::max_delta_fraction`].
     DeltaVolume,
-    /// The touched-iteration count exceeded
-    /// [`RebuildPolicy::max_touched_fraction`].
-    TouchedSet {
-        /// Iterations that would have re-run the black box.
-        touched: usize,
-    },
 }
 
 impl fmt::Display for RebuildReason {
@@ -619,9 +319,6 @@ impl fmt::Display for RebuildReason {
         match self {
             RebuildReason::NoTrace => write!(f, "algorithm is not incrementally repairable"),
             RebuildReason::DeltaVolume => write!(f, "delta batch too large relative to artifact"),
-            RebuildReason::TouchedSet { touched } => {
-                write!(f, "{touched} touched iterations exceeded the patch budget")
-            }
         }
     }
 }
@@ -854,19 +551,22 @@ fn repairable_plan(recipe: &BuildRecipe) -> Option<RepairablePlan> {
     }
 }
 
-/// An [`FtSpanner`] bundled with its build recipe, delta log, and — when the
-/// construction is incrementally repairable — its [`ConversionTrace`].
+/// An [`FtSpanner`] bundled with its build recipe, its last applied
+/// sequence number, and — when the construction is incrementally
+/// repairable — its [`ConversionTrace`].
 ///
 /// [`DynamicArtifact::apply`] is *functional*: it returns the next version
 /// and leaves `self` untouched, which is what lets `Engine` serve version
 /// `v_k` (behind its own `Arc`) while `v_{k+1}` builds, then swap atomically.
+/// No delta history is kept: a version is determined by its recipe and its
+/// source graph, which the artifact already holds.
 #[derive(Debug, Clone)]
 pub struct DynamicArtifact {
     artifact: Arc<FtSpanner>,
     version: u64,
     recipe: BuildRecipe,
     trace: Option<ConversionTrace>,
-    log: DeltaLog,
+    applied_seq: u64,
 }
 
 impl DynamicArtifact {
@@ -890,7 +590,7 @@ impl DynamicArtifact {
             version: 1,
             recipe,
             trace,
-            log: DeltaLog::new(),
+            applied_seq: 0,
         })
     }
 
@@ -914,14 +614,9 @@ impl DynamicArtifact {
         &self.recipe
     }
 
-    /// The delta history applied so far.
-    pub fn log(&self) -> &DeltaLog {
-        &self.log
-    }
-
     /// The highest applied sequence number (0 before any apply).
     pub fn applied_seq(&self) -> u64 {
-        self.log.last_seq().unwrap_or(0)
+        self.applied_seq
     }
 
     /// `true` when the construction supports incremental repair.
@@ -931,8 +626,8 @@ impl DynamicArtifact {
 
     /// Applies a delta batch and returns the next version.
     ///
-    /// The batch is appended to the log (sequence numbers assigned here),
-    /// the post-delta graph is materialized via [`apply_deltas`], and the
+    /// The batch is numbered after [`DynamicArtifact::applied_seq`], the
+    /// post-delta graph is materialized via [`apply_deltas`], and the
     /// new artifact is produced by incremental repair when `policy` allows —
     /// otherwise by a full rebuild with the same recipe. **Both paths yield
     /// the same bytes**: the repaired artifact equals a from-scratch build
@@ -953,26 +648,26 @@ impl DynamicArtifact {
                 message: "empty delta batch has nothing to apply".to_string(),
             });
         }
-        let mut log = self.log.clone();
-        let already = self.applied_seq();
-        for delta in deltas {
-            log.append(delta.clone());
-        }
-        let batch = log.records_since(already);
-        let new_graph = apply_deltas(self.artifact.source_graph(), batch)?;
-        let last_seq = log.last_seq().expect("non-empty batch was appended");
+        let batch: Vec<SequencedDelta> = deltas
+            .iter()
+            .zip(self.applied_seq + 1..)
+            .map(|(delta, seq)| SequencedDelta {
+                seq,
+                delta: delta.clone(),
+            })
+            .collect();
+        let new_graph = apply_deltas(self.artifact.source_graph(), &batch)?;
+        let last_seq = self.applied_seq + deltas.len() as u64;
 
         let mut fallback = RebuildReason::NoTrace;
         let mut patched: Option<(FtSpanner, ConversionTrace, usize, usize)> = None;
         if let Some(trace) = &self.trace {
-            let changed: Vec<(NodeId, NodeId)> = deltas.iter().map(EdgeDelta::endpoints).collect();
-            let total = trace.seeds.len();
-            let touched = trace.touched_iterations(&changed).len();
             if !policy.patch_allowed(deltas.len(), self.artifact.source_graph().edge_count()) {
                 fallback = RebuildReason::DeltaVolume;
-            } else if touched > policy.touched_budget(total) {
-                fallback = RebuildReason::TouchedSet { touched };
             } else {
+                let changed: Vec<(NodeId, NodeId)> =
+                    deltas.iter().map(EdgeDelta::endpoints).collect();
+                let total = trace.seeds.len();
                 let plan =
                     repairable_plan(&self.recipe).ok_or_else(|| CoreError::InvalidParameter {
                         message: format!(
@@ -1029,7 +724,7 @@ impl DynamicArtifact {
                 version,
                 recipe: self.recipe.clone(),
                 trace,
-                log,
+                applied_seq: last_seq,
             },
             report,
         ))
@@ -1091,6 +786,18 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// `deltas` numbered from 1, as one replayable history.
+    fn sequenced(deltas: &[EdgeDelta]) -> Vec<SequencedDelta> {
+        deltas
+            .iter()
+            .zip(1..)
+            .map(|(delta, seq)| SequencedDelta {
+                seq,
+                delta: delta.clone(),
+            })
+            .collect()
+    }
+
     fn small_request(faults: usize, iterations: usize) -> SpannerRequest {
         SpannerRequest {
             faults,
@@ -1098,48 +805,6 @@ mod tests {
             threads: Some(1),
             ..SpannerRequest::default()
         }
-    }
-
-    #[test]
-    fn delta_log_assigns_monotone_sequence_numbers() {
-        let mut log = DeltaLog::new();
-        assert_eq!(log.next_seq(), 1);
-        assert_eq!(
-            log.append(EdgeDelta::Delete {
-                u: node(0),
-                v: node(1)
-            }),
-            1
-        );
-        assert_eq!(
-            log.append(EdgeDelta::Insert {
-                u: node(1),
-                v: node(2),
-                weight: 2.0
-            }),
-            2
-        );
-        assert_eq!(log.last_seq(), Some(2));
-        assert_eq!(log.records_since(0).len(), 2);
-        assert_eq!(log.records_since(1).len(), 1);
-        assert_eq!(log.records_since(2).len(), 0);
-        assert!(DeltaLog::from_records(vec![
-            SequencedDelta {
-                seq: 2,
-                delta: EdgeDelta::Delete {
-                    u: node(0),
-                    v: node(1)
-                }
-            },
-            SequencedDelta {
-                seq: 2,
-                delta: EdgeDelta::Delete {
-                    u: node(1),
-                    v: node(2)
-                }
-            },
-        ])
-        .is_err());
     }
 
     #[test]
@@ -1226,56 +891,28 @@ mod tests {
     }
 
     #[test]
-    fn ftdelta_codec_round_trips() {
-        let mut log = DeltaLog::new();
-        log.append(EdgeDelta::Insert {
-            u: node(3),
-            v: node(7),
-            weight: 2.5,
-        });
-        log.append(EdgeDelta::Delete {
-            u: node(0),
-            v: node(1),
-        });
-        log.append(EdgeDelta::Reweight {
-            u: node(2),
-            v: node(4),
-            weight: 0.125,
-        });
-        let mut bytes = Vec::new();
-        log.to_binary_writer(&mut bytes).unwrap();
-        let decoded = DeltaLog::from_binary_reader(&bytes[..]).unwrap();
-        assert_eq!(decoded, log);
-        // Appending after a round trip continues the sequence.
-        let mut decoded = decoded;
-        assert_eq!(
-            decoded.append(EdgeDelta::Delete {
-                u: node(2),
-                v: node(4)
-            }),
-            4
-        );
-    }
-
-    #[test]
     fn apply_deltas_validates_and_preserves_order() {
         let g = Graph::from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]).unwrap();
-        let mut log = DeltaLog::new();
-        log.append(EdgeDelta::Delete {
-            u: node(1),
-            v: node(2),
-        });
-        log.append(EdgeDelta::Insert {
-            u: node(0),
-            v: node(4),
-            weight: 2.0,
-        });
-        log.append(EdgeDelta::Reweight {
-            u: node(2),
-            v: node(3),
-            weight: 5.0,
-        });
-        let patched = log.replay(&g).unwrap();
+        let patched = apply_deltas(
+            &g,
+            &sequenced(&[
+                EdgeDelta::Delete {
+                    u: node(1),
+                    v: node(2),
+                },
+                EdgeDelta::Insert {
+                    u: node(0),
+                    v: node(4),
+                    weight: 2.0,
+                },
+                EdgeDelta::Reweight {
+                    u: node(2),
+                    v: node(3),
+                    weight: 5.0,
+                },
+            ]),
+        )
+        .unwrap();
         // Surviving edges keep relative order; the insert lands at the end.
         let edges: Vec<(usize, usize, f64)> = patched
             .edges()
@@ -1319,20 +956,13 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_policy_budgets() {
+    fn patch_allowed_follows_the_delta_volume_budget() {
         let policy = RebuildPolicy::default();
         assert!(policy.patch_allowed(1, 10)); // minimum budget of 1
         assert!(policy.patch_allowed(5, 100));
         assert!(!policy.patch_allowed(6, 100));
-        // A patch never costs more than a rebuild: the whole construction
-        // is the default touched budget.
-        assert_eq!(policy.touched_budget(100), 100);
         assert!(!RebuildPolicy::always_rebuild().patch_allowed(1, 1_000_000));
         assert!(RebuildPolicy::always_patch().patch_allowed(1_000, 10));
-        assert_eq!(
-            RebuildPolicy::always_patch().touched_budget(100),
-            usize::MAX
-        );
     }
 
     #[test]
@@ -1401,9 +1031,8 @@ mod tests {
         assert_eq!(*patched.artifact(), *rebuilt.artifact());
 
         // And both equal a version-1 build on the post-delta graph.
-        let post = v1.log().clone();
-        assert!(post.is_empty(), "v1's own log must be untouched");
-        let fresh_graph = patched.log().replay(&g).unwrap();
+        assert_eq!(v1.applied_seq(), 0, "v1 itself must be untouched");
+        let fresh_graph = apply_deltas(&g, &sequenced(&deltas)).unwrap();
         let fresh = DynamicArtifact::build(&fresh_graph, recipe).unwrap();
         assert_eq!(*patched.artifact(), *fresh.artifact());
 
@@ -1419,7 +1048,8 @@ mod tests {
         assert!(report3.action.is_patch());
         assert_eq!(v3.version(), 3);
         assert_eq!(v3.applied_seq(), 3);
-        let fresh3_graph = v3.log().replay(&g).unwrap();
+        let history: Vec<EdgeDelta> = deltas.iter().chain(&deltas2).cloned().collect();
+        let fresh3_graph = apply_deltas(&g, &sequenced(&history)).unwrap();
         let fresh3 = DynamicArtifact::build(&fresh3_graph, v3.recipe().clone()).unwrap();
         assert_eq!(*v3.artifact(), *fresh3.artifact());
     }
@@ -1435,20 +1065,6 @@ mod tests {
             v: existing.v,
             weight: 4.0,
         }];
-
-        // Touched budget 0 forces the TouchedSet fallback (p = 1/2, so some
-        // of the 20 iterations expose the edge with overwhelming probability).
-        let tight = RebuildPolicy {
-            max_delta_fraction: f64::INFINITY,
-            max_touched_fraction: 0.0,
-        };
-        let (_, report) = v1.apply(&deltas, &tight).unwrap();
-        match report.action {
-            ApplyAction::Rebuilt {
-                reason: RebuildReason::TouchedSet { touched },
-            } => assert!(touched > 0),
-            other => panic!("expected TouchedSet fallback, got {other:?}"),
-        }
 
         let (_, report) = v1.apply(&deltas, &RebuildPolicy::always_rebuild()).unwrap();
         assert_eq!(

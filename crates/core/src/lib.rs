@@ -71,7 +71,7 @@ pub use api::{
     SpannerEdges, SpannerReport, SpannerRequest,
 };
 pub use dynamic::{
-    ApplyAction, ApplyReport, BuildRecipe, DeltaLog, DynamicArtifact, EdgeDelta, RebuildPolicy,
+    ApplyAction, ApplyReport, BuildRecipe, DynamicArtifact, EdgeDelta, RebuildPolicy,
     RebuildReason, SequencedDelta,
 };
 pub use error::CoreError;

@@ -1,6 +1,5 @@
 //! Fuzz-style battery for the `.ftspan` artifact codec (the v2 fixed-width
-//! table, decoded through [`FtSpannerView`]), mirroring the `.ftdelta`
-//! battery in `fuzz_ftdelta.rs` and the wire battery in
+//! table, decoded through [`FtSpannerView`]), mirroring the wire battery in
 //! `crates/net/tests/fuzz_decode.rs`.
 //!
 //! Seeded (fully reproducible) adversarial inputs — random bytes, every

@@ -27,9 +27,10 @@
 //!
 //! With `--shutdown`, asks the server to drain and exit afterwards.
 
+use fault_tolerant_spanners::core::dynamic::apply_deltas;
 use fault_tolerant_spanners::core::FaultModel;
 use fault_tolerant_spanners::prelude::*;
-use fault_tolerant_spanners::{ArtifactStore, BuildRecipe, DeltaLog, DynamicArtifact, EdgeDelta};
+use fault_tolerant_spanners::{ArtifactStore, BuildRecipe, DynamicArtifact, EdgeDelta};
 use ftspan_net::{BatchReply, Client, ServerStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -269,11 +270,15 @@ fn main() {
 
     // The local differential: replay the same deltas on the base graph and
     // build from scratch with the same recipe.
-    let mut log = DeltaLog::new();
-    for delta in &deltas {
-        log.append(delta.clone());
-    }
-    let post = log.replay(&base).expect("deltas replay on the base graph");
+    let sequenced: Vec<SequencedDelta> = deltas
+        .iter()
+        .zip(1..)
+        .map(|(delta, seq)| SequencedDelta {
+            seq,
+            delta: delta.clone(),
+        })
+        .collect();
+    let post = apply_deltas(&base, &sequenced).expect("deltas replay on the base graph");
     let fresh = DynamicArtifact::build(&post, recipe).expect("fresh build succeeds");
     let mut expected_engine = Engine::new();
     expected_engine.register_dynamic(&artifact_name, fresh);

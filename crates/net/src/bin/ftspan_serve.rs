@@ -14,7 +14,9 @@
 //!   provenance, the artifact is rebuilt from its embedded source graph and
 //!   checked **bit-identical** to the stored one, and clients may then push
 //!   `ApplyDeltas` frames at it — the server patches or rebuilds off-lock
-//!   and warm-swaps the new version under live traffic. Sharded artifacts
+//!   and warm-swaps the new version under live traffic. Deltas are
+//!   volatile: nothing is written back to the store, so a restart serves
+//!   the stored base and clients re-send their deltas. Sharded artifacts
 //!   stay sharded (they have no delta path). A flat artifact with no recipe
 //!   tag, whose recipe cannot rebuild, or whose rebuild does not reproduce
 //!   the stored bytes keeps its flat registration, with a warning — the

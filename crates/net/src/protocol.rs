@@ -96,8 +96,10 @@ pub enum Request {
     Shutdown,
     /// Apply an edge-delta batch to a dynamic artifact and warm-swap the new
     /// version in ([`Response::DeltasApplied`]). Deltas are sent bare —
-    /// sequence numbers are assigned by the server's delta log, so clients
-    /// never have to coordinate them.
+    /// the server numbers them after the artifact's last applied sequence
+    /// number, so clients never have to coordinate them. Deltas are
+    /// volatile: the server keeps no history and persists nothing, so a
+    /// restarted server serves the stored base and clients re-send.
     ApplyDeltas {
         /// Serving name of the dynamic artifact to evolve.
         artifact: String,
@@ -136,8 +138,7 @@ pub struct DeltaApplyInfo {
     pub version: u64,
     /// Deltas applied in this batch.
     pub applied: u64,
-    /// Sequence number the server's delta log assigned to the batch's last
-    /// record.
+    /// Sequence number the server assigned to the batch's last delta.
     pub last_seq: u64,
     /// `true` when the new version came from a full rebuild rather than an
     /// incremental patch.

@@ -66,8 +66,6 @@ pub struct ServerConfig {
     /// Per-connection write timeout for response frames. `None` waits
     /// forever; [`Server::bind`] rejects zero.
     pub write_timeout: Option<Duration>,
-    /// Patch-vs-rebuild policy applied to [`Request::ApplyDeltas`] frames.
-    pub rebuild_policy: RebuildPolicy,
 }
 
 impl Default for ServerConfig {
@@ -77,7 +75,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
-            rebuild_policy: RebuildPolicy::default(),
         }
     }
 }
@@ -179,7 +176,6 @@ struct Shared {
     engine: Engine,
     queue: BoundedQueue,
     counters: Counters,
-    rebuild_policy: RebuildPolicy,
     shutting_down: AtomicBool,
     /// Paired with `shutdown_signal` so [`ServerHandle::wait_for_shutdown`]
     /// can block until `shutting_down` is set.
@@ -320,7 +316,6 @@ impl Server {
             engine: engine.with_workers(1),
             queue: BoundedQueue::new(config.queue_capacity),
             counters: Counters::default(),
-            rebuild_policy: config.rebuild_policy,
             shutting_down: AtomicBool::new(false),
             shutdown_lock: Mutex::new(()),
             shutdown_signal: Condvar::new(),
@@ -569,7 +564,7 @@ fn apply_deltas_response(shared: &Arc<Shared>, artifact: &str, deltas: &[EdgeDel
     }
     let result = shared
         .engine
-        .apply_deltas(artifact, deltas, &shared.rebuild_policy)
+        .apply_deltas(artifact, deltas, &RebuildPolicy::default())
         .map(|report| DeltaApplyInfo {
             version: report.version,
             applied: report.applied as u64,

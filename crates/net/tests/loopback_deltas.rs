@@ -6,6 +6,7 @@
 //! query batch observe a half-swapped artifact: every batch is answered
 //! entirely by one version.
 
+use fault_tolerant_spanners::core::dynamic::apply_deltas;
 use fault_tolerant_spanners::core::CoreError;
 use fault_tolerant_spanners::prelude::*;
 use ftspan_net::{Client, Server, ServerConfig};
@@ -80,12 +81,22 @@ fn deltas_over_the_wire_match_a_fresh_rebuild_on_the_post_delta_graph() {
 
     // The served artifact is bit-identical to a from-scratch dynamic build
     // on the replayed post-delta graph.
-    let replayed = engine
-        .dynamic_artifact("ring")
-        .expect("dynamic artifact")
-        .log()
-        .replay(&g)
-        .expect("replay succeeds");
+    assert_eq!(
+        engine
+            .dynamic_artifact("ring")
+            .expect("dynamic artifact")
+            .applied_seq(),
+        2
+    );
+    let sequenced: Vec<SequencedDelta> = deltas
+        .iter()
+        .zip(1..)
+        .map(|(delta, seq)| SequencedDelta {
+            seq,
+            delta: delta.clone(),
+        })
+        .collect();
+    let replayed = apply_deltas(&g, &sequenced).expect("replay succeeds");
     let fresh = DynamicArtifact::build(&replayed, ring_recipe(1)).expect("fresh build");
     assert_eq!(
         fresh.artifact(),
@@ -134,12 +145,13 @@ fn concurrent_query_batches_never_observe_a_mixed_version_answer() {
         u: NodeId::new(0),
         v: NodeId::new(1),
     };
-    let cut = DeltaLog::from_records(vec![SequencedDelta {
-        seq: 1,
-        delta: delta.clone(),
-    }])
-    .expect("a single record is a valid log")
-    .replay(&g)
+    let cut = apply_deltas(
+        &g,
+        &[SequencedDelta {
+            seq: 1,
+            delta: delta.clone(),
+        }],
+    )
     .expect("replay succeeds");
     let fresh = DynamicArtifact::build(&cut, ring_recipe(1)).expect("post-cut build");
     let mut fresh_engine = Engine::new();

@@ -38,11 +38,12 @@
 //! # Dynamic artifacts and warm hand-off
 //!
 //! An artifact registered through [`Engine::register_dynamic`] carries its
-//! build recipe and delta log (a [`DynamicArtifact`]) and can be evolved in
-//! place with [`Engine::apply_deltas`]: version `v_{k+1}` is built **outside
-//! the registry lock** — by incremental repair when the
+//! build recipe and last applied sequence number (a [`DynamicArtifact`]) and
+//! can be evolved in place with [`Engine::apply_deltas`]: version `v_{k+1}`
+//! is built **outside the registry lock** — by incremental repair when the
 //! [`RebuildPolicy`] allows, by a full rebuild otherwise — while `v_k` keeps
-//! serving, then swapped in atomically. Every batch snapshots the registry
+//! serving, then swapped in atomically. Deltas are volatile: no history is
+//! kept, and nothing is persisted. Every batch snapshots the registry
 //! exactly once before planning, so all of a batch's queries are answered by
 //! the same artifact version, and in-flight batches pin the version they
 //! started with (`Arc`) until their last query completes: **no query ever
@@ -310,7 +311,7 @@ type Snapshot = BTreeMap<String, ArtifactHandle>;
 /// ([`Engine::register`] / [`Engine::register_sharded`] /
 /// [`Engine::register_dynamic`]): a flat artifact, a sharded one whose
 /// queries scatter-gather over a boundary overlay, or a dynamic one carrying
-/// its recipe and delta log. The registry stores these handles, so a
+/// its recipe and last applied sequence number. The registry stores these handles, so a
 /// registry snapshot is a cheap map clone of `Arc`s and an in-flight batch
 /// keeps the version it planned against alive across a concurrent swap.
 ///
@@ -934,7 +935,8 @@ impl Default for Engine {
 mod tests {
     use super::*;
     use crate::FtSpannerBuilder;
-    use ftspan_core::{BuildRecipe, DynamicArtifact, SpannerRequest};
+    use ftspan_core::dynamic::apply_deltas;
+    use ftspan_core::{BuildRecipe, DynamicArtifact, SequencedDelta, SpannerRequest};
     use ftspan_graph::generate;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1434,14 +1436,14 @@ mod tests {
             .apply_deltas("live", &deltas, &RebuildPolicy::default())
             .unwrap();
 
-        // A from-scratch dynamic build on the replayed graph must be the
+        // A from-scratch dynamic build on the post-delta graph must be the
         // same artifact, and the engine must serve identical answers.
-        let replayed = engine
-            .dynamic_artifact("live")
-            .unwrap()
-            .log()
-            .replay(&g)
-            .unwrap();
+        let sequenced: Vec<SequencedDelta> = deltas
+            .into_iter()
+            .zip(1..)
+            .map(|(delta, seq)| SequencedDelta { seq, delta })
+            .collect();
+        let replayed = apply_deltas(&g, &sequenced).unwrap();
         let fresh = DynamicArtifact::build(&replayed, dynamic_recipe(1)).unwrap();
         assert_eq!(fresh.artifact(), engine.artifact("live").unwrap().as_ref());
     }

@@ -162,12 +162,12 @@ pub use engine::{
     QueryOutcome,
 };
 pub use ftspan_core::{
-    ApplyAction, ApplyReport, BuildRecipe, DeltaLog, DynamicArtifact, EdgeDelta, RebuildPolicy,
+    ApplyAction, ApplyReport, BuildRecipe, DynamicArtifact, EdgeDelta, RebuildPolicy,
     RebuildReason, SequencedDelta,
 };
 pub use registry::registry;
 pub use shard::{CutEdge, ShardedArtifact, ShardedSession};
-pub use store::{ArtifactStore, ARTIFACT_EXTENSION, DELTA_LOG_EXTENSION, SHARD_MANIFEST_EXTENSION};
+pub use store::{ArtifactStore, ARTIFACT_EXTENSION, SHARD_MANIFEST_EXTENSION};
 
 /// The most commonly used items, re-exported flat for convenient glob
 /// imports in examples and applications.
@@ -198,10 +198,10 @@ pub mod prelude {
         StretchCertificate,
     };
 
-    // The dynamic-graph subsystem: delta logs, build recipes, incremental
-    // repair and the warm hand-off policy knobs.
+    // The dynamic-graph subsystem: volatile edge deltas, build recipes,
+    // incremental repair and the warm hand-off policy knob.
     pub use ftspan_core::{
-        ApplyAction, ApplyReport, BuildRecipe, DeltaLog, DynamicArtifact, EdgeDelta, RebuildPolicy,
+        ApplyAction, ApplyReport, BuildRecipe, DynamicArtifact, EdgeDelta, RebuildPolicy,
         RebuildReason, SequencedDelta,
     };
 

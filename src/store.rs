@@ -16,11 +16,11 @@
 use crate::shard::{CutEdge, ShardedArtifact};
 use crate::Engine;
 use ftspan_core::serve::FtSpanner;
-use ftspan_core::{CoreError, DeltaLog, Result};
+use ftspan_core::{CoreError, Result};
 use ftspan_graph::NodeId;
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,9 +29,6 @@ pub const ARTIFACT_EXTENSION: &str = "ftspan";
 
 /// File extension of sharded-artifact manifests (without the dot).
 pub const SHARD_MANIFEST_EXTENSION: &str = "ftshard";
-
-/// File extension of persisted edge-delta logs (without the dot).
-pub const DELTA_LOG_EXTENSION: &str = "ftdelta";
 
 /// A directory of binary `.ftspan` artifacts, addressed by name.
 ///
@@ -388,51 +385,6 @@ impl ArtifactStore {
         self.stems_with_extension(SHARD_MANIFEST_EXTENSION)
     }
 
-    /// Writes `log` as `<name>.ftdelta` (replacing any previous version)
-    /// through the same crash-safe temp-file-and-rename discipline as
-    /// [`save`](ArtifactStore::save), and returns the path. Persisting the
-    /// delta log next to the base artifact lets a restart replay churn it
-    /// missed: load the base, [`DeltaLog::replay`] the log, rebuild.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on an invalid name or a write
-    /// failure.
-    pub fn save_delta_log(&self, name: &str, log: &DeltaLog) -> Result<PathBuf> {
-        let path = self.path_with_extension(name, DELTA_LOG_EXTENSION)?;
-        self.write_atomic(&path, |writer| log.to_binary_writer(writer))?;
-        Ok(path)
-    }
-
-    /// Loads the named delta log.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on an invalid name, a missing
-    /// file, or malformed log data (the error names the file).
-    pub fn load_delta_log(&self, name: &str) -> Result<DeltaLog> {
-        let path = self.path_with_extension(name, DELTA_LOG_EXTENSION)?;
-        let file = File::open(&path).map_err(|e| CoreError::InvalidParameter {
-            message: format!("cannot open {}: {e}", path.display()),
-        })?;
-        DeltaLog::from_binary_reader(BufReader::new(file)).map_err(|e| {
-            CoreError::InvalidParameter {
-                message: format!("cannot parse delta log {}: {e}", path.display()),
-            }
-        })
-    }
-
-    /// The names of every stored delta log (`.ftdelta` file stems), sorted.
-    /// Same addressability rules as [`ArtifactStore::names`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] when the directory cannot be
-    /// read.
-    pub fn delta_log_names(&self) -> Result<Vec<String>> {
-        self.stems_with_extension(DELTA_LOG_EXTENSION)
-    }
-
     /// Loads **every** stored artifact and registers each in `engine` under
     /// its file stem, returning the sorted names that were registered.
     ///
@@ -669,49 +621,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("mesh.shard1.ftspan"));
-        std::fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
-    fn delta_log_save_load_round_trips_and_replays() {
-        use ftspan_core::EdgeDelta;
-        let store = temp_store("deltalog");
-        let mut log = DeltaLog::new();
-        log.append(EdgeDelta::Insert {
-            u: NodeId::new(0),
-            v: NodeId::new(9),
-            weight: 2.5,
-        });
-        log.append(EdgeDelta::Delete {
-            u: NodeId::new(0),
-            v: NodeId::new(9),
-        });
-        log.append(EdgeDelta::Insert {
-            u: NodeId::new(2),
-            v: NodeId::new(7),
-            weight: 0.75,
-        });
-        store.save_delta_log("backbone", &log).unwrap();
-        assert_eq!(store.delta_log_names().unwrap(), vec!["backbone"]);
-        // Delta logs do not pollute the artifact listing (and vice versa).
-        assert_eq!(store.names().unwrap(), Vec::<String>::new());
-
-        let loaded = store.load_delta_log("backbone").unwrap();
-        assert_eq!(loaded.records(), log.records());
-        assert_eq!(loaded.last_seq(), Some(3));
-
-        // The reloaded log replays on a base graph exactly like the original.
-        let g = generate::path(10);
-        assert_eq!(loaded.replay(&g).unwrap(), log.replay(&g).unwrap());
-
-        // Corrupt bytes are a typed error naming the file.
-        std::fs::write(store.dir().join("rotten.ftdelta"), b"FTDLgarbage").unwrap();
-        let err = store.load_delta_log("rotten").unwrap_err();
-        assert!(
-            err.to_string().contains("rotten.ftdelta"),
-            "error does not name the corrupt file: {err}"
-        );
-        assert!(store.load_delta_log("never-saved").is_err());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

@@ -22,6 +22,7 @@
 //!    sweeps randomized inputs through the engine-vs-naive differential and
 //!    shrinks any violation to a minimal reproducer before reporting it.
 
+use fault_tolerant_spanners::core::dynamic::apply_deltas;
 use fault_tolerant_spanners::core::CoreError;
 use fault_tolerant_spanners::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -447,11 +448,15 @@ fn dynamic_repair_matches_rebuild_on_both_families() {
         let (repaired, _) = dynamic
             .apply(&deltas, &RebuildPolicy::default())
             .expect("deltas apply");
-        let mut log = DeltaLog::new();
-        for d in &deltas {
-            log.append(d.clone());
-        }
-        let post = log.replay(&g).expect("deltas replay");
+        let sequenced: Vec<SequencedDelta> = deltas
+            .iter()
+            .zip(1..)
+            .map(|(delta, seq)| SequencedDelta {
+                seq,
+                delta: delta.clone(),
+            })
+            .collect();
+        let post = apply_deltas(&g, &sequenced).expect("deltas replay");
         let fresh = DynamicArtifact::build(&post, recipe).expect("fresh build succeeds");
         assert_eq!(
             repaired.artifact(),
