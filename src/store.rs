@@ -640,4 +640,65 @@ mod tests {
         assert_eq!(engine.names(), vec!["good"]);
         std::fs::remove_dir_all(store.dir()).ok();
     }
+
+    /// Promotes the stored `name` to a dynamic registration the way
+    /// `ftspan_serve --dynamic` does: rebuild from the recorded recipe.
+    fn promote(engine: &mut Engine, name: &str) {
+        let flat = engine.artifact(name).unwrap();
+        let recipe =
+            crate::BuildRecipe::from_tagged_provenance(flat.algorithm(), flat.provenance())
+                .unwrap();
+        let dynamic = crate::DynamicArtifact::build(flat.source_graph(), recipe).unwrap();
+        assert_eq!(dynamic.artifact(), &*flat);
+        engine.register_dynamic(name, dynamic);
+    }
+
+    #[test]
+    fn deltas_are_volatile_a_reload_serves_the_stored_base() {
+        use crate::{EdgeDelta, RebuildPolicy};
+        let store = temp_store("volatile");
+        let base = artifact(5);
+        store.save("live", &base).unwrap();
+        let g = base.source_graph();
+        let n = g.node_count();
+        let fresh = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .find(|&(u, v)| g.find_edge(NodeId::new(u), NodeId::new(v)).is_none())
+            .map(|(u, v)| EdgeDelta::Insert {
+                u: NodeId::new(u),
+                v: NodeId::new(v),
+                weight: 1.0,
+            })
+            .expect("a G(16, 0.3) draw is not complete");
+        let deltas = [fresh];
+
+        let mut engine = Engine::new();
+        store.load_into(&mut engine).unwrap();
+        promote(&mut engine, "live");
+        let report = engine
+            .apply_deltas("live", &deltas, &RebuildPolicy::default())
+            .unwrap();
+        assert_eq!((report.version, report.last_seq), (2, 1));
+        let evolved = engine.artifact("live").unwrap();
+        assert_ne!(&*evolved, &base);
+        // Applying deltas writes nothing next to the stored base.
+        let files: Vec<_> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(files, vec!["live.ftspan"]);
+
+        // A restart serves the stored base; re-sending the same batch
+        // reproduces the evolved version exactly.
+        let mut restarted = Engine::new();
+        store.load_into(&mut restarted).unwrap();
+        assert_eq!(&*restarted.artifact("live").unwrap(), &base);
+        promote(&mut restarted, "live");
+        assert_eq!(restarted.dynamic_artifact("live").unwrap().applied_seq(), 0);
+        restarted
+            .apply_deltas("live", &deltas, &RebuildPolicy::default())
+            .unwrap();
+        assert_eq!(restarted.artifact("live").unwrap(), evolved);
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
 }
