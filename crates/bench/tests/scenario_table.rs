@@ -154,8 +154,8 @@ const TABLE: [Row; 22] = [
         counters: &[
             ("planner_groups", 4),
             ("planner_units", 4),
-            ("cache_hits", 25769),
-            ("cache_misses", 98),
+            ("cache_hits", 295),
+            ("cache_misses", 14),
         ],
     },
     Row {

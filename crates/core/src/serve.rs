@@ -314,6 +314,7 @@ impl FtSpanner {
             artifact: self,
             dead_nodes: None,
             dead_edges: None,
+            fault_ends: Vec::new(),
             fault_count: 0,
         }
     }
@@ -359,7 +360,7 @@ impl FtSpanner {
     pub fn under_faults_unchecked(&self, faults: &[NodeId]) -> Result<FaultSession<'_>> {
         let n = self.node_count();
         let mut dead = vec![false; n];
-        let mut distinct = 0usize;
+        let mut fault_ends = Vec::new();
         for &f in faults {
             if f.index() >= n {
                 return Err(CoreError::UnknownNode {
@@ -369,14 +370,19 @@ impl FtSpanner {
             }
             if !dead[f.index()] {
                 dead[f.index()] = true;
-                distinct += 1;
+                fault_ends.push(f);
             }
         }
         Ok(FaultSession {
             artifact: self,
-            dead_nodes: if distinct == 0 { None } else { Some(dead) },
+            dead_nodes: if fault_ends.is_empty() {
+                None
+            } else {
+                Some(dead)
+            },
             dead_edges: None,
-            fault_count: distinct,
+            fault_count: fault_ends.len(),
+            fault_ends,
         })
     }
 
@@ -401,6 +407,7 @@ impl FtSpanner {
         let n = self.node_count();
         let mut dead = vec![false; self.source.edge_count()];
         let mut distinct = 0usize;
+        let mut fault_ends = Vec::new();
         for &(u, v) in faults {
             for x in [u, v] {
                 if x.index() >= n {
@@ -417,6 +424,7 @@ impl FtSpanner {
             if !dead[id.index()] {
                 dead[id.index()] = true;
                 distinct += 1;
+                fault_ends.extend([u, v]);
             }
         }
         if distinct > self.faults {
@@ -429,6 +437,7 @@ impl FtSpanner {
             artifact: self,
             dead_nodes: None,
             dead_edges: if distinct == 0 { None } else { Some(dead) },
+            fault_ends,
             fault_count: distinct,
         })
     }
@@ -1004,6 +1013,9 @@ pub struct FaultSession<'a> {
     artifact: &'a FtSpanner,
     dead_nodes: Option<Vec<bool>>,
     dead_edges: Option<Vec<bool>>,
+    /// Every dead vertex and both endpoints of every dead edge: where a
+    /// repair of a fault-free row starts.
+    fault_ends: Vec<NodeId>,
     fault_count: usize,
 }
 
@@ -1418,6 +1430,42 @@ impl<'a> CachedSession<'a> {
             return Ok(self.trees[slot].baseline.as_deref().expect("just ensured"));
         }
         Ok(&self.trees[slot].dist)
+    }
+
+    /// Repairs `free`, the fault-free row from `u` (spanner distances, or
+    /// with `baseline` source-graph ones), into this session's row from `u`
+    /// — the same values as [`CachedSession::distance_row`], bit for bit —
+    /// with [`CsrSubgraph::sssp_repair_into`] in the session's workspace.
+    /// Nothing is cached and the cache counters do not move; the returned
+    /// row lives until the session's next traversal.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownNode`] if `u` is out of bounds, and
+    /// [`CoreError::Graph`] if `free` is not one distance per vertex.
+    pub fn repair_distance_row(
+        &mut self,
+        u: NodeId,
+        free: &[f64],
+        baseline: bool,
+    ) -> Result<&[f64]> {
+        self.session.check_node(u)?;
+        let artifact = self.session.artifact;
+        let csr = if baseline {
+            &artifact.source_csr
+        } else {
+            &artifact.spanner_csr
+        };
+        csr.sssp_repair_into(
+            u,
+            free,
+            self.session.dead_nodes.as_deref(),
+            self.session.dead_edges.as_deref(),
+            &self.session.fault_ends,
+            &mut self.workspace,
+        )
+        .map_err(CoreError::Graph)?;
+        Ok(self.workspace.distances())
     }
 
     /// All baseline (source-graph) distances from `u` (identical to

@@ -519,7 +519,194 @@ impl CsrSubgraph {
         }
         Ok(())
     }
+
+    /// Derives the masked distance row from `source` out of its unmasked
+    /// row `free` (what [`CsrSubgraph::sssp_into`] writes with no masks) by
+    /// a local repair: writes exactly the distances `sssp_into` would write
+    /// under the given masks (no cutoff), bit for bit, but past one copy of
+    /// `free` it visits only the vertices whose every tight path runs
+    /// through a fault, and their neighbours. Parents are not produced:
+    /// [`SsspWorkspace::parents`] is empty after a repair.
+    ///
+    /// `fault_ends` must list every dead vertex and both endpoints of every
+    /// dead edge (duplicates are harmless); the repair is seeded from that
+    /// list, never by scanning the masks.
+    ///
+    /// Why it is exact: both rows are the unique relaxation fixpoints of
+    /// their graphs (see [`SsspStrategy`]), the masked row is never below
+    /// the free one, and a vertex with a live path whose every edge is tight
+    /// in `free` (`free[z] + w == free[y]`, in floating point) therefore
+    /// keeps its free label. The repair certifies such paths in ascending
+    /// `free` order from the tight out-neighbours of the faults, marks every
+    /// vertex it cannot certify *affected*, and recomputes the affected
+    /// region with a Dijkstra seeded from its live unaffected neighbours.
+    /// Certification demands a strictly smaller in-neighbour label, so ties
+    /// through zero-weight edges may mark a vertex affected that would keep
+    /// its label; the recomputation gives it that label anyway.
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::NodeOutOfBounds`] if `source` or a `fault_ends`
+    ///   entry is out of bounds, or `dead` has the wrong length.
+    /// * [`GraphError::MismatchedEdgeSet`] if `dead_edges` does not match
+    ///   the parent graph's edge count.
+    /// * [`GraphError::InvalidParameter`] if `free` is not one distance per
+    ///   vertex.
+    pub fn sssp_repair_into(
+        &self,
+        source: NodeId,
+        free: &[f64],
+        dead: Option<&[bool]>,
+        dead_edges: Option<&[bool]>,
+        fault_ends: &[NodeId],
+        workspace: &mut SsspWorkspace,
+    ) -> Result<()> {
+        self.validate_masks(source, dead, dead_edges)?;
+        let n = self.node_count();
+        if free.len() != n {
+            return Err(GraphError::InvalidParameter {
+                message: format!("free row has {} entries for {n} vertices", free.len()),
+            });
+        }
+        if let Some(x) = fault_ends.iter().find(|x| x.index() >= n) {
+            return Err(GraphError::NodeOutOfBounds {
+                node: x.index(),
+                len: n,
+            });
+        }
+        let is_dead = |v: NodeId| dead.is_some_and(|d| d[v.index()]);
+        let edge_dead = |i: usize| dead_edges.is_some_and(|m| m[self.edge_ids[i].index()]);
+        let SsspWorkspace {
+            dist,
+            parent,
+            heap,
+            mark,
+            affected,
+            ..
+        } = workspace;
+        parent.clear();
+        heap.clear();
+        affected.clear();
+        dist.clear();
+        if is_dead(source) {
+            dist.resize(n, INFINITY);
+            return Ok(());
+        }
+        dist.extend_from_slice(free);
+        mark.clear();
+        mark.resize(n, UNSEEN);
+
+        // Seeds: the tight out-neighbours of every dead vertex and the tight
+        // heads of every dead edge.
+        for &x in fault_ends {
+            let x_dead = is_dead(x);
+            if x_dead {
+                dist[x.index()] = INFINITY;
+            }
+            let fx = free[x.index()];
+            if fx.is_infinite() {
+                continue;
+            }
+            for i in self.offsets[x.index()] as usize..self.offsets[x.index() + 1] as usize {
+                let y = self.targets[i];
+                if (x_dead || edge_dead(i))
+                    && y != source
+                    && !is_dead(y)
+                    && mark[y.index()] == UNSEEN
+                    && fx + self.weights[i] == free[y.index()]
+                {
+                    mark[y.index()] = SEEN;
+                    heap.push(HeapEntry {
+                        dist: free[y.index()],
+                        node: y,
+                    });
+                }
+            }
+        }
+
+        // Certification in ascending `free` order: every push carries a key
+        // no smaller than the one being popped, so an in-neighbour with a
+        // strictly smaller label has its final status by now.
+        while let Some(HeapEntry { dist: fy, node: y }) = heap.pop() {
+            let lo = self.offsets[y.index()] as usize;
+            let hi = self.offsets[y.index() + 1] as usize;
+            let certified = (lo..hi).any(|i| {
+                let z = self.targets[i];
+                let fz = free[z.index()];
+                fz < fy
+                    && fz + self.weights[i] == fy
+                    && mark[z.index()] != AFFECTED
+                    && !is_dead(z)
+                    && !edge_dead(i)
+            });
+            if certified {
+                continue;
+            }
+            mark[y.index()] = AFFECTED;
+            dist[y.index()] = INFINITY;
+            affected.push(y);
+            for i in lo..hi {
+                let x = self.targets[i];
+                if x != source
+                    && mark[x.index()] == UNSEEN
+                    && !is_dead(x)
+                    && fy + self.weights[i] == free[x.index()]
+                {
+                    mark[x.index()] = SEEN;
+                    heap.push(HeapEntry {
+                        dist: free[x.index()],
+                        node: x,
+                    });
+                }
+            }
+        }
+
+        // Dijkstra over the affected region, entered from its live
+        // unaffected neighbours (whose labels are final).
+        for &a in affected.iter() {
+            let mut best = INFINITY;
+            for i in self.offsets[a.index()] as usize..self.offsets[a.index() + 1] as usize {
+                let z = self.targets[i];
+                if mark[z.index()] != AFFECTED && !is_dead(z) && !edge_dead(i) {
+                    let nd = dist[z.index()] + self.weights[i];
+                    if nd < best {
+                        best = nd;
+                    }
+                }
+            }
+            if best.is_finite() {
+                dist[a.index()] = best;
+                heap.push(HeapEntry {
+                    dist: best,
+                    node: a,
+                });
+            }
+        }
+        while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
+            if d > dist[v.index()] {
+                continue;
+            }
+            for i in self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize {
+                let u = self.targets[i];
+                if mark[u.index()] != AFFECTED || edge_dead(i) {
+                    continue;
+                }
+                let nd = d + self.weights[i];
+                if nd < dist[u.index()] {
+                    dist[u.index()] = nd;
+                    heap.push(HeapEntry { dist: nd, node: u });
+                }
+            }
+        }
+        Ok(())
+    }
 }
+
+/// [`CsrSubgraph::sssp_repair_into`] vertex states: not reached by the
+/// repair, queued for (or passed) certification, or affected.
+const UNSEEN: u8 = 0;
+const SEEN: u8 = 1;
+const AFFECTED: u8 = 2;
 
 /// Two-phase streaming builder for a *full* [`CsrSubgraph`], the back end
 /// of the memory-bounded generators in
@@ -736,7 +923,8 @@ fn weight_stats(weights: &[f64]) -> (f64, f64) {
 }
 
 /// Reusable buffers for [`CsrSubgraph::sssp_into`]: the distance array, the
-/// parent array and the binary heap of one Dijkstra run.
+/// parent array and the binary heap of one Dijkstra run (plus the vertex
+/// states of a [`CsrSubgraph::sssp_repair_into`] run).
 ///
 /// One workspace serves any number of traversals (over CSRs of any size —
 /// buffers grow as needed and are reset, not reallocated, between runs).
@@ -749,6 +937,8 @@ pub struct SsspWorkspace {
     parent: Vec<Option<NodeId>>,
     heap: BinaryHeap<HeapEntry>,
     buckets: BucketQueue,
+    mark: Vec<u8>,
+    affected: Vec<NodeId>,
 }
 
 impl SsspWorkspace {
@@ -763,7 +953,7 @@ impl SsspWorkspace {
     }
 
     /// Predecessors of the last run (`None` for the source and unreached
-    /// vertices).
+    /// vertices; empty after a repair).
     pub fn parents(&self) -> &[Option<NodeId>] {
         &self.parent
     }

@@ -53,8 +53,8 @@
 //! # Where the shard rows come from
 //!
 //! The "boundary distance matrix" is never computed eagerly; each row is
-//! one Dijkstra run inside one shard, made the first time the overlay pops
-//! that node. The rows live in two tiers:
+//! made the first time the overlay pops that node. The rows come from three
+//! tiers:
 //!
 //! * **Artifact-wide fault-free rows.** A fault set `F` with `|F| ≤ r`
 //!   touches only the shards holding a faulted vertex or a faulted
@@ -65,14 +65,26 @@
 //!   later session on every thread. Each is the Dijkstra run of a fault-free
 //!   shard session — the very computation a clean shard's per-session cache
 //!   would make — so answers are bit-identical whichever tier serves a row.
-//! * **Per-session rows.** Faulted shards, and the rows of query endpoints
-//!   that are not boundary vertices, go through the session's per-shard
+//! * **Repaired rows.** A boundary row of a *faulted* shard starts from the
+//!   same shared fault-free row (filled if cold) and is repaired under the
+//!   shard's faults by
+//!   [`CsrSubgraph::sssp_repair_into`](ftspan_graph::csr::CsrSubgraph::sssp_repair_into),
+//!   then kept for the rest of the session. Removing `F` changes only the
+//!   labels whose every shortest path runs through `F`: both rows are the
+//!   unique relaxation fixpoints of their graphs, the faulted row is never
+//!   below the fault-free one, so a vertex with a surviving path of
+//!   fault-free-tight edges keeps its label bit for bit, and the repair
+//!   recomputes every other vertex with a Dijkstra over that region alone.
+//!   The repaired row is therefore exactly the faulted shard's Dijkstra row.
+//! * **Per-session rows.** The rows of query endpoints that are not
+//!   boundary vertices go through the session's per-shard
 //!   [`CachedSession`]s, as do all path expansions.
 //!
 //! The shared table stores distances only, one spanner and one baseline row
 //! per boundary vertex, so it never holds more than
 //! `2 · Σ_p |B_p| · |V_p|` floats (`B_p` the boundary vertices of part `p`);
-//! [`ShardedArtifact::shared_row_bytes`] reports what it holds now.
+//! [`ShardedArtifact::shared_row_bytes`] reports what it holds now. A
+//! session's repaired rows are bounded the same way over its faulted shards.
 
 use ftspan_core::serve::{CacheStats, CachedSession, FtSpanner, QuerySession};
 use ftspan_core::{CoreError, FaultModel, Result, StretchCertificate};
@@ -560,8 +572,9 @@ impl ShardedArtifact {
     }
 
     /// [`ShardedArtifact::under_faults`] with an explicit per-shard
-    /// source-cache capacity (`0` disables caching; answers are identical at
-    /// any capacity).
+    /// source-cache capacity for endpoint rows and path trees (`0` disables
+    /// that cache; boundary rows are shared or repaired at any capacity,
+    /// and answers are identical at any capacity).
     ///
     /// # Errors
     ///
@@ -620,6 +633,7 @@ impl ShardedArtifact {
             clean: local.iter().map(Vec::is_empty).collect(),
             dead: if distinct == 0 { Vec::new() } else { dead },
             dead_cut: Vec::new(),
+            repaired: Vec::new(),
             fault_count: distinct,
         })
     }
@@ -741,13 +755,16 @@ impl ShardedArtifact {
                 .collect(),
             dead: Vec::new(),
             dead_cut: if any_cut { dead_cut } else { Vec::new() },
+            repaired: Vec::new(),
             fault_count: distinct,
         })
     }
 
-    /// Default per-shard source-cache capacity: enough to keep every
-    /// boundary row of the largest clique warm, plus the two query
-    /// endpoints.
+    /// Default per-shard source-cache capacity. The per-shard caches hold
+    /// only the rows of non-boundary query endpoints and the trees of path
+    /// expansions (boundary rows are shared or repaired); one slot per
+    /// boundary vertex plus the two endpoints keeps every tree a path
+    /// expansion can ask for warm.
     fn default_capacity(&self) -> usize {
         self.boundary.len() + 2
     }
@@ -796,11 +813,12 @@ impl PartialOrd for HeapEntry {
 /// The session records which shards its fault set leaves *clean* (no
 /// faulted vertex, no faulted intra-shard edge). Boundary rows of clean
 /// shards are read from the artifact-wide table, shared with every other
-/// session; rows of faulted shards and of non-boundary endpoints, and every
-/// path expansion, are memoized in per-shard [`CachedSession`]s, which is
-/// why methods take `&mut self`. Both tiers run the same Dijkstra over the
-/// same surviving shard, so answers do not depend on which one served a
-/// row, nor on what earlier sessions asked.
+/// session; boundary rows of faulted shards are repaired from that table
+/// and kept for the session. The per-shard [`CachedSession`]s hold only the
+/// rows of non-boundary endpoints and the trees of path expansions. That
+/// memoization is why methods take `&mut self`. Every tier yields exactly
+/// the surviving shard's Dijkstra row, so answers do not depend on which
+/// one served a row, nor on what earlier sessions asked.
 #[derive(Debug)]
 pub struct ShardedSession<'a> {
     artifact: &'a ShardedArtifact,
@@ -811,6 +829,9 @@ pub struct ShardedSession<'a> {
     dead: Vec<bool>,
     /// Dead cut-edge mask; empty when no cut edge is faulted.
     dead_cut: Vec<bool>,
+    /// Boundary rows of faulted shards repaired so far, laid out like the
+    /// artifact's shared rows; empty until the first one is needed.
+    repaired: Vec<Option<Box<[f64]>>>,
     fault_count: usize,
 }
 
@@ -839,6 +860,26 @@ impl<'a> ShardedSession<'a> {
 
     fn is_dead(&self, v: NodeId) -> bool {
         !self.dead.is_empty() && self.dead[v.index()]
+    }
+
+    /// The row of boundary vertex `boundary[rank]` within its faulted
+    /// shard, repaired from the shared fault-free row on first use and kept
+    /// for the rest of the session.
+    fn repaired_row(&mut self, rank: usize, baseline: bool) -> Result<&[f64]> {
+        let art = self.artifact;
+        if self.repaired.is_empty() {
+            self.repaired = vec![None; 2 * art.boundary.len()];
+        }
+        let slot = 2 * rank + usize::from(baseline);
+        if self.repaired[slot].is_none() {
+            let x = art.boundary[rank];
+            let local = NodeId::new(art.local_of[x.index()] as usize);
+            let free = art.shared_row(rank, baseline)?;
+            let row = self.shards[art.part_of[x.index()] as usize]
+                .repair_distance_row(local, free, baseline)?;
+            self.repaired[slot] = Some(row.into());
+        }
+        Ok(self.repaired[slot].as_deref().expect("just filled"))
     }
 
     /// Distance from `u` to `v` in the surviving *source* graph `G \ F` —
@@ -922,11 +963,13 @@ impl<'a> ShardedSession<'a> {
             }
             let x = nodes[i];
             let p = art.part_of[x.index()] as usize;
-            let row = if i < b && self.clean[p] {
-                art.shared_row(i, baseline)?
-            } else {
+            let row = if i >= b {
                 let lx = NodeId::new(art.local_of[x.index()] as usize);
                 self.shards[p].distance_row(lx, baseline)?
+            } else if self.clean[p] {
+                art.shared_row(i, baseline)?
+            } else {
+                self.repaired_row(i, baseline)?
             };
             for &j32 in &part_nodes[p] {
                 let j = j32 as usize;
@@ -1048,8 +1091,10 @@ impl QuerySession for ShardedSession<'_> {
         ))
     }
 
-    /// Aggregated per-shard source-cache counters (rows read from the
-    /// artifact-wide fault-free table are not counted).
+    /// Aggregated per-shard source-cache counters: endpoint rows and path
+    /// trees only. Rows read from the artifact-wide fault-free table, and
+    /// faulted-shard boundary rows repaired from it, count as neither hit
+    /// nor miss.
     fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in &self.shards {
@@ -1331,7 +1376,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_shards_leave_the_shared_rows_alone() {
+    fn shared_rows_stay_fault_free_under_faulted_sessions() {
         let (g, sharded) = build_sharded(30, 0.2, 3, 31);
         let fault = sharded.boundary_vertices()[0];
         let faulted = sharded.part_of(fault);
@@ -1343,15 +1388,66 @@ mod tests {
                     .expect("certificate");
             }
         }
-        assert!(sharded.shared_row_bytes() > 0, "clean shards share rows");
+        // The faulted shard fills shared rows too (the fault-free rows its
+        // repairs start from); every filled row must still be exactly the
+        // fault-free shard row.
+        let mut faulted_filled = 0;
         for (rank, &x) in sharded.boundary_vertices().iter().enumerate() {
-            let filled = sharded.rows.0[2 * rank].get().is_some();
-            assert_eq!(
-                filled,
-                sharded.part_of(x) != faulted,
-                "boundary vertex {x:?}: only clean shards fill shared rows"
-            );
+            let p = sharded.part_of(x);
+            let local = NodeId::new(sharded.local_of[x.index()] as usize);
+            for baseline in [false, true] {
+                let Some(row) = sharded.rows.0[2 * rank + usize::from(baseline)].get() else {
+                    continue;
+                };
+                let fresh = sharded.shards()[p].session();
+                let want = if baseline {
+                    fresh.baseline_distances_from(local)
+                } else {
+                    fresh.distances_from(local)
+                }
+                .expect("row");
+                let same = row
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(
+                    same && row.len() == want.len(),
+                    "shared row of {x:?} ({baseline})"
+                );
+                faulted_filled += usize::from(p == faulted);
+            }
         }
+        assert!(
+            faulted_filled > 0,
+            "the faulted shard's repairs read shared rows"
+        );
+    }
+
+    #[test]
+    fn faulted_shard_boundary_rows_run_no_shard_dijkstra_when_warm() {
+        let (_, sharded) = build_sharded(30, 0.2, 3, 31);
+        let fault = sharded.boundary_vertices()[0];
+        let faulted = sharded.part_of(fault);
+        let mut pair = sharded
+            .boundary_vertices()
+            .iter()
+            .copied()
+            .filter(|&x| x != fault && sharded.part_of(x) == faulted);
+        let (a, z) = (
+            pair.next().expect("boundary"),
+            pair.next().expect("boundary"),
+        );
+        // Warm every shared row the query can touch.
+        for rank in 0..sharded.boundary_vertices().len() {
+            sharded.shared_row(rank, false).expect("row");
+        }
+        let mut session = sharded.under_faults(&[fault]).expect("opens");
+        session.distance(a, z).expect("distance");
+        assert_eq!(
+            session.cache_stats().misses,
+            0,
+            "rows were repaired, not recomputed"
+        );
     }
 
     #[test]

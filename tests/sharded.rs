@@ -535,3 +535,100 @@ fn warm_weighted_mesh_answers_bit_for_bit_like_a_cold_artifact() {
         );
     }
 }
+
+/// `{0, 1, 2}`-integer weights (every sum exact, zero-weight ties
+/// everywhere) and `r = 2` vertex faults, both in one shard and split
+/// across two: faulted shards answer from repaired fault-free rows, and
+/// distances, path lengths and certificate scalars must be bit-equal to the
+/// union artifact — through batched engine sessions and through a fresh
+/// session per query.
+#[test]
+fn tied_integer_weights_under_two_faults_match_the_union_bit_for_bit() {
+    let mut rng = ChaCha8Rng::seed_from_u64(61);
+    let unit = generate::connected_gnp(40, 0.15, generate::WeightKind::Unit, &mut rng);
+    let g = Graph::from_edges(
+        unit.node_count(),
+        unit.edges()
+            .map(|(_, e)| (e.u.index(), e.v.index(), f64::from(rng.gen_range(0u8..3))))
+            .collect::<Vec<_>>(),
+    )
+    .expect("reweighted graph");
+    let builder = FtSpannerBuilder::new("conversion").faults(2).stretch(3.0);
+    let config = partition::PartitionConfig::new(3).with_seed(61);
+    let sharded = ShardedArtifact::build(&g, &builder, &config).expect("sharded build succeeds");
+    let union = sharded.to_union_artifact().expect("union assembles");
+
+    // Two faults in each shard (a boundary vertex and an inner one where
+    // the shard has both), and one fault in each of two shards.
+    let boundary = sharded.boundary_vertices();
+    let mut scopes = Vec::new();
+    for p in 0..sharded.shard_count() {
+        let members = sharded.shard_members(p);
+        let b = members.iter().copied().find(|x| boundary.contains(x));
+        let inner = members.iter().copied().rev().find(|x| Some(*x) != b);
+        scopes.push(b.into_iter().chain(inner).collect::<Vec<_>>());
+    }
+    for p in 0..sharded.shard_count() {
+        let q = (p + 1) % sharded.shard_count();
+        scopes.push(vec![
+            sharded.shard_members(p)[1],
+            sharded.shard_members(q)[2],
+        ]);
+    }
+    assert!(scopes.iter().all(|s| s.len() == 2));
+
+    let n = g.node_count();
+    let queries: Vec<Query> = scopes
+        .iter()
+        .flat_map(|faults| {
+            (0..n).step_by(2).flat_map(move |u| {
+                (1..n).step_by(3).map(move |v| {
+                    let (u, v) = (NodeId::new(u), NodeId::new(v));
+                    match (u.index() + v.index()) % 3 {
+                        0 => Query::distance("net", faults.clone(), u, v),
+                        1 => Query::path("net", faults.clone(), u, v),
+                        _ => Query::certificate("net", faults.clone(), u, v),
+                    }
+                })
+            })
+        })
+        .collect();
+    let (batched, want) = run_differential(&sharded, &union, &queries);
+    assert_differential(&g, &union, &queries, &batched, &want);
+    let fresh = serve(&sharded, &queries);
+    assert_differential(&g, &union, &queries, &fresh, &want);
+
+    // Path lengths are exact sums too: bit-equal, not merely close.
+    let spanner_graph = union.source_graph();
+    let length = |path: &[NodeId]| {
+        path.windows(2)
+            .map(|w| {
+                spanner_graph
+                    .edge(spanner_graph.find_edge(w[0], w[1]).unwrap())
+                    .weight
+            })
+            .sum::<f64>()
+    };
+    let mut compared = 0;
+    for got in [&batched, &fresh] {
+        for (i, (s, r)) in got.iter().zip(&want).enumerate() {
+            let (s, r) = match (s, r) {
+                (Ok(QueryOutcome::Path(Some(s))), Ok(QueryOutcome::Path(Some(r)))) => (s, r),
+                (Ok(QueryOutcome::Certificate(s)), Ok(QueryOutcome::Certificate(r))) => {
+                    match (&s.path, &r.path) {
+                        (Some(s), Some(r)) => (s, r),
+                        _ => continue,
+                    }
+                }
+                _ => continue,
+            };
+            assert_eq!(
+                length(s).to_bits(),
+                length(r).to_bits(),
+                "query {i}: path length"
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared > 100, "the battery compares paths ({compared})");
+}
