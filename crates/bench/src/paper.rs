@@ -226,7 +226,7 @@ impl ClaimRow {
     }
 
     /// A fault-tolerance oracle's verdict: the worst stretch seen against `k`.
-    fn stretch(self, claim: &'static str, check: &FaultToleranceReport) -> Self {
+    fn stretch<F>(self, claim: &'static str, check: &FaultToleranceReport<F>) -> Self {
         self.row(claim, check.worst_stretch, self.k, self.k, check.is_valid())
     }
 

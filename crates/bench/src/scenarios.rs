@@ -1153,7 +1153,7 @@ impl Scenario {
         let mut digest = Fnv::new();
         for s in 0..sources {
             let source = NodeId::new(s * (nodes / sources) % nodes);
-            csr.sssp_into(source, None, None, None, &mut workspace)
+            csr.sssp_into(source, None, None, &mut workspace)
                 .expect("in-bounds sources sweep");
             for &d in workspace.distances() {
                 digest.write_f64(d);

@@ -659,12 +659,18 @@ impl DynamicArtifact {
         let new_graph = apply_deltas(self.artifact.source_graph(), &batch)?;
         let last_seq = self.applied_seq + deltas.len() as u64;
 
-        let mut fallback = RebuildReason::NoTrace;
-        let mut patched: Option<(FtSpanner, ConversionTrace, usize, usize)> = None;
-        if let Some(trace) = &self.trace {
-            if !policy.patch_allowed(deltas.len(), self.artifact.source_graph().edge_count()) {
-                fallback = RebuildReason::DeltaVolume;
-            } else {
+        let patchable = match &self.trace {
+            None => Err(RebuildReason::NoTrace),
+            Some(_)
+                if !policy
+                    .patch_allowed(deltas.len(), self.artifact.source_graph().edge_count()) =>
+            {
+                Err(RebuildReason::DeltaVolume)
+            }
+            Some(trace) => Ok(trace),
+        };
+        let (artifact, trace, action) = match patchable {
+            Ok(trace) => {
                 let changed: Vec<(NodeId, NodeId)> =
                     deltas.iter().map(EdgeDelta::endpoints).collect();
                 let total = trace.seeds.len();
@@ -683,8 +689,9 @@ impl DynamicArtifact {
                     &changed,
                     self.recipe.request.effective_threads(),
                 )?;
-                let artifact = FtSpanner::from_edge_set(
-                    &new_graph,
+                let artifact = FtSpanner::from_parts(
+                    new_graph,
+                    None,
                     repaired.edges,
                     &self.recipe.algorithm,
                     &self.recipe.tagged_provenance(&plan.provenance),
@@ -692,22 +699,15 @@ impl DynamicArtifact {
                     self.recipe.request.faults,
                     plan.stretch,
                 )?;
-                patched = Some((artifact, repaired.trace, repaired.touched_iterations, total));
-            }
-        }
-
-        let (artifact, trace, action) = match patched {
-            Some((artifact, trace, touched, total)) => (
-                artifact,
-                Some(trace),
-                ApplyAction::Patched {
-                    touched_iterations: touched,
+                let action = ApplyAction::Patched {
+                    touched_iterations: repaired.touched_iterations,
                     total_iterations: total,
-                },
-            ),
-            None => {
+                };
+                (artifact, Some(repaired.trace), action)
+            }
+            Err(reason) => {
                 let (artifact, trace) = build_for_recipe(&new_graph, &self.recipe)?;
-                (artifact, trace, ApplyAction::Rebuilt { reason: fallback })
+                (artifact, trace, ApplyAction::Rebuilt { reason })
             }
         };
 

@@ -139,7 +139,7 @@ impl FtSpanner {
     pub fn from_report(graph: &Graph, report: &SpannerReport) -> Result<Self> {
         let edges = undirected_edges(report)?;
         Self::from_parts(
-            graph,
+            graph.clone(),
             None,
             edges.clone(),
             &report.algorithm,
@@ -182,7 +182,7 @@ impl FtSpanner {
             });
         }
         Self::from_parts(
-            graph,
+            graph.clone(),
             Some(source_csr),
             edges.clone(),
             &report.algorithm,
@@ -217,7 +217,7 @@ impl FtSpanner {
         stretch: f64,
     ) -> Result<Self> {
         Self::from_parts(
-            graph,
+            graph.clone(),
             None,
             edges,
             algorithm,
@@ -228,13 +228,13 @@ impl FtSpanner {
         )
     }
 
-    /// Builds the artifact from raw parts (the deserializer and tests use
-    /// this; constructions go through [`FtSpanner::from_report`]). A source
-    /// CSR packed earlier at the API boundary can be adopted via
-    /// `source_csr`; `None` packs one here.
+    /// Builds the artifact from raw parts, taking ownership of `graph`: the
+    /// deserializer and the delta repair hand over the graph they just
+    /// built instead of copying it. A source CSR packed earlier at the API
+    /// boundary can be adopted via `source_csr`; `None` packs one here.
     #[allow(clippy::too_many_arguments)]
-    fn from_parts(
-        graph: &Graph,
+    pub(crate) fn from_parts(
+        graph: Graph,
         source_csr: Option<CsrSubgraph>,
         spanner_edges: EdgeSet,
         algorithm: &str,
@@ -244,17 +244,17 @@ impl FtSpanner {
         stretch: f64,
     ) -> Result<Self> {
         let spanner_csr =
-            CsrSubgraph::from_edge_set(graph, &spanner_edges).map_err(CoreError::Graph)?;
+            CsrSubgraph::from_edge_set(&graph, &spanner_edges).map_err(CoreError::Graph)?;
         Ok(FtSpanner {
             algorithm: algorithm.to_string(),
             provenance: provenance.to_string(),
             fault_model,
             faults,
             stretch,
-            source_csr: source_csr.unwrap_or_else(|| CsrSubgraph::from_graph(graph)),
+            source_csr: source_csr.unwrap_or_else(|| CsrSubgraph::from_graph(&graph)),
             spanner_csr,
             spanner_edges,
-            source: graph.clone(),
+            source: graph,
         })
     }
 
@@ -990,7 +990,7 @@ impl<'a> FtSpannerView<'a> {
             edges.insert(self.spanner_edge(i));
         }
         FtSpanner::from_parts(
-            &graph,
+            graph,
             None,
             edges,
             self.algorithm,
@@ -1331,21 +1331,6 @@ impl<'a> CachedSession<'a> {
         self.session.artifact
     }
 
-    /// The configured cache capacity (distinct sources kept).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of queries answered from a cached tree.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of queries that had to run Dijkstra.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Ensures the tree rooted at `u` is resident and returns its index
     /// (always the most-recent slot, `self.trees.len() - 1`).
     fn ensure_tree(&mut self, u: NodeId) -> Result<usize> {
@@ -1366,7 +1351,7 @@ impl<'a> CachedSession<'a> {
         self.session
             .artifact
             .spanner_csr
-            .sssp_into(u, dead, dead_edges, None, &mut self.workspace)
+            .sssp_into(u, dead, dead_edges, &mut self.workspace)
             .map_err(CoreError::Graph)?;
         let tree = CachedTree {
             source: u,
@@ -1399,7 +1384,7 @@ impl<'a> CachedSession<'a> {
         self.session
             .artifact
             .source_csr
-            .sssp_into(u, dead, dead_edges, None, &mut self.workspace)
+            .sssp_into(u, dead, dead_edges, &mut self.workspace)
             .map_err(CoreError::Graph)?;
         self.trees[slot].baseline = Some(self.workspace.distances().to_vec());
         Ok(())
@@ -2108,17 +2093,14 @@ mod tests {
                 plain.distances_from(NodeId::new(1)).unwrap(),
                 cached.distances_from(NodeId::new(1)).unwrap()
             );
-            if capacity == 0 {
-                assert_eq!(cached.hits(), 0, "capacity 0 must never hit");
-            } else {
-                assert!(cached.hits() > 0);
-            }
-            assert!(cached.misses() > 0);
             let stats = cached.cache_stats();
-            assert_eq!(stats.hits, cached.hits());
-            assert_eq!(stats.misses, cached.misses());
-            assert_eq!(stats.total(), cached.hits() + cached.misses());
-            assert_eq!(cached.capacity(), capacity);
+            if capacity == 0 {
+                assert_eq!(stats.hits, 0, "capacity 0 must never hit");
+            } else {
+                assert!(stats.hits > 0);
+            }
+            assert!(stats.misses > 0);
+            assert_eq!(stats.total(), stats.hits + stats.misses);
             assert_eq!(cached.session().fault_count(), 2);
             assert_eq!(cached.artifact().node_count(), n);
         }

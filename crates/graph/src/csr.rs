@@ -21,33 +21,41 @@ use crate::{EdgeId, EdgeSet, Graph, GraphError, NodeId, Result, INFINITY};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Half-edge count at which [`SsspStrategy::Auto`] switches from the binary
-/// heap to the bucket queue. Small traversals are dominated by setup cost,
-/// where the heap's zero-reset wins; past a few thousand half-edges the
-/// bucket queue's `O(1)` operations take over.
-const BUCKET_STRATEGY_HALF_EDGES: usize = 2048;
+/// Half-edge count at which [`CsrSubgraph::sssp_into`] switches its
+/// frontier from the binary heap to the bucket queue. Small traversals are
+/// dominated by setup cost, where the heap's zero-reset wins; past a few
+/// thousand half-edges the bucket queue's `O(1)` operations take over.
+const BUCKET_QUEUE_HALF_EDGES: usize = 2048;
 
-/// Priority-queue strategy for [`CsrSubgraph::sssp_into_with_strategy`].
-///
-/// Every strategy computes **bit-identical distances**: floating-point
-/// addition of non-negative weights is monotone, so the strict-improvement
-/// relaxation fixpoint the traversals converge to is unique regardless of
-/// expansion order. Parent trees are always valid shortest-path trees
-/// (`dist[v] == dist[parent[v]] + w` exactly, for an edge of weight `w`),
-/// though ties may be broken differently between strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SsspStrategy {
-    /// Pick per-CSR: bucket queue for large subgraphs, binary heap for
-    /// small ones. The choice is a deterministic function of the packed
-    /// CSR, so repeated runs (at any thread count) expand identically.
-    #[default]
-    Auto,
-    /// Classic lazy-deletion binary-heap Dijkstra.
-    BinaryHeap,
-    /// Circular bucket queue (Dial) — see
-    /// [`BucketQueue`] for the
-    /// delta-choice heuristic.
-    BucketQueue,
+/// The priority queue of a Dijkstra run: [`CsrSubgraph::relax`] pops the
+/// nearest tentative label and pushes every strict improvement.
+trait Frontier {
+    fn push(&mut self, dist: f64, node: NodeId);
+    fn pop(&mut self) -> Option<(f64, NodeId)>;
+}
+
+impl Frontier for BinaryHeap<HeapEntry> {
+    #[inline]
+    fn push(&mut self, dist: f64, node: NodeId) {
+        BinaryHeap::push(self, HeapEntry { dist, node });
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, NodeId)> {
+        BinaryHeap::pop(self).map(|e| (e.dist, e.node))
+    }
+}
+
+impl Frontier for BucketQueue {
+    #[inline]
+    fn push(&mut self, dist: f64, node: NodeId) {
+        BucketQueue::push(self, dist, node);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, NodeId)> {
+        BucketQueue::pop(self)
+    }
 }
 
 /// A heap entry ordered by ascending distance (mirrors the one in
@@ -370,7 +378,7 @@ impl CsrSubgraph {
         dead_edges: Option<&[bool]>,
     ) -> Result<(Vec<f64>, Vec<Option<NodeId>>)> {
         let mut workspace = SsspWorkspace::new();
-        self.sssp_into(source, dead, dead_edges, None, &mut workspace)?;
+        self.sssp_into(source, dead, dead_edges, &mut workspace)?;
         let SsspWorkspace { dist, parent, .. } = workspace;
         Ok((dist, parent))
     }
@@ -384,6 +392,16 @@ impl CsrSubgraph {
     /// to the allocating variants — the workspace only changes where they
     /// land.
     ///
+    /// The frontier is a binary heap below 2048 half-edges and a bucket
+    /// queue ([`BucketQueue`]) at or above, a deterministic function of the
+    /// packed CSR. Either way the distances are **bit-identical**:
+    /// floating-point addition of non-negative weights is monotone, so the
+    /// strict-improvement relaxation fixpoint the traversal converges to is
+    /// unique regardless of expansion order. Parent trees are valid
+    /// shortest-path trees (`dist[v] == dist[parent[v]] + w` exactly, for an
+    /// edge of weight `w`), though ties may be broken differently by the two
+    /// frontiers.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`CsrSubgraph::sssp`].
@@ -392,138 +410,77 @@ impl CsrSubgraph {
         source: NodeId,
         dead: Option<&[bool]>,
         dead_edges: Option<&[bool]>,
-        cutoff: Option<f64>,
-        workspace: &mut SsspWorkspace,
-    ) -> Result<()> {
-        self.sssp_into_with_strategy(
-            source,
-            dead,
-            dead_edges,
-            cutoff,
-            SsspStrategy::Auto,
-            workspace,
-        )
-    }
-
-    /// Like [`CsrSubgraph::sssp_into`], but with an explicit priority-queue
-    /// [`SsspStrategy`] instead of the automatic per-CSR choice.
-    ///
-    /// All strategies produce bit-identical distance arrays (see
-    /// [`SsspStrategy`]); exposing the choice lets tests pin the
-    /// equivalence and lets callers with unusual weight profiles override
-    /// the heuristic.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CsrSubgraph::sssp`].
-    pub fn sssp_into_with_strategy(
-        &self,
-        source: NodeId,
-        dead: Option<&[bool]>,
-        dead_edges: Option<&[bool]>,
-        cutoff: Option<f64>,
-        strategy: SsspStrategy,
         workspace: &mut SsspWorkspace,
     ) -> Result<()> {
         self.validate_masks(source, dead, dead_edges)?;
-        let n = self.node_count();
-        workspace.reset(n);
+        workspace.reset(self.node_count());
         let is_dead = |v: NodeId| dead.is_some_and(|d| d[v.index()]);
         if is_dead(source) {
             return Ok(());
         }
-        let use_buckets = match strategy {
-            SsspStrategy::BinaryHeap => false,
-            SsspStrategy::BucketQueue => true,
-            SsspStrategy::Auto => self.targets.len() >= BUCKET_STRATEGY_HALF_EDGES,
+        let live = |i: usize, u: NodeId| {
+            !is_dead(u) && !dead_edges.is_some_and(|m| m[self.edge_ids[i].index()])
         };
-        let dist = &mut workspace.dist;
-        let parent = &mut workspace.parent;
+        let SsspWorkspace {
+            dist,
+            parent,
+            heap,
+            buckets,
+            ..
+        } = workspace;
         dist[source.index()] = 0.0;
-        if use_buckets {
-            let buckets = &mut workspace.buckets;
+        if self.targets.len() >= BUCKET_QUEUE_HALF_EDGES {
             let delta =
                 BucketQueue::suggest_delta(self.weight_sum, self.max_weight, self.targets.len());
             buckets.reset(delta, self.max_weight);
             buckets.push(0.0, source);
-            while let Some((d, v)) = buckets.pop() {
-                if d > dist[v.index()] {
-                    continue;
-                }
-                if let Some(c) = cutoff {
-                    if d > c {
-                        continue;
-                    }
-                }
-                let lo = self.offsets[v.index()] as usize;
-                let hi = self.offsets[v.index() + 1] as usize;
-                for i in lo..hi {
-                    let u = self.targets[i];
-                    if is_dead(u) {
-                        continue;
-                    }
-                    if dead_edges.is_some_and(|m| m[self.edge_ids[i].index()]) {
-                        continue;
-                    }
-                    let nd = d + self.weights[i];
-                    if let Some(c) = cutoff {
-                        if nd > c {
-                            continue;
-                        }
-                    }
-                    if nd < dist[u.index()] {
-                        dist[u.index()] = nd;
-                        parent[u.index()] = Some(v);
-                        buckets.push(nd, u);
-                    }
-                }
-            }
+            self.relax(buckets, dist, Some(parent), live);
         } else {
-            let heap = &mut workspace.heap;
-            heap.push(HeapEntry {
-                dist: 0.0,
-                node: source,
-            });
-            while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-                if d > dist[v.index()] {
+            Frontier::push(heap, 0.0, source);
+            self.relax(heap, dist, Some(parent), live);
+        }
+        Ok(())
+    }
+
+    /// Dijkstra's relaxation loop, shared by [`CsrSubgraph::sssp_into`] and
+    /// the recomputation phase of [`CsrSubgraph::sssp_repair_into`]: pops
+    /// `frontier` until it is empty, skips stale entries, and relaxes
+    /// each half-edge `i` out of the popped vertex whose head `u` passes
+    /// `live(i, u)`. Every strict improvement is pushed, and recorded in
+    /// `parent` when one is given.
+    #[inline]
+    fn relax<F: Frontier>(
+        &self,
+        frontier: &mut F,
+        dist: &mut [f64],
+        mut parent: Option<&mut Vec<Option<NodeId>>>,
+        live: impl Fn(usize, NodeId) -> bool,
+    ) {
+        while let Some((d, v)) = frontier.pop() {
+            if d > dist[v.index()] {
+                continue;
+            }
+            for i in self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize {
+                let u = self.targets[i];
+                if !live(i, u) {
                     continue;
                 }
-                if let Some(c) = cutoff {
-                    if d > c {
-                        continue;
-                    }
-                }
-                let lo = self.offsets[v.index()] as usize;
-                let hi = self.offsets[v.index() + 1] as usize;
-                for i in lo..hi {
-                    let u = self.targets[i];
-                    if is_dead(u) {
-                        continue;
-                    }
-                    if dead_edges.is_some_and(|m| m[self.edge_ids[i].index()]) {
-                        continue;
-                    }
-                    let nd = d + self.weights[i];
-                    if let Some(c) = cutoff {
-                        if nd > c {
-                            continue;
-                        }
-                    }
-                    if nd < dist[u.index()] {
-                        dist[u.index()] = nd;
+                let nd = d + self.weights[i];
+                if nd < dist[u.index()] {
+                    dist[u.index()] = nd;
+                    if let Some(parent) = parent.as_deref_mut() {
                         parent[u.index()] = Some(v);
-                        heap.push(HeapEntry { dist: nd, node: u });
                     }
+                    frontier.push(nd, u);
                 }
             }
         }
-        Ok(())
     }
 
     /// Derives the masked distance row from `source` out of its unmasked
     /// row `free` (what [`CsrSubgraph::sssp_into`] writes with no masks) by
     /// a local repair: writes exactly the distances `sssp_into` would write
-    /// under the given masks (no cutoff), bit for bit, but past one copy of
+    /// under the given masks, bit for bit, but past one copy of
     /// `free` it visits only the vertices whose every tight path runs
     /// through a fault, and their neighbours. Parents are not produced:
     /// [`SsspWorkspace::parents`] is empty after a repair.
@@ -533,7 +490,7 @@ impl CsrSubgraph {
     /// list, never by scanning the masks.
     ///
     /// Why it is exact: both rows are the unique relaxation fixpoints of
-    /// their graphs (see [`SsspStrategy`]), the masked row is never below
+    /// their graphs (see [`CsrSubgraph::sssp_into`]), the masked row is never below
     /// the free one, and a vertex with a live path whose every edge is tight
     /// in `free` (`free[z] + w == free[y]`, in floating point) therefore
     /// keeps its free label. The repair certifies such paths in ascending
@@ -682,22 +639,9 @@ impl CsrSubgraph {
                 });
             }
         }
-        while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-            if d > dist[v.index()] {
-                continue;
-            }
-            for i in self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize {
-                let u = self.targets[i];
-                if mark[u.index()] != AFFECTED || edge_dead(i) {
-                    continue;
-                }
-                let nd = d + self.weights[i];
-                if nd < dist[u.index()] {
-                    dist[u.index()] = nd;
-                    heap.push(HeapEntry { dist: nd, node: u });
-                }
-            }
-        }
+        self.relax(heap, dist, None, |i, u| {
+            mark[u.index()] == AFFECTED && !edge_dead(i)
+        });
         Ok(())
     }
 }
@@ -1107,19 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_cutoff_prunes() {
-        let g = generate::path(6);
-        let csr = CsrSubgraph::from_graph(&g);
-        let mut ws = SsspWorkspace::new();
-        csr.sssp_into(NodeId::new(0), None, None, Some(2.5), &mut ws)
-            .unwrap();
-        let d = ws.distances();
-        assert_eq!(d[2], 2.0);
-        assert!(d[3].is_infinite());
-        assert!(d[4].is_infinite());
-    }
-
-    #[test]
     fn workspace_runs_match_allocating_runs_across_csrs() {
         // One workspace, reused across CSRs of different sizes and masks:
         // results must match the allocating API exactly.
@@ -1134,7 +1065,7 @@ mod tests {
                 let (dist, parents) = csr
                     .sssp_with_parents(NodeId::new(src), Some(&dead), None)
                     .unwrap();
-                csr.sssp_into(NodeId::new(src), Some(&dead), None, None, &mut ws)
+                csr.sssp_into(NodeId::new(src), Some(&dead), None, &mut ws)
                     .unwrap();
                 assert_eq!(ws.distances(), dist.as_slice());
                 assert_eq!(ws.parents(), parents.as_slice());
@@ -1143,9 +1074,7 @@ mod tests {
         // Invalid inputs are still typed errors through the workspace path.
         let g = generate::path(4);
         let csr = CsrSubgraph::from_graph(&g);
-        assert!(csr
-            .sssp_into(NodeId::new(9), None, None, None, &mut ws)
-            .is_err());
+        assert!(csr.sssp_into(NodeId::new(9), None, None, &mut ws).is_err());
     }
 
     #[test]
@@ -1199,56 +1128,6 @@ mod tests {
         assert!(b.push_edge(0, 1, 1.0).is_err()); // more pushed than counted
         let csr = b.finish().unwrap();
         assert_eq!(csr.edge_count(), 1);
-    }
-
-    #[test]
-    fn bucket_and_heap_strategies_agree_exactly() {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let mut heap_ws = SsspWorkspace::new();
-        let mut bucket_ws = SsspWorkspace::new();
-        for _ in 0..6 {
-            let g = generate::gnp(
-                30,
-                0.2,
-                generate::WeightKind::Uniform { min: 0.1, max: 9.0 },
-                &mut rng,
-            );
-            let csr = CsrSubgraph::from_graph(&g);
-            let mut dead = vec![false; g.node_count()];
-            dead[4] = true;
-            for src in [0usize, 9, 21] {
-                for cutoff in [None, Some(3.5)] {
-                    csr.sssp_into_with_strategy(
-                        NodeId::new(src),
-                        Some(&dead),
-                        None,
-                        cutoff,
-                        SsspStrategy::BinaryHeap,
-                        &mut heap_ws,
-                    )
-                    .unwrap();
-                    csr.sssp_into_with_strategy(
-                        NodeId::new(src),
-                        Some(&dead),
-                        None,
-                        cutoff,
-                        SsspStrategy::BucketQueue,
-                        &mut bucket_ws,
-                    )
-                    .unwrap();
-                    assert_eq!(heap_ws.distances(), bucket_ws.distances());
-                    // Parents may differ between strategies, but both must
-                    // be tight shortest-path trees.
-                    for (v, p) in bucket_ws.parents().iter().enumerate() {
-                        if let Some(p) = p {
-                            let e = g.find_edge(NodeId::new(v), *p).unwrap();
-                            let d = bucket_ws.distances();
-                            assert_eq!(d[v], d[p.index()] + g.edge(e).weight);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -40,8 +40,8 @@ impl PartialOrd for HeapEntry {
 /// Options restricting a shortest-path computation.
 ///
 /// The default options impose no restriction; the builder-style setters
-/// restrict the traversal to a subset of edges (a candidate spanner), to a
-/// set of surviving vertices (after faults), or to a maximum search radius.
+/// restrict the traversal to a subset of edges (a candidate spanner) or to a
+/// set of surviving vertices (after faults).
 ///
 /// # Example
 ///
@@ -61,7 +61,6 @@ impl PartialOrd for HeapEntry {
 pub struct SsspOptions<'a> {
     edges: Option<&'a EdgeSet>,
     dead: Option<&'a [bool]>,
-    cutoff: Option<f64>,
 }
 
 impl<'a> SsspOptions<'a> {
@@ -81,13 +80,6 @@ impl<'a> SsspOptions<'a> {
     /// If the source itself is dead, every distance is `INFINITY`.
     pub fn forbid_vertices(mut self, dead: &'a [bool]) -> Self {
         self.dead = Some(dead);
-        self
-    }
-
-    /// Stops the search once the tentative distance exceeds `cutoff`;
-    /// vertices further than the cutoff report `INFINITY`.
-    pub fn cutoff(mut self, cutoff: f64) -> Self {
-        self.cutoff = Some(cutoff);
         self
     }
 
@@ -141,11 +133,6 @@ impl<'a> SsspOptions<'a> {
             if d > dist[v.index()] {
                 continue;
             }
-            if let Some(c) = self.cutoff {
-                if d > c {
-                    continue;
-                }
-            }
             for (u, eid) in graph.incident(v) {
                 if is_dead(u) {
                     continue;
@@ -156,11 +143,6 @@ impl<'a> SsspOptions<'a> {
                     }
                 }
                 let nd = d + graph.edge(eid).weight;
-                if let Some(c) = self.cutoff {
-                    if nd > c {
-                        continue;
-                    }
-                }
                 if nd < dist[u.index()] {
                     dist[u.index()] = nd;
                     heap.push(HeapEntry { dist: nd, node: u });
@@ -484,18 +466,6 @@ mod tests {
         let dead_src = vec![true, false, false, false];
         let d2 = dijkstra_avoiding(&g, NodeId::new(0), &dead_src).unwrap();
         assert!(d2.iter().all(|x| x.is_infinite()));
-    }
-
-    #[test]
-    fn dijkstra_cutoff_prunes() {
-        let g = weighted_square();
-        let d = SsspOptions::new()
-            .cutoff(1.5)
-            .run(&g, NodeId::new(0))
-            .unwrap();
-        assert_eq!(d[1], 1.0);
-        assert!(d[2].is_infinite());
-        assert!(d[3].is_infinite());
     }
 
     #[test]

@@ -832,8 +832,7 @@ mod tests {
         };
         let csr = spec.generate_csr().unwrap();
         let mut ws = SsspWorkspace::new();
-        csr.sssp_into(NodeId::new(0), None, None, None, &mut ws)
-            .unwrap();
+        csr.sssp_into(NodeId::new(0), None, None, &mut ws).unwrap();
         let reached = ws.distances().iter().filter(|d| d.is_finite()).count();
         assert!(reached > 400, "G(500, 2500) is connected w.h.p.");
     }

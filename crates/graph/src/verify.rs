@@ -16,7 +16,10 @@
 
 use crate::csr::{CsrSubgraph, SsspWorkspace};
 use crate::digraph::ArcSet;
-use crate::faults::{enumerate_fault_sets, sample_fault_set, FaultSet};
+use crate::faults::{
+    enumerate_edge_fault_sets, enumerate_fault_sets, sample_edge_fault_set, sample_fault_set,
+    EdgeFaultSet, FaultSet,
+};
 use crate::par;
 use crate::{ArcId, DiGraph, EdgeSet, Graph, NodeId};
 use rand::Rng;
@@ -154,36 +157,21 @@ impl<'a> StretchOracle<'a> {
             let dead = fault_sets[i].to_dead_mask(n);
             self.max_stretch_masked_sequential(Some(&dead), None)
         });
-        let mut worst = 1.0f64;
-        let mut witness = None;
-        for (faults, s) in fault_sets.into_iter().zip(&stretches) {
-            if *s > worst {
-                worst = *s;
-            }
-            if *s > k + EPS && witness.is_none() {
-                witness = Some(faults);
-            }
-        }
-        FaultToleranceReport {
-            checked: stretches.len(),
-            worst_stretch: worst,
-            violating_faults: witness,
-        }
+        FaultToleranceReport::from_sweep(k, fault_sets, &stretches)
     }
 
     /// Exhaustively sweeps every edge-fault set of size at most `r`, parallel
     /// over fault sets. Equivalent to
     /// [`verify_edge_fault_tolerance_exhaustive`] with the oracle's workers.
-    pub fn verify_edge_exhaustive(&self, k: f64, r: usize) -> FaultToleranceReport {
-        let mut sets = crate::faults::enumerate_edge_fault_sets(self.graph.edge_count(), r);
+    pub fn verify_edge_exhaustive(&self, k: f64, r: usize) -> FaultToleranceReport<EdgeFaultSet> {
+        let mut sets = enumerate_edge_fault_sets(self.graph.edge_count(), r);
         let mut report = FaultToleranceReport {
             checked: 0,
             worst_stretch: 1.0,
             violating_faults: None,
         };
         loop {
-            let chunk: Vec<crate::faults::EdgeFaultSet> =
-                sets.by_ref().take(Self::SWEEP_CHUNK).collect();
+            let chunk: Vec<EdgeFaultSet> = sets.by_ref().take(Self::SWEEP_CHUNK).collect();
             if chunk.is_empty() {
                 return report;
             }
@@ -200,15 +188,11 @@ impl<'a> StretchOracle<'a> {
         r: usize,
         samples: usize,
         rng: &mut R,
-    ) -> FaultToleranceReport {
+    ) -> FaultToleranceReport<EdgeFaultSet> {
         let mut fault_sets = Vec::with_capacity(samples + 1);
-        fault_sets.push(crate::faults::EdgeFaultSet::empty());
+        fault_sets.push(EdgeFaultSet::empty());
         for _ in 0..samples {
-            fault_sets.push(crate::faults::sample_edge_fault_set(
-                self.graph.edge_count(),
-                r,
-                rng,
-            ));
+            fault_sets.push(sample_edge_fault_set(self.graph.edge_count(), r, rng));
         }
         self.sweep_edge_fault_sets(k, fault_sets)
     }
@@ -216,31 +200,14 @@ impl<'a> StretchOracle<'a> {
     fn sweep_edge_fault_sets(
         &self,
         k: f64,
-        fault_sets: Vec<crate::faults::EdgeFaultSet>,
-    ) -> FaultToleranceReport {
+        fault_sets: Vec<EdgeFaultSet>,
+    ) -> FaultToleranceReport<EdgeFaultSet> {
         let m = self.graph.edge_count();
         let stretches = par::map(self.threads, fault_sets.len(), |i| {
             let dead_edges = fault_sets[i].to_dead_mask(m);
             self.max_stretch_masked_sequential(None, Some(&dead_edges))
         });
-        let mut worst = 1.0f64;
-        let mut witness = None;
-        for s in &stretches {
-            if *s > worst {
-                worst = *s;
-            }
-            if *s > k + EPS && witness.is_none() {
-                // Report the violation with an empty vertex witness: the
-                // report type is shared with the vertex-fault verifiers, and
-                // callers only need validity plus the worst stretch here.
-                witness = Some(FaultSet::empty());
-            }
-        }
-        FaultToleranceReport {
-            checked: stretches.len(),
-            worst_stretch: worst,
-            violating_faults: witness,
-        }
+        FaultToleranceReport::from_sweep(k, fault_sets, &stretches)
     }
 }
 
@@ -308,10 +275,10 @@ pub fn max_stretch_masked_csr_threaded(
             let u = sources[i];
             SWEEP_WS.with(|cell| {
                 let (ws_full, ws_spanner) = &mut *cell.borrow_mut();
-                full.sssp_into(u, dead, dead_edges, None, ws_full)
+                full.sssp_into(u, dead, dead_edges, ws_full)
                     .expect("vertex ids from the graph are valid");
                 spanner
-                    .sssp_into(u, dead, dead_edges, None, ws_spanner)
+                    .sssp_into(u, dead, dead_edges, ws_spanner)
                     .expect("vertex ids from the graph are valid");
                 let dg = ws_full.distances();
                 let dh = ws_spanner.distances();
@@ -375,27 +342,45 @@ pub fn is_k_spanner_under_faults(
     max_stretch_under_faults(graph, spanner, faults) <= k + EPS
 }
 
-/// Report produced by fault-tolerance verification.
+/// Report produced by fault-tolerance verification: vertex-fault sweeps
+/// report a [`FaultSet`] witness, edge-fault sweeps an [`EdgeFaultSet`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultToleranceReport {
+pub struct FaultToleranceReport<F = FaultSet> {
     /// Number of fault sets that were checked.
     pub checked: usize,
     /// The worst stretch observed over all checked fault sets.
     pub worst_stretch: f64,
-    /// A fault set witnessing the worst stretch, if any check failed the
-    /// bound (otherwise `None`).
-    pub violating_faults: Option<FaultSet>,
+    /// The first fault set, in sweep order, under which the stretch bound
+    /// failed (`None` if every check passed). It need not be the set with
+    /// the worst stretch.
+    pub violating_faults: Option<F>,
 }
 
-impl FaultToleranceReport {
+impl<F> FaultToleranceReport<F> {
     /// Returns `true` if every checked fault set satisfied the stretch bound.
     pub fn is_valid(&self) -> bool {
         self.violating_faults.is_none()
     }
 
+    /// The report of one sweep: `stretches[i]` is the worst stretch under
+    /// `fault_sets[i]`; the first set over `k` is the witness.
+    fn from_sweep(k: f64, fault_sets: Vec<F>, stretches: &[f64]) -> Self {
+        let worst_stretch = stretches.iter().copied().fold(1.0, f64::max);
+        let violating_faults = fault_sets
+            .into_iter()
+            .zip(stretches)
+            .find(|&(_, &s)| s > k + EPS)
+            .map(|(faults, _)| faults);
+        FaultToleranceReport {
+            checked: stretches.len(),
+            worst_stretch,
+            violating_faults,
+        }
+    }
+
     /// Folds a later chunk of the same sweep into this report (counts add,
     /// worst stretch maxes, the earliest witness wins).
-    fn merge(&mut self, chunk: FaultToleranceReport) {
+    fn merge(&mut self, chunk: Self) {
         self.checked += chunk.checked;
         if chunk.worst_stretch > self.worst_stretch {
             self.worst_stretch = chunk.worst_stretch;
@@ -540,7 +525,7 @@ pub fn is_ft_two_spanner_by_definition(graph: &DiGraph, spanner: &ArcSet, r: usi
 pub fn max_stretch_under_edge_faults(
     graph: &Graph,
     spanner: &EdgeSet,
-    faults: &crate::faults::EdgeFaultSet,
+    faults: &EdgeFaultSet,
 ) -> f64 {
     let oracle = StretchOracle::new(graph, spanner);
     let dead_edges = faults.to_dead_mask(graph.edge_count());
@@ -553,7 +538,7 @@ pub fn is_k_spanner_under_edge_faults(
     graph: &Graph,
     spanner: &EdgeSet,
     k: f64,
-    faults: &crate::faults::EdgeFaultSet,
+    faults: &EdgeFaultSet,
 ) -> bool {
     max_stretch_under_edge_faults(graph, spanner, faults) <= k + EPS
 }
@@ -569,7 +554,7 @@ pub fn verify_edge_fault_tolerance_exhaustive(
     spanner: &EdgeSet,
     k: f64,
     r: usize,
-) -> FaultToleranceReport {
+) -> FaultToleranceReport<EdgeFaultSet> {
     StretchOracle::new(graph, spanner).verify_edge_exhaustive(k, r)
 }
 
@@ -581,9 +566,7 @@ pub fn is_edge_fault_tolerant_k_spanner(
     k: f64,
     r: usize,
 ) -> bool {
-    verify_edge_fault_tolerance_exhaustive(graph, spanner, k, r)
-        .violating_faults
-        .is_none()
+    verify_edge_fault_tolerance_exhaustive(graph, spanner, k, r).is_valid()
 }
 
 /// Verifies edge-fault tolerance against `samples` random edge-fault sets of
@@ -598,7 +581,7 @@ pub fn verify_edge_fault_tolerance_sampled<R: Rng + ?Sized>(
     r: usize,
     samples: usize,
     rng: &mut R,
-) -> FaultToleranceReport {
+) -> FaultToleranceReport<EdgeFaultSet> {
     StretchOracle::new(graph, spanner).verify_edge_sampled(k, r, samples, rng)
 }
 

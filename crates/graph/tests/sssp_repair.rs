@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Half-edge count at which `SsspStrategy::Auto` picks the bucket queue.
+/// Half-edge count at which `sssp_into` switches to the bucket queue.
 const BUCKET_HALF_EDGES: usize = 2048;
 
 /// Edge weights of one case.
@@ -108,7 +108,7 @@ fn assert_repair_matches(
     faults: &Faults,
     [free_ws, masked_ws, repair_ws]: &mut [SsspWorkspace; 3],
 ) -> Result<(), TestCaseError> {
-    csr.sssp_into(source, None, None, None, free_ws).unwrap();
+    csr.sssp_into(source, None, None, free_ws).unwrap();
     let free = free_ws.distances();
     let (dead, dead_edges) = (&faults.dead[..], &faults.dead_edges[..]);
     for (dead, dead_edges) in [
@@ -116,8 +116,7 @@ fn assert_repair_matches(
         (None, Some(dead_edges)),
         (Some(dead), Some(dead_edges)),
     ] {
-        csr.sssp_into(source, dead, dead_edges, None, masked_ws)
-            .unwrap();
+        csr.sssp_into(source, dead, dead_edges, masked_ws).unwrap();
         csr.sssp_repair_into(source, free, dead, dead_edges, &faults.ends, repair_ws)
             .unwrap();
         let (want, got) = (masked_ws.distances(), repair_ws.distances());

@@ -1,17 +1,25 @@
-//! Property tests pinning the bucket-queue SSSP strategy **bit-equal** to
-//! the binary-heap baseline.
+//! `CsrSubgraph::sssp_into` pinned **bit-equal** to the `SsspOptions`
+//! reference Dijkstra on the parent graph.
 //!
-//! Both strategies drive the same strict-improvement relaxation to
-//! exhaustion, so their distance arrays must agree to the last bit on every
-//! graph, mask and cutoff — that exact equality is what lets the serving
-//! paths switch strategies by size without changing a single digest. Parent
-//! trees may differ between strategies (any tight shortest-path tree is
-//! correct), so they are checked for validity, not identity.
+//! `sssp_into` runs one relaxation loop over one of two frontiers, picked by
+//! size: a binary heap below 2048 half-edges, a bucket queue at or above.
+//! Both drive the same strict-improvement relaxation to exhaustion, so
+//! their distance arrays must agree with the reference to the last bit on
+//! every graph and mask; that exact equality is what lets the serving paths
+//! switch frontiers by size without changing a single digest. The cases
+//! below cover CSRs on both sides of the switch, full and partial edge
+//! views, vertex and edge masks. Parent trees may break ties differently
+//! (any tight shortest-path tree is correct), so they are checked for
+//! validity, not identity.
 
-use ftspan_graph::csr::{CsrSubgraph, SsspStrategy, SsspWorkspace};
+use ftspan_graph::csr::{CsrSubgraph, SsspWorkspace};
+use ftspan_graph::shortest_path::SsspOptions;
 use ftspan_graph::stream::GeneratorSpec;
-use ftspan_graph::{generate, Graph, NodeId};
+use ftspan_graph::{generate, EdgeSet, Graph, NodeId};
 use proptest::prelude::*;
+
+/// Half-edge count at which `sssp_into` switches to the bucket queue.
+const BUCKET_HALF_EDGES: usize = 2048;
 
 fn graph_from_bits(n: usize, bits: &[bool], weights: &[f64]) -> Graph {
     let mut g = Graph::new(n);
@@ -28,78 +36,99 @@ fn graph_from_bits(n: usize, bits: &[bool], weights: &[f64]) -> Graph {
     g
 }
 
-/// Runs both strategies on the same traversal and checks the contract:
-/// bit-identical distances, and a valid (tight, alive, rooted) parent tree
-/// from each strategy.
-fn assert_strategies_agree(
+/// Runs `sssp_into` on `csr` (packed from the edges `selected` of `g`) and
+/// checks the contract: distances bit-identical to the reference Dijkstra
+/// over the selected, live edges of `g`, and a valid (tight, alive, rooted)
+/// parent tree.
+fn assert_matches_reference(
+    g: &Graph,
+    selected: &EdgeSet,
     csr: &CsrSubgraph,
     source: NodeId,
     dead: Option<&[bool]>,
     dead_edges: Option<&[bool]>,
-    cutoff: Option<f64>,
-    heap_ws: &mut SsspWorkspace,
-    bucket_ws: &mut SsspWorkspace,
+    ws: &mut SsspWorkspace,
 ) {
-    csr.sssp_into_with_strategy(
-        source,
-        dead,
-        dead_edges,
-        cutoff,
-        SsspStrategy::BinaryHeap,
-        heap_ws,
-    )
-    .unwrap();
-    csr.sssp_into_with_strategy(
-        source,
-        dead,
-        dead_edges,
-        cutoff,
-        SsspStrategy::BucketQueue,
-        bucket_ws,
-    )
-    .unwrap();
+    csr.sssp_into(source, dead, dead_edges, ws).unwrap();
 
-    let dh = heap_ws.distances();
-    let db = bucket_ws.distances();
-    assert_eq!(dh.len(), db.len());
-    for v in 0..dh.len() {
+    let mut live = g.empty_edge_set();
+    for e in selected.iter() {
+        if !dead_edges.is_some_and(|m| m[e.index()]) {
+            live.insert(e);
+        }
+    }
+    let mut reference = SsspOptions::new().restrict_edges(&live);
+    if let Some(dead) = dead {
+        reference = reference.forbid_vertices(dead);
+    }
+    let want = reference.run(g, source).unwrap();
+    let got = ws.distances();
+    assert_eq!(want.len(), got.len());
+    for v in 0..want.len() {
         assert_eq!(
-            dh[v].to_bits(),
-            db[v].to_bits(),
-            "vertex {v}: heap {} vs bucket {}",
-            dh[v],
-            db[v]
+            want[v].to_bits(),
+            got[v].to_bits(),
+            "vertex {v}: reference {} vs sssp_into {} ({} half-edges)",
+            want[v],
+            got[v],
+            2 * csr.edge_count()
         );
     }
 
     let source_dead = dead.is_some_and(|d| d[source.index()]);
-    for ws in [&*heap_ws, &*bucket_ws] {
-        let d = ws.distances();
-        for (v, parent) in ws.parents().iter().enumerate() {
-            match parent {
-                None => {
-                    // Only the (alive) source and unreached vertices lack a
-                    // parent.
-                    if v == source.index() && !source_dead {
-                        assert_eq!(d[v], 0.0);
-                    } else {
-                        assert!(d[v].is_infinite(), "vertex {v} reached without parent");
-                    }
+    for (v, parent) in ws.parents().iter().enumerate() {
+        match parent {
+            None => {
+                // Only the (alive) source and unreached vertices lack a
+                // parent.
+                if v == source.index() && !source_dead {
+                    assert_eq!(got[v], 0.0);
+                } else {
+                    assert!(got[v].is_infinite(), "vertex {v} reached without parent");
                 }
-                Some(p) => {
-                    assert!(d[v].is_finite());
-                    assert!(d[p.index()].is_finite());
-                    assert!(!dead.is_some_and(|m| m[v] || m[p.index()]));
-                    // Some alive edge (p, v) must make the label exactly
-                    // tight — the defining property of a shortest-path tree
-                    // edge under floating-point arithmetic.
-                    let tight = csr.neighbors(*p).any(|(nbr, w, e)| {
-                        nbr.index() == v
-                            && !dead_edges.is_some_and(|m| m[e.index()])
-                            && d[v] == d[p.index()] + w
-                    });
-                    assert!(tight, "vertex {v}: parent edge not tight/alive");
-                }
+            }
+            Some(p) => {
+                assert!(got[v].is_finite());
+                assert!(got[p.index()].is_finite());
+                assert!(!dead.is_some_and(|m| m[v] || m[p.index()]));
+                // Some alive edge (p, v) must make the label exactly tight —
+                // the defining property of a shortest-path tree edge under
+                // floating-point arithmetic.
+                let tight = csr.neighbors(*p).any(|(nbr, w, e)| {
+                    nbr.index() == v
+                        && !dead_edges.is_some_and(|m| m[e.index()])
+                        && got[v] == got[p.index()] + w
+                });
+                assert!(tight, "vertex {v}: parent edge not tight/alive");
+            }
+        }
+    }
+}
+
+/// Checks a full and a partial (every other edge) view of `g` from
+/// `sources`, with no masks, each mask alone and both together.
+fn assert_views_match(g: &Graph, sources: &[usize], ws: &mut SsspWorkspace) {
+    let full = g.full_edge_set();
+    let mut partial = g.empty_edge_set();
+    for (id, _) in g.edges() {
+        if id.index() % 2 == 0 {
+            partial.insert(id);
+        }
+    }
+    // Every ninth vertex and every seventh edge id are dead.
+    let dead: Vec<bool> = (0..g.node_count()).map(|v| v % 9 == 4).collect();
+    let dead_edges: Vec<bool> = (0..g.edge_count()).map(|e| e % 7 == 3).collect();
+    for selected in [&full, &partial] {
+        let csr = CsrSubgraph::from_edge_set(g, selected).unwrap();
+        for &src in sources {
+            let source = NodeId::new(src);
+            for (dead, dead_edges) in [
+                (None, None),
+                (Some(&dead[..]), None),
+                (None, Some(&dead_edges[..])),
+                (Some(&dead[..]), Some(&dead_edges[..])),
+            ] {
+                assert_matches_reference(g, selected, &csr, source, dead, dead_edges, ws);
             }
         }
     }
@@ -108,46 +137,41 @@ fn assert_strategies_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// G(n, p)-style random graphs with arbitrary positive weights, under
-    /// random vertex masks, edge masks and cutoffs. The two workspaces are
-    /// reused across every traversal of every case, so this also exercises
-    /// workspace reuse across graphs of different sizes.
+    /// G(n, p)-style random graphs with arbitrary positive weights (heap
+    /// frontier), under random vertex and edge masks.
     #[test]
-    fn bucket_matches_heap_on_random_graphs(
+    fn small_random_graphs_match_reference(
         n in 2usize..14,
         bits in proptest::collection::vec(any::<bool>(), 0..91),
         weights in proptest::collection::vec(0.01f64..50.0, 0..91),
         dead_bits in proptest::collection::vec(any::<bool>(), 14..15),
         dead_edge_bits in proptest::collection::vec(any::<bool>(), 91..92),
-        cutoff_raw in 0.5f64..20.0,
-        use_cutoff in any::<bool>(),
     ) {
-        let cutoff = if use_cutoff { Some(cutoff_raw) } else { None };
         let g = graph_from_bits(n, &bits, &weights);
+        let full = g.full_edge_set();
         let csr = CsrSubgraph::from_graph(&g);
         let dead: Vec<bool> = dead_bits[..n].to_vec();
         let dead_edges: Vec<bool> = (0..g.edge_count())
             .map(|e| dead_edge_bits[e % dead_edge_bits.len()])
             .collect();
-        let mut heap_ws = SsspWorkspace::new();
-        let mut bucket_ws = SsspWorkspace::new();
+        let mut ws = SsspWorkspace::new();
         for src in 0..n {
             let source = NodeId::new(src);
-            assert_strategies_agree(&csr, source, None, None, None, &mut heap_ws, &mut bucket_ws);
-            assert_strategies_agree(
-                &csr, source, Some(&dead), Some(&dead_edges), cutoff,
-                &mut heap_ws, &mut bucket_ws,
+            assert_matches_reference(&g, &full, &csr, source, None, None, &mut ws);
+            assert_matches_reference(
+                &g, &full, &csr, source, Some(&dead), Some(&dead_edges), &mut ws,
             );
         }
     }
 
-    /// Grids and tori from the streaming generator: uniform structure,
-    /// seeded uniform weights — the family in which many buckets hold many
-    /// entries at once.
+    /// Grids and tori from the streaming generator with seeded uniform
+    /// weights, from 1x1 up to 30x30: the larger ones cross the switch to
+    /// the bucket queue, the family in which many buckets hold many entries
+    /// at once.
     #[test]
-    fn bucket_matches_heap_on_grids(
-        rows in 1usize..7,
-        cols in 1usize..7,
+    fn grids_match_reference(
+        rows in 1usize..31,
+        cols in 1usize..31,
         wrap in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -158,49 +182,73 @@ proptest! {
             weights: generate::WeightKind::Uniform { min: 0.5, max: 3.0 },
             seed,
         };
-        let csr = spec.generate_csr().unwrap();
-        let n = csr.node_count();
-        let mut heap_ws = SsspWorkspace::new();
-        let mut bucket_ws = SsspWorkspace::new();
-        for src in [0, n / 2, n - 1] {
-            assert_strategies_agree(
-                &csr, NodeId::new(src), None, None, None, &mut heap_ws, &mut bucket_ws,
-            );
-        }
+        let g = spec.generate_csr().unwrap().to_graph().unwrap();
+        let n = g.node_count();
+        let mut ws = SsspWorkspace::new();
+        assert_views_match(&g, &[0, n / 2, n - 1], &mut ws);
     }
 
     /// Preferential-attachment (power-law) graphs: hubs concentrate
     /// relaxations, unit weights collapse everything into few buckets.
     #[test]
-    fn bucket_matches_heap_on_power_law(
-        nodes in 5usize..40,
+    fn power_law_graphs_match_reference(
+        nodes in 5usize..600,
         attach in 1usize..4,
         seed in any::<u64>(),
-        masked in any::<bool>(),
     ) {
         let spec = GeneratorSpec::PreferentialAttachment { nodes, attach, seed };
-        let csr = spec.generate_csr().unwrap();
-        let dead: Vec<bool> = (0..nodes).map(|v| masked && v % 5 == 1).collect();
-        let mut heap_ws = SsspWorkspace::new();
-        let mut bucket_ws = SsspWorkspace::new();
-        for src in [0, nodes - 1] {
-            assert_strategies_agree(
-                &csr, NodeId::new(src), Some(&dead), None, None,
-                &mut heap_ws, &mut bucket_ws,
-            );
-        }
+        let g = spec.generate_csr().unwrap().to_graph().unwrap();
+        let mut ws = SsspWorkspace::new();
+        assert_views_match(&g, &[0, nodes - 1], &mut ws);
     }
 }
 
-/// A single pair of workspaces serves an interleaved sequence of graphs of
-/// very different sizes and weight scales; every traversal must produce the
-/// same bits as a traversal into a fresh workspace.
+/// G(n, m) graphs with unit, `{0, 1, 2}`-integer (zero-weight ties) and
+/// continuous weights, just below and just above the 2048-half-edge
+/// switch, so each weight profile runs through both frontiers.
+#[test]
+fn both_frontiers_match_reference() {
+    let below = BUCKET_HALF_EDGES / 2 - 24;
+    let above = BUCKET_HALF_EDGES / 2 + 24;
+    let profiles: [fn(usize) -> f64; 3] = [
+        |_| 1.0,
+        |e| (e % 3) as f64,
+        |e| 0.01 + (e.wrapping_mul(2_654_435_761) % 1000) as f64 / 100.0,
+    ];
+    let mut ws = SsspWorkspace::new();
+    let mut sides = [false; 2];
+    for (seed, weight) in (11..).zip(profiles) {
+        for edges in [below, above] {
+            let spec = GeneratorSpec::Gnm {
+                nodes: 400,
+                edges,
+                weights: generate::WeightKind::Unit,
+                seed,
+            };
+            let unit = spec.generate_csr().unwrap().to_graph().unwrap();
+            let g = Graph::from_edges(
+                unit.node_count(),
+                unit.edges()
+                    .map(|(id, e)| (e.u.index(), e.v.index(), weight(id.index()))),
+            )
+            .unwrap();
+            sides[usize::from(2 * g.edge_count() >= BUCKET_HALF_EDGES)] = true;
+            assert_views_match(&g, &[0, 133, 399], &mut ws);
+        }
+    }
+    assert_eq!(sides, [true, true], "both frontiers must be exercised");
+}
+
+/// One workspace serves an interleaved sequence of graphs of very
+/// different sizes and weight scales, on both sides of the switch; every
+/// traversal must produce the same bits as a traversal into a fresh
+/// workspace, and as the reference.
 #[test]
 fn workspace_reuse_never_leaks_state() {
     let specs = [
         GeneratorSpec::Gnm {
             nodes: 300,
-            edges: 900,
+            edges: 1500,
             weights: generate::WeightKind::Uniform {
                 min: 0.001,
                 max: 0.01,
@@ -229,27 +277,19 @@ fn workspace_reuse_never_leaks_state() {
             seed: 4,
         },
     ];
-    let mut shared_heap = SsspWorkspace::new();
-    let mut shared_bucket = SsspWorkspace::new();
+    let mut shared = SsspWorkspace::new();
     for spec in &specs {
         let csr = spec.generate_csr().unwrap();
+        let g = csr.to_graph().unwrap();
+        let full = g.full_edge_set();
         let n = csr.node_count();
         for src in [0, n - 1] {
             let source = NodeId::new(src);
-            assert_strategies_agree(
-                &csr,
-                source,
-                None,
-                None,
-                None,
-                &mut shared_heap,
-                &mut shared_bucket,
-            );
+            assert_matches_reference(&g, &full, &csr, source, None, None, &mut shared);
             let mut fresh = SsspWorkspace::new();
-            csr.sssp_into_with_strategy(source, None, None, None, SsspStrategy::Auto, &mut fresh)
-                .unwrap();
-            assert_eq!(fresh.distances(), shared_heap.distances());
-            assert_eq!(fresh.distances(), shared_bucket.distances());
+            csr.sssp_into(source, None, None, &mut fresh).unwrap();
+            assert_eq!(fresh.distances(), shared.distances());
+            assert_eq!(fresh.parents(), shared.parents());
         }
     }
 }

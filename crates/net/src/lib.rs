@@ -40,3 +40,9 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use server::{RunningServer, Server, ServerConfig, ServerHandle};
+
+// The README's Rust examples, compiled (and, unless marked `no_run`, run)
+// as doctests of this crate, which depends on both the facade and itself.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;

@@ -54,8 +54,8 @@ pub struct ServerConfig {
     /// Worker threads executing admitted batches (clamped to at least 1).
     /// Defaults to one per available CPU. This is the server's only
     /// parallelism: each batch runs on one worker, and the engine's own
-    /// [`EngineConfig::workers`](fault_tolerant_spanners::EngineConfig::workers)
-    /// is ignored.
+    /// [`Engine::with_workers`](fault_tolerant_spanners::Engine::with_workers)
+    /// setting is ignored.
     pub workers: usize,
     /// Capacity of the pending-batch queue (clamped to at least 1). A batch
     /// arriving while the queue holds this many is answered `Overloaded`.

@@ -25,15 +25,13 @@
 //! into a `distance`, `path` or `stretch_certificate` call on it. The session
 //! behind the trait is a [`FaultSession`] on a flat or dynamic artifact
 //! (wrapped in a [`CachedSession`] for a group of more than one query, whose
-//! bounded LRU reuses one Dijkstra tree per query source, see
-//! [`EngineConfig::source_cache_capacity`]), or a
+//! LRU keeps the Dijkstra trees of up to 64 query sources), or a
 //! [`ShardedSession`](crate::ShardedSession) that scatter-gathers over the
 //! shards.
 //!
 //! The plan is **observationally transparent**: the results — including
 //! per-query errors — are identical to running every query in its own
-//! session ([`Engine::run_batch_naive`]), at any worker count and any cache
-//! capacity.
+//! session ([`Engine::run_batch_naive`]), at any worker count.
 //!
 //! # Dynamic artifacts and warm hand-off
 //!
@@ -191,35 +189,12 @@ impl QueryOutcome {
     }
 }
 
-/// Tuning knobs of an [`Engine`], set via [`Engine::with_config`].
-///
-/// None of these affect results — batches are byte-identical at any worker
-/// count and any cache capacity — only wall-clock time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Worker threads query batches fan out across (clamped to at least 1).
-    /// The default is one per available CPU. `ftspan_net::Server` ignores
-    /// this and runs its engine at one worker: its own worker pool
-    /// parallelises across batches instead.
-    pub workers: usize,
-    /// Capacity of the per-session LRU source cache the planner threads
-    /// through grouped queries: the number of distinct query sources whose
-    /// Dijkstra trees are kept per `(artifact, fault scope)` group. `0`
-    /// disables caching. The default is 64. Lookups scan the recency list
-    /// linearly, so keep this in the tens-to-hundreds range — at that size
-    /// the scan is noise next to the Dijkstra run a hit saves, but a huge
-    /// capacity would make every query pay an `O(capacity)` walk.
-    pub source_cache_capacity: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            workers: par::available_threads(),
-            source_cache_capacity: 64,
-        }
-    }
-}
+/// Capacity of the LRU source cache of every cached session the engine (or
+/// a [`ShardedArtifact`](crate::ShardedArtifact), per shard) opens: the
+/// number of distinct query sources whose Dijkstra trees are kept per
+/// `(artifact, fault scope)` group. Lookups scan the recency list linearly;
+/// at this size the scan is noise next to the Dijkstra run a hit saves.
+pub(crate) const SOURCE_CACHE_CAPACITY: usize = 64;
 
 /// A point-in-time snapshot of an [`Engine`]'s serving counters
 /// ([`Engine::stats`]).
@@ -450,26 +425,26 @@ pub struct ArtifactSummary {
 /// query batches through a session-reusing planner across worker threads.
 ///
 /// Results are returned in input order and depend only on the artifacts and
-/// the queries — never on the worker count or the cache capacity — so
-/// repeated runs of the same batch are byte-identical.
+/// the queries — never on the worker count — so repeated runs of the same
+/// batch are byte-identical.
 ///
 /// Clones share everything: the artifact registry (so a swap through one
 /// clone is visible to all), the [`EngineStats`] sink, but each clone keeps
-/// its own [`EngineConfig`]. A server hands clones to worker threads and
-/// applies deltas through any of them.
+/// its own worker count ([`Engine::with_workers`]). A server hands clones to
+/// worker threads and applies deltas through any of them.
 #[derive(Debug, Clone)]
 pub struct Engine {
     artifacts: Arc<RwLock<Snapshot>>,
-    config: EngineConfig,
+    workers: usize,
     stats: Arc<StatsCell>,
 }
 
 impl Engine {
-    /// An empty engine with the default [`EngineConfig`].
+    /// An empty engine with one worker per available CPU.
     pub fn new() -> Self {
         Engine {
             artifacts: Arc::new(RwLock::new(BTreeMap::new())),
-            config: EngineConfig::default(),
+            workers: par::available_threads(),
             stats: Arc::new(StatsCell::default()),
         }
     }
@@ -482,28 +457,13 @@ impl Engine {
         self.stats.snapshot()
     }
 
-    /// Replaces the whole configuration.
-    pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self.config.workers = self.config.workers.max(1);
-        self
-    }
-
-    /// Sets the number of worker threads (clamped to at least 1).
+    /// Sets the number of worker threads query batches fan out across
+    /// (clamped to at least 1; the default is one per available CPU). It
+    /// never affects results. `ftspan_net::Server` runs its engine at one
+    /// worker: its own worker pool parallelises across batches instead.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers.max(1);
+        self.workers = workers.max(1);
         self
-    }
-
-    /// Sets the per-group LRU source-cache capacity (`0` disables caching).
-    pub fn with_source_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.source_cache_capacity = capacity;
-        self
-    }
-
-    /// The engine's current configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     fn registry(&self) -> std::sync::RwLockReadGuard<'_, Snapshot> {
@@ -698,8 +658,8 @@ impl Engine {
     /// [`FaultSession`](ftspan_core::FaultSession) on a flat or dynamic
     /// artifact, wrapped in a [`CachedSession`](ftspan_core::CachedSession)
     /// when `grouped` queries will share it, or a
-    /// [`ShardedSession`](crate::ShardedSession) at the configured cache
-    /// capacity.
+    /// [`ShardedSession`](crate::ShardedSession). Every cache holds
+    /// [`SOURCE_CACHE_CAPACITY`] sources.
     ///
     /// A query carrying the wrong kind of faults for the artifact — alone or
     /// next to the right kind — is a typed error: silently ignoring the
@@ -723,12 +683,11 @@ impl Engine {
                 requested,
             });
         }
-        let capacity = self.config.source_cache_capacity;
         if let ArtifactHandle::Sharded(artifact) = target {
             return Ok(Box::new(if edge {
-                artifact.under_edge_faults_with_capacity(&query.edge_faults, capacity)?
+                artifact.under_edge_faults(&query.edge_faults)?
             } else {
-                artifact.under_faults_with_capacity(&query.faults, capacity)?
+                artifact.under_faults(&query.faults)?
             }));
         }
         let artifact = target.as_single().expect("non-sharded target is flat");
@@ -738,7 +697,7 @@ impl Engine {
             artifact.under_faults(&query.faults)?
         };
         Ok(if grouped {
-            Box::new(session.cached(capacity))
+            Box::new(session.cached(SOURCE_CACHE_CAPACITY))
         } else {
             Box::new(session)
         })
@@ -812,8 +771,8 @@ impl Engine {
     /// versions, even while [`Engine::apply_deltas`] swaps concurrently),
     /// canonicalizes each query's fault scope, groups the batch by
     /// `(artifact, fault scope)`, builds each group's session **once**,
-    /// reuses per-source Dijkstra trees within a group
-    /// ([`EngineConfig::source_cache_capacity`]) and fans the groups out
+    /// reuses per-source Dijkstra trees within a group (up to 64 sources)
+    /// and fans the groups out
     /// across the worker pool (large groups are split so a single hot scope
     /// still uses every worker).
     ///
@@ -826,7 +785,7 @@ impl Engine {
             return Vec::new();
         }
         let snapshot = self.snapshot();
-        let workers = self.config.workers.max(1).min(queries.len());
+        let workers = self.workers.min(queries.len());
 
         // Group by canonical (artifact, fault scope).
         let mut groups: BTreeMap<ScopeKey<'_>, Vec<usize>> = BTreeMap::new();
@@ -1123,17 +1082,8 @@ mod tests {
         }
         let naive = engine.run_batch_naive(&queries);
         for workers in [1usize, 2, 8] {
-            for capacity in [0usize, 1, 2, 64] {
-                let planned = engine
-                    .clone()
-                    .with_workers(workers)
-                    .with_source_cache_capacity(capacity)
-                    .run_batch(&queries);
-                assert_eq!(
-                    naive, planned,
-                    "planner diverged at workers={workers}, capacity={capacity}"
-                );
-            }
+            let planned = engine.clone().with_workers(workers).run_batch(&queries);
+            assert_eq!(naive, planned, "planner diverged at workers={workers}");
         }
     }
 
@@ -1209,18 +1159,15 @@ mod tests {
     }
 
     #[test]
-    fn config_is_plumbed_and_clamped() {
-        let engine = Engine::new().with_config(EngineConfig {
-            workers: 0,
-            source_cache_capacity: 7,
-        });
-        assert_eq!(engine.config().workers, 1, "workers are clamped to 1");
-        assert_eq!(engine.config().source_cache_capacity, 7);
-        let engine = engine.with_workers(3).with_source_cache_capacity(0);
-        assert_eq!(engine.config().workers, 3);
-        assert_eq!(engine.config().source_cache_capacity, 0);
-        assert!(EngineConfig::default().workers >= 1);
-        assert_eq!(EngineConfig::default().source_cache_capacity, 64);
+    fn workers_are_clamped_to_one() {
+        let (engine, _) = engine_with_artifact(9);
+        let engine = engine.with_workers(0);
+        assert_eq!(engine.workers, 1, "workers are clamped to 1");
+        let query = Query::distance("net", vec![], NodeId::new(0), NodeId::new(3));
+        assert_eq!(
+            engine.run_batch(&[query.clone(), query.clone()]),
+            engine.run_batch_naive(&[query.clone(), query])
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! sessions answer `distance` / `path` / `stretch_certificate` queries; the
 //! batched [`Engine`] serves named artifacts through a session-reusing query
 //! planner (grouped fault scopes, per-source Dijkstra caching, worker
-//! threads — see [`EngineConfig`]); artifacts persist as versioned
+//! threads — see [`Engine::run_batch`]); artifacts persist as versioned
 //! binary `.ftspan` files through the directory-backed [`ArtifactStore`] —
 //! build once, query many. When the graph churns, a
 //! [`DynamicArtifact`] registered through
@@ -158,8 +158,7 @@ mod store;
 
 pub use builder::FtSpannerBuilder;
 pub use engine::{
-    ArtifactHandle, ArtifactSummary, Engine, EngineConfig, EngineStats, Query, QueryKind,
-    QueryOutcome,
+    ArtifactHandle, ArtifactSummary, Engine, EngineStats, Query, QueryKind, QueryOutcome,
 };
 pub use ftspan_core::{
     ApplyAction, ApplyReport, BuildRecipe, DynamicArtifact, EdgeDelta, RebuildPolicy,
@@ -188,8 +187,7 @@ pub mod prelude {
     // The query side: artifacts, fault-scoped sessions, the serving engine
     // and the directory-backed artifact store.
     pub use crate::engine::{
-        ArtifactHandle, ArtifactSummary, Engine, EngineConfig, EngineStats, Query, QueryKind,
-        QueryOutcome,
+        ArtifactHandle, ArtifactSummary, Engine, EngineStats, Query, QueryKind, QueryOutcome,
     };
     pub use crate::shard::{CutEdge, ShardedArtifact, ShardedSession};
     pub use crate::store::ArtifactStore;

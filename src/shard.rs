@@ -95,6 +95,7 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::OnceLock;
 
+use crate::engine::SOURCE_CACHE_CAPACITY;
 use crate::FtSpannerBuilder;
 
 /// An edge of the source graph whose endpoints live in different shards.
@@ -558,7 +559,9 @@ impl ShardedArtifact {
     }
 
     /// Opens a query session in which the given (global) vertices have
-    /// failed, with a default per-shard source-cache capacity.
+    /// failed. Each shard's session caches the rows of non-boundary query
+    /// endpoints and the trees of path expansions for up to 64 sources
+    /// (boundary rows are shared or repaired instead).
     ///
     /// # Errors
     ///
@@ -568,22 +571,6 @@ impl ShardedArtifact {
     /// out-of-bounds fault, [`CoreError::TooManyFaults`] if the deduplicated
     /// set exceeds the budget.
     pub fn under_faults(&self, faults: &[NodeId]) -> Result<ShardedSession<'_>> {
-        self.under_faults_with_capacity(faults, self.default_capacity())
-    }
-
-    /// [`ShardedArtifact::under_faults`] with an explicit per-shard
-    /// source-cache capacity for endpoint rows and path trees (`0` disables
-    /// that cache; boundary rows are shared or repaired at any capacity,
-    /// and answers are identical at any capacity).
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedArtifact::under_faults`].
-    pub fn under_faults_with_capacity(
-        &self,
-        faults: &[NodeId],
-        capacity: usize,
-    ) -> Result<ShardedSession<'_>> {
         if self.fault_model != FaultModel::Vertex {
             return Err(CoreError::FaultModelMismatch {
                 declared: self.fault_model,
@@ -625,7 +612,7 @@ impl ShardedArtifact {
             .shards
             .iter()
             .zip(&local)
-            .map(|(s, f)| Ok(s.under_faults(f)?.cached(capacity)))
+            .map(|(s, f)| Ok(s.under_faults(f)?.cached(SOURCE_CACHE_CAPACITY)))
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedSession {
             artifact: self,
@@ -639,7 +626,8 @@ impl ShardedArtifact {
     }
 
     /// Opens a query session in which the given edges (named by their global
-    /// endpoints) have failed, with a default per-shard cache capacity.
+    /// endpoints) have failed, with the per-shard caches of
+    /// [`ShardedArtifact::under_faults`].
     ///
     /// # Errors
     ///
@@ -649,20 +637,6 @@ impl ShardedArtifact {
     /// [`CoreError::UnknownEdge`] for a bad endpoint or a non-edge,
     /// [`CoreError::TooManyFaults`] over budget.
     pub fn under_edge_faults(&self, faults: &[(NodeId, NodeId)]) -> Result<ShardedSession<'_>> {
-        self.under_edge_faults_with_capacity(faults, self.default_capacity())
-    }
-
-    /// [`ShardedArtifact::under_edge_faults`] with an explicit per-shard
-    /// source-cache capacity.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedArtifact::under_edge_faults`].
-    pub fn under_edge_faults_with_capacity(
-        &self,
-        faults: &[(NodeId, NodeId)],
-        capacity: usize,
-    ) -> Result<ShardedSession<'_>> {
         if self.fault_model != FaultModel::Edge {
             return Err(CoreError::FaultModelMismatch {
                 declared: self.fault_model,
@@ -743,7 +717,7 @@ impl ShardedArtifact {
                         (e.u, e.v)
                     })
                     .collect();
-                Ok(s.under_edge_faults(&pairs)?.cached(capacity))
+                Ok(s.under_edge_faults(&pairs)?.cached(SOURCE_CACHE_CAPACITY))
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedSession {
@@ -758,15 +732,6 @@ impl ShardedArtifact {
             repaired: Vec::new(),
             fault_count: distinct,
         })
-    }
-
-    /// Default per-shard source-cache capacity. The per-shard caches hold
-    /// only the rows of non-boundary query endpoints and the trees of path
-    /// expansions (boundary rows are shared or repaired); one slot per
-    /// boundary vertex plus the two endpoints keeps every tree a path
-    /// expansion can ask for warm.
-    fn default_capacity(&self) -> usize {
-        self.boundary.len() + 2
     }
 }
 
@@ -1448,27 +1413,5 @@ mod tests {
             0,
             "rows were repaired, not recomputed"
         );
-    }
-
-    #[test]
-    fn cache_capacity_does_not_change_answers() {
-        let (g, sharded) = build_sharded(28, 0.2, 2, 23);
-        let mut cached = sharded
-            .under_faults_with_capacity(&[NodeId::new(3)], 64)
-            .expect("opens");
-        let mut uncached = sharded
-            .under_faults_with_capacity(&[NodeId::new(3)], 0)
-            .expect("opens");
-        for u in 0..g.node_count() {
-            for v in (0..g.node_count()).step_by(4) {
-                let (u, v) = (NodeId::new(u), NodeId::new(v));
-                assert_eq!(
-                    cached.distance(u, v).expect("distance"),
-                    uncached.distance(u, v).expect("distance")
-                );
-            }
-        }
-        assert!(cached.cache_stats().hits > 0, "warm rows are reused");
-        assert_eq!(uncached.cache_stats().hits, 0);
     }
 }

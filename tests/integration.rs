@@ -311,6 +311,47 @@ fn edge_fault_conversion_end_to_end() {
 }
 
 #[test]
+fn edge_fault_verifier_reports_a_violating_edge_set() {
+    // Drop one spanner edge that only a fault makes necessary: the trimmed
+    // set is still a 3-spanner of the grid (each edge has a detour of
+    // length 3), but not a 1-edge-fault-tolerant one. The
+    // verifier's witness must be a real edge-fault set under which the
+    // trimmed spanner breaks the bound, at any worker count.
+    let mut r = rng(14);
+    let g = generate::grid(5, 5);
+    let report = FtSpannerBuilder::new("edge-fault")
+        .faults(1)
+        .build_with_rng(GraphInput::from(&g), &mut r)
+        .unwrap();
+    let edges = report.edge_set().unwrap();
+    let mut checked = 0;
+    for e in edges.iter() {
+        let mut trimmed = edges.clone();
+        trimmed.remove(e);
+        if !verify::is_k_spanner(&g, &trimmed, 3.0) {
+            continue;
+        }
+        let sweep = verify::verify_edge_fault_tolerance_exhaustive(&g, &trimmed, 3.0, 1);
+        if sweep.is_valid() {
+            continue;
+        }
+        let witness = sweep.violating_faults.as_ref().unwrap();
+        assert_eq!(
+            witness.len(),
+            1,
+            "the fault-free set passes, so one edge fails"
+        );
+        assert!(verify::max_stretch_under_edge_faults(&g, &trimmed, witness) > 3.0);
+        let threaded = verify::StretchOracle::new(&g, &trimmed)
+            .with_threads(4)
+            .verify_edge_exhaustive(3.0, 1);
+        assert_eq!(threaded, sweep);
+        checked += 1;
+    }
+    assert!(checked > 0, "no spanner edge was needed only under faults");
+}
+
+#[test]
 fn adaptive_conversion_end_to_end() {
     let mut r = rng(15);
     let g = generate::connected_gnp(20, 0.35, generate::WeightKind::Unit, &mut r);
@@ -792,7 +833,7 @@ fn unchecked_sessions_serve_beyond_the_declared_budget() {
             );
         }
     }
-    assert!(cached.hits() > 0);
+    assert!(cached.cache_stats().hits > 0);
     // The out-of-range error path is unchanged.
     assert!(artifact.under_faults_unchecked(&[NodeId::new(99)]).is_err());
 }

@@ -451,9 +451,8 @@ proptest! {
     /// arbitrary batches — mixed artifacts (including unknown ones), mixed
     /// query kinds, arbitrary fault lists (duplicated, unsorted, out of
     /// range, oversized, or of the wrong kind) — grouped execution returns
-    /// exactly what naive per-query sessions return, at any worker count and
-    /// any LRU capacity (including 0 = cache off), and commutes with batch
-    /// shuffling.
+    /// exactly what naive per-query sessions return, at any worker count,
+    /// and commutes with batch shuffling.
     #[test]
     fn planner_grouped_batches_match_naive_sessions(
         picks in proptest::collection::vec(
@@ -462,7 +461,6 @@ proptest! {
             1..40,
         ),
         workers in 1usize..9,
-        capacity in 0usize..5,
         perm_seed in any::<u64>(),
     ) {
         let (engine, g) = serving_fixture();
@@ -497,13 +495,8 @@ proptest! {
             .collect();
 
         let naive = engine.run_batch_naive(&queries);
-        let planned = engine
-            .clone()
-            .with_workers(workers)
-            .with_source_cache_capacity(capacity)
-            .run_batch(&queries);
-        prop_assert_eq!(&naive, &planned,
-            "planner diverged (workers {}, capacity {})", workers, capacity);
+        let planned = engine.clone().with_workers(workers).run_batch(&queries);
+        prop_assert_eq!(&naive, &planned, "planner diverged (workers {})", workers);
 
         // Shuffling the batch permutes the results and nothing else.
         let mut order: Vec<usize> = (0..queries.len()).collect();
@@ -512,11 +505,7 @@ proptest! {
             order.swap(i, rng.gen_range(0..i + 1));
         }
         let shuffled: Vec<Query> = order.iter().map(|&i| queries[i].clone()).collect();
-        let planned_shuffled = engine
-            .clone()
-            .with_workers(workers)
-            .with_source_cache_capacity(capacity)
-            .run_batch(&shuffled);
+        let planned_shuffled = engine.clone().with_workers(workers).run_batch(&shuffled);
         for (slot, &original) in order.iter().enumerate() {
             prop_assert_eq!(&planned_shuffled[slot], &naive[original],
                 "shuffled slot {} diverged from original slot {}", slot, original);

@@ -220,7 +220,7 @@ fn grid_sharded_engine_matches_union_reference() {
 }
 
 #[test]
-fn worker_count_and_cache_capacity_do_not_change_sharded_answers() {
+fn worker_count_does_not_change_sharded_answers() {
     let mut rng = ChaCha8Rng::seed_from_u64(17);
     let g = generate::connected_gnp(30, 0.2, generate::WeightKind::Unit, &mut rng);
     let (sharded, _) = differential_pair(&g, 3, 2);
@@ -228,24 +228,69 @@ fn worker_count_and_cache_capacity_do_not_change_sharded_answers() {
 
     let mut engine = Engine::new();
     engine.register_sharded("net", sharded);
-    let baseline = engine
-        .clone()
-        .with_workers(1)
-        .with_source_cache_capacity(64)
-        .run_batch(&queries);
+    let baseline = engine.clone().with_workers(1).run_batch(&queries);
     for workers in [2, 8] {
-        for capacity in [0, 64] {
-            let got = engine
-                .clone()
-                .with_workers(workers)
-                .with_source_cache_capacity(capacity)
-                .run_batch(&queries);
-            assert_eq!(
-                baseline, got,
-                "answers changed at workers {workers}, capacity {capacity}"
-            );
-        }
+        let got = engine.clone().with_workers(workers).run_batch(&queries);
+        assert_eq!(baseline, got, "answers changed at workers {workers}");
     }
+}
+
+#[test]
+fn engine_and_direct_sharded_sessions_share_one_cache_capacity() {
+    // More than 64 boundary vertices, so a per-shard capacity derived from
+    // the boundary would keep more trees than the engine's sessions do.
+    let g = generate::grid(24, 24);
+    let builder = FtSpannerBuilder::new("conversion").faults(1).stretch(3.0);
+    let config = partition::PartitionConfig::new(4).with_seed(5);
+    let sharded = ShardedArtifact::build(&g, &builder, &config).expect("sharded build succeeds");
+    assert!(sharded.boundary_vertices().len() > 64);
+
+    // Two passes of path queries from 70 interior sources of shard 0 to one
+    // far vertex: a cycle longer than the per-shard cache, so it evicts.
+    let target = NodeId::new(g.node_count() - 1);
+    let sources: Vec<NodeId> = g
+        .nodes()
+        .filter(|&x| {
+            sharded.part_of(x) == 0 && sharded.boundary_vertices().binary_search(&x).is_err()
+        })
+        .take(70)
+        .collect();
+    assert_eq!(sources.len(), 70);
+    let pass: Vec<Query> = sources
+        .iter()
+        .map(|&u| Query::path("net", vec![], u, target))
+        .collect();
+
+    let mut direct = sharded.under_faults(&[]).expect("opens");
+    let mut answers = Vec::new();
+    for query in &pass {
+        answers.push(direct.path(query.u, query.v).expect("path"));
+    }
+    let first_pass = direct.cache_stats();
+    for query in &pass {
+        answers.push(direct.path(query.u, query.v).expect("path"));
+    }
+    let stats = direct.cache_stats();
+
+    let mut engine = Engine::new().with_workers(1);
+    engine.register_sharded("net", sharded);
+    let batch: Vec<Query> = pass.iter().chain(&pass).cloned().collect();
+    let results = engine.run_batch(&batch);
+    let want: Vec<_> = answers
+        .into_iter()
+        .map(|p| Ok(QueryOutcome::Path(p)))
+        .collect();
+    assert_eq!(results, want);
+    let served = engine.stats();
+    assert_eq!(
+        (served.cache_hits, served.cache_misses),
+        (stats.hits, stats.misses),
+        "the engine and a direct session count the same hits and misses"
+    );
+    assert!(
+        stats.misses > first_pass.misses,
+        "the second pass must miss evicted trees"
+    );
 }
 
 #[test]
