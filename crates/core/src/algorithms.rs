@@ -14,22 +14,103 @@ use crate::api::{
 };
 use crate::baselines::{dk10_two_spanner_with_threads, ClprStyleBaseline};
 use crate::conversion::{ConversionParams, ConversionResult, FaultTolerantConverter};
-use crate::edge_faults::{edge_fault_tolerant_spanner_with_threads, EdgeFaultParams};
 use crate::two_spanner::{
     approximate_two_spanner, bounded_degree_two_spanner, greedy_ft_two_spanner, ApproxConfig,
     ApproxResult, LllConfig,
 };
 use crate::{CoreError, Result};
 use ftspan_graph::Graph;
+use ftspan_spanners::SpannerAlgorithm;
 use rand::RngCore;
 use std::time::Instant;
 
-pub(crate) fn conversion_params(request: &SpannerRequest) -> ConversionParams {
-    let mut params = ConversionParams::new(request.faults).with_scale(request.scale);
+/// Everything a Theorem 2.1 union build of one registry entry needs: the
+/// converter, the black box, the stretch it guarantees, the fault model the
+/// output tolerates and the provenance it records. The registry build and
+/// the dynamic (traced) build share it, so an artifact's provenance is the
+/// same whichever path produced it.
+pub(crate) struct ConversionPlan {
+    pub(crate) converter: FaultTolerantConverter,
+    pub(crate) black_box: Box<dyn SpannerAlgorithm>,
+    pub(crate) stretch: f64,
+    pub(crate) fault_model: FaultModel,
+    pub(crate) provenance: String,
+}
+
+/// The [`ConversionPlan`] of `conversion` (under the request's fault model),
+/// `corollary-2.2` (greedy black box, vertex faults) or `edge-fault`; `None`
+/// for every other name.
+pub(crate) fn conversion_plan(algorithm: &str, request: &SpannerRequest) -> Option<ConversionPlan> {
+    let (black_box, fault_model) = match algorithm {
+        "conversion" => (
+            request.black_box.instantiate(request.stretch),
+            request.fault_model,
+        ),
+        "corollary-2.2" => (
+            Box::new(ftspan_spanners::GreedySpanner::new(request.stretch))
+                as Box<dyn SpannerAlgorithm>,
+            FaultModel::Vertex,
+        ),
+        "edge-fault" => (
+            request.black_box.instantiate(request.stretch),
+            FaultModel::Edge,
+        ),
+        _ => return None,
+    };
+    let stretch = black_box.stretch();
+    let (faults, bb) = (request.faults, request.black_box);
+    let provenance = match (algorithm, fault_model) {
+        ("corollary-2.2", _) => format!("Corollary 2.2 (greedy, k = {stretch}, r = {faults})"),
+        (_, FaultModel::Vertex) => {
+            format!("Theorem 2.1 conversion over {bb} (k = {stretch}, r = {faults})")
+        }
+        (_, FaultModel::Edge) => {
+            format!("edge-fault conversion over {bb} (k = {stretch}, r = {faults})")
+        }
+    };
+    let mut params = ConversionParams::new(faults)
+        .with_fault_model(fault_model)
+        .with_scale(request.scale);
     if let Some(iterations) = request.iterations {
         params = params.with_iterations(iterations);
     }
-    params
+    Some(ConversionPlan {
+        converter: FaultTolerantConverter::new(params),
+        black_box,
+        stretch,
+        fault_model,
+        provenance,
+    })
+}
+
+/// Runs `algorithm`'s [`ConversionPlan`] through the registry.
+fn build_conversion(
+    algorithm: &dyn FtSpannerAlgorithm,
+    input: GraphInput<'_>,
+    request: &SpannerRequest,
+    rng: &mut dyn RngCore,
+) -> Result<SpannerReport> {
+    let graph = input.expect_undirected(algorithm.name())?;
+    let plan = conversion_plan(algorithm.name(), request)
+        .expect("only conversion-family algorithms build through a plan");
+    let start = Instant::now();
+    let result = plan.converter.build_with_threads(
+        graph,
+        plan.black_box.as_ref(),
+        rng,
+        request.effective_threads(),
+    );
+    let elapsed = start.elapsed();
+    let mut report = undirected_report(
+        algorithm,
+        graph,
+        request,
+        plan.provenance,
+        plan.stretch,
+        result,
+    );
+    report.elapsed = elapsed;
+    Ok(report)
 }
 
 fn approx_config(request: &SpannerRequest) -> ApproxConfig {
@@ -57,7 +138,7 @@ fn undirected_report(
     let mut report = SpannerReport::new(
         algorithm.name(),
         provenance,
-        FaultModel::Vertex,
+        algorithm.fault_model(request),
         request.faults,
         stretch,
         SpannerEdges::Undirected(result.edges),
@@ -141,99 +222,8 @@ impl FtSpannerAlgorithm for ConversionAlgorithm {
         request: &SpannerRequest,
         rng: &mut dyn RngCore,
     ) -> Result<SpannerReport> {
-        match request.fault_model {
-            FaultModel::Vertex => build_vertex_conversion(self, input, request, rng),
-            FaultModel::Edge => build_edge_conversion(self, input, request, rng),
-        }
+        build_conversion(self, input, request, rng)
     }
-}
-
-fn build_vertex_conversion(
-    algorithm: &dyn FtSpannerAlgorithm,
-    input: GraphInput<'_>,
-    request: &SpannerRequest,
-    rng: &mut dyn RngCore,
-) -> Result<SpannerReport> {
-    let graph = input.expect_undirected(algorithm.name())?;
-    let black_box = request.black_box.instantiate(request.stretch);
-    let converter = FaultTolerantConverter::new(conversion_params(request));
-    let start = Instant::now();
-    let result =
-        converter.build_with_threads(graph, black_box.as_ref(), rng, request.effective_threads());
-    let elapsed = start.elapsed();
-    let provenance = format!(
-        "Theorem 2.1 conversion over {} (k = {}, r = {})",
-        request.black_box,
-        black_box.stretch(),
-        request.faults
-    );
-    let mut report = undirected_report(
-        algorithm,
-        graph,
-        request,
-        provenance,
-        black_box.stretch(),
-        result,
-    );
-    report.elapsed = elapsed;
-    Ok(report)
-}
-
-fn build_edge_conversion(
-    algorithm: &dyn FtSpannerAlgorithm,
-    input: GraphInput<'_>,
-    request: &SpannerRequest,
-    rng: &mut dyn RngCore,
-) -> Result<SpannerReport> {
-    let graph = input.expect_undirected(algorithm.name())?;
-    let black_box = request.black_box.instantiate(request.stretch);
-    let mut params = EdgeFaultParams::new(request.faults).with_scale(request.scale);
-    if let Some(iterations) = request.iterations {
-        params = params.with_iterations(iterations);
-    }
-    let start = Instant::now();
-    let result = edge_fault_tolerant_spanner_with_threads(
-        graph,
-        black_box.as_ref(),
-        &params,
-        rng,
-        request.effective_threads(),
-    );
-    let elapsed = start.elapsed();
-    let cost = graph
-        .edge_set_weight(&result.edges)
-        .expect("constructed edges belong to the input graph");
-    let provenance = format!(
-        "edge-fault conversion over {} (k = {}, r = {})",
-        request.black_box,
-        black_box.stretch(),
-        request.faults
-    );
-    let n = graph.node_count();
-    let mut report = SpannerReport::new(
-        algorithm.name(),
-        provenance,
-        FaultModel::Edge,
-        request.faults,
-        black_box.stretch(),
-        SpannerEdges::Undirected(result.edges),
-        cost,
-    );
-    report.iterations = result.iterations;
-    // Only the surviving-edge column is measured by the edge-sampling
-    // construction; the vertex set survives every iteration untouched.
-    report.per_iteration = result
-        .surviving_edges
-        .iter()
-        .map(|&surviving_edges| crate::conversion::IterationStats {
-            surviving_vertices: n,
-            surviving_edges,
-            spanner_edges: 0,
-            new_edges: 0,
-        })
-        .collect();
-    report.elapsed = elapsed;
-    Ok(report)
 }
 
 /// Corollary 2.2: the conversion instantiated with the greedy spanner of
@@ -270,21 +260,7 @@ impl FtSpannerAlgorithm for Corollary22Algorithm {
         rng: &mut dyn RngCore,
     ) -> Result<SpannerReport> {
         self.supports(request)?;
-        let graph = input.expect_undirected(self.name())?;
-        let converter = FaultTolerantConverter::new(conversion_params(request));
-        let black_box = ftspan_spanners::GreedySpanner::new(request.stretch);
-        let start = Instant::now();
-        let result =
-            converter.build_with_threads(graph, &black_box, rng, request.effective_threads());
-        let elapsed = start.elapsed();
-        let provenance = format!(
-            "Corollary 2.2 (greedy, k = {}, r = {})",
-            request.stretch, request.faults
-        );
-        let mut report =
-            undirected_report(self, graph, request, provenance, request.stretch, result);
-        report.elapsed = elapsed;
-        Ok(report)
+        build_conversion(self, input, request, rng)
     }
 }
 
@@ -344,26 +320,19 @@ impl FtSpannerAlgorithm for AdaptiveAlgorithm {
             request.effective_threads(),
         );
         let elapsed = start.elapsed();
-        let cost = graph
-            .edge_set_weight(&result.edges)
-            .expect("constructed edges belong to the input graph");
         let provenance = format!(
             "adaptive Theorem 2.1 conversion over {} (k = {}, r = {})",
             request.black_box,
             black_box.stretch(),
             request.faults
         );
-        let mut report = SpannerReport::new(
-            self.name(),
-            provenance,
-            FaultModel::Vertex,
-            request.faults,
-            black_box.stretch(),
-            SpannerEdges::Undirected(result.edges),
-            cost,
-        );
-        report.iterations = result.iterations;
-        report.per_iteration = result.per_iteration;
+        let union = ConversionResult {
+            edges: result.edges,
+            iterations: result.iterations,
+            per_iteration: result.per_iteration,
+        };
+        let stretch = black_box.stretch();
+        let mut report = undirected_report(self, graph, request, provenance, stretch, union);
         report.theorem_iterations = Some(result.theorem_iterations);
         report.verified = Some(result.verified);
         report.elapsed = elapsed;
@@ -410,7 +379,7 @@ impl FtSpannerAlgorithm for EdgeFaultAlgorithm {
         request: &SpannerRequest,
         rng: &mut dyn RngCore,
     ) -> Result<SpannerReport> {
-        build_edge_conversion(self, input, request, rng)
+        build_conversion(self, input, request, rng)
     }
 }
 

@@ -16,12 +16,12 @@
 //!   inequalities) and therefore needing inflation `α = Θ(r log n)`.
 //! * [`buy_everything`] — the trivial upper bound.
 
-use crate::conversion::ConversionResult;
+use crate::conversion::{union_runs, ConversionResult, Faults};
 use crate::par;
 use crate::two_spanner::{approximate_two_spanner, ApproxConfig, ApproxResult};
 use crate::Result;
 use ftspan_graph::faults::{enumerate_fault_sets, sample_fault_sets, FaultSet};
-use ftspan_graph::{ArcSet, DiGraph, EdgeId, Graph};
+use ftspan_graph::{ArcSet, DiGraph, Graph};
 use ftspan_spanners::SpannerAlgorithm;
 use rand::RngCore;
 
@@ -94,37 +94,15 @@ impl ClprStyleBaseline {
             FaultSetMode::Sampled(count) => sample_fault_sets(n, self.faults, count, rng),
         };
         let seeds = par::derive_seeds(rng, fault_sets.len());
-
-        let outcomes = par::map(threads, fault_sets.len(), |i| {
-            let mut task_rng = par::stream(seeds[i]);
-            let dead = fault_sets[i].to_dead_mask(n);
-            let live: Vec<bool> = graph
-                .edges()
-                .map(|(_, e)| !dead[e.u.index()] && !dead[e.v.index()])
-                .collect();
-            let edges: Vec<EdgeId> = algorithm
-                .build_masked(graph, &live, &mut task_rng)
-                .iter()
-                .collect();
-            let stats = crate::conversion::IterationStats {
-                surviving_vertices: n - fault_sets[i].len(),
-                surviving_edges: live.iter().filter(|&&l| l).count(),
-                spanner_edges: edges.len(),
-                new_edges: 0, // filled during the in-order merge below
-            };
-            (edges, stats)
-        });
-
         let mut union = graph.empty_edge_set();
-        let mut per_iteration = Vec::with_capacity(fault_sets.len());
-        for (edges, mut stats) in outcomes {
-            for parent in edges {
-                if union.insert(parent) {
-                    stats.new_edges += 1;
-                }
-            }
-            per_iteration.push(stats);
-        }
+        let per_iteration = union_runs(
+            graph,
+            algorithm,
+            &seeds,
+            |i| Faults::Explicit(&fault_sets[i]),
+            threads,
+            &mut union,
+        );
         ConversionResult {
             edges: union,
             iterations: fault_sets.len(),

@@ -17,9 +17,35 @@
 //! fault set with high probability. The expected number of surviving vertices
 //! per iteration is `n/r`, which is where the `f(2n/r)` in the size bound
 //! comes from.
+//!
+//! # Edge faults
+//!
+//! The paper states Theorem 2.1 for vertex faults; with
+//! [`FaultModel::Edge`] the same converter protects against edge faults, the
+//! companion model (and the one the geometric fault-tolerant spanner
+//! literature started with). In each iteration every **edge** joins `J`
+//! independently with probability `p`, and the black box runs on
+//! `(V, E \ J)`. The analysis is slightly better than the vertex case. Fix an
+//! edge fault set `F` (`|F| ≤ r`) and a surviving edge `e` whose shortest
+//! path in `G \ F` is the edge itself. An iteration covers the pair when
+//! `e ∉ J` and `F ⊆ J`, which happens with probability
+//! `(1 − p) · p^r = (1/r)(1 − 1/r)^r ≥ 1/(4r)` for `r ≥ 2`, so
+//! `α = Θ(r² log n)` iterations suffice for a union bound over the at most
+//! `m^{r+1}` (edge, fault set) pairs — one factor of `r` less than the vertex
+//! version. The expected number of surviving edges per iteration is `m/r`,
+//! and the black box always sees all `n` vertices, so the size bound
+//! evaluates `f` at `n`. The output is valid with high probability;
+//! `ftspan_graph::verify`'s edge-fault oracles check it.
+//!
+//! Every union construction of this crate — both fault models here and the
+//! CLPR09 baseline in [`crate::baselines`], which fails explicit fault sets —
+//! runs its black box through one masked-run kernel and merges the runs in
+//! order, so their per-iteration statistics mean the same thing.
 
+use crate::api::FaultModel;
 use crate::par;
 use crate::{CoreError, Result};
+use ftspan_graph::faults::FaultSet;
 use ftspan_graph::{EdgeId, EdgeSet, Graph, NodeId};
 use ftspan_spanners::SpannerAlgorithm;
 use rand::Rng;
@@ -29,10 +55,13 @@ use std::sync::Arc;
 /// Parameters of the fault-tolerant conversion (Theorem 2.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConversionParams {
-    /// Number of vertex faults `r` to tolerate.
+    /// Number of faults `r` to tolerate.
     pub faults: usize,
-    /// Explicit number of iterations `α`. When `None`, the theorem's
-    /// `⌈scale · 4 r² (r + 2) ln n⌉` is used.
+    /// Whether vertices (the paper's setting, the default) or edges join the
+    /// oversized fault set `J`.
+    pub fault_model: FaultModel,
+    /// Explicit number of iterations `α`. When `None`,
+    /// [`ConversionParams::iterations_for`]'s formula is used.
     pub iterations: Option<usize>,
     /// Multiplier on the default iteration count. The paper's analysis uses a
     /// conservative union bound; experiments can lower this (and re-verify
@@ -48,9 +77,16 @@ impl ConversionParams {
     pub fn new(faults: usize) -> Self {
         ConversionParams {
             faults,
+            fault_model: FaultModel::Vertex,
             iterations: None,
             scale: 1.0,
         }
+    }
+
+    /// Sets which failures the conversion protects against.
+    pub fn with_fault_model(mut self, fault_model: FaultModel) -> Self {
+        self.fault_model = fault_model;
+        self
     }
 
     /// Overrides the number of iterations `α`.
@@ -70,9 +106,9 @@ impl ConversionParams {
         self
     }
 
-    /// The sampling probability `p` with which each vertex joins the
-    /// oversized fault set `J` (Theorem 2.1 uses `1 − 1/r`, or `1/2` when
-    /// `r ≤ 1`).
+    /// The sampling probability `p` with which each vertex (or edge) joins
+    /// the oversized fault set `J` (Theorem 2.1 uses `1 − 1/r`, or `1/2`
+    /// when `r ≤ 1`).
     pub fn sampling_probability(&self) -> f64 {
         if self.faults <= 1 {
             0.5
@@ -87,31 +123,54 @@ impl ConversionParams {
     /// The default follows the proof of Theorem 2.1: the per-iteration
     /// success probability for a fixed pair and fault set is at least
     /// `1/(4r²)`, and a union bound over the roughly `n^{r+2}` (pair, fault
-    /// set) combinations requires `α ≈ 4 r² (r + 2) ln n`.
+    /// set) combinations requires `α ≈ 4 r² (r + 2) ln n`. Under
+    /// [`FaultModel::Edge`] the per-iteration probability is `1/(4r)` and the
+    /// union bound is over at most `m^{r+1} ≤ n^{2(r+1)}` pairs; the constant
+    /// is folded into the same shape with one factor of `r` removed,
+    /// `α ≈ 4 r (r + 2) ln n`.
     pub fn iterations_for(&self, n: usize) -> usize {
         if let Some(it) = self.iterations {
             return it.max(1);
         }
         let r = self.faults.max(1) as f64;
         let ln_n = (n.max(2) as f64).ln();
-        let alpha = self.scale * 4.0 * r * r * (r + 2.0) * ln_n;
+        let per_pair = match self.fault_model {
+            FaultModel::Vertex => self.scale * 4.0 * r * r,
+            FaultModel::Edge => self.scale * 4.0 * r,
+        };
+        let alpha = per_pair * (r + 2.0) * ln_n;
         alpha.ceil().max(1.0) as usize
     }
 
-    /// The size bound `O(r³ log n · f(2n/r))` of Theorem 2.1, evaluated with
-    /// the concrete iteration count used by this configuration and the
-    /// black box's own size bound `f`.
+    /// The size bound of the conversion, evaluated with the concrete
+    /// iteration count used by this configuration and the black box's own
+    /// size bound `f`: `O(r³ log n · f(2n/r))` for vertex faults
+    /// (Theorem 2.1), `O(r² log n · f(n))` for edge faults, whose black box
+    /// runs on the full vertex set.
     pub fn size_bound(&self, n: usize, f: impl Fn(usize) -> f64) -> f64 {
-        let r = self.faults.max(1);
-        let per_iteration_n = (2 * n / r).max(2);
-        self.iterations_for(n) as f64 * f(per_iteration_n)
+        let per_iteration_n = match self.fault_model {
+            FaultModel::Vertex => 2 * n / self.faults.max(1),
+            FaultModel::Edge => n,
+        };
+        self.iterations_for(n) as f64 * f(per_iteration_n.max(2))
+    }
+
+    /// What fails in one iteration's black-box run.
+    fn sampled_faults(&self) -> Faults<'static> {
+        let p = self.sampling_probability();
+        match self.fault_model {
+            FaultModel::Vertex => Faults::Vertices(p),
+            FaultModel::Edge => Faults::Edges(p),
+        }
     }
 }
 
-/// Per-iteration record kept by [`FaultTolerantConverter::build`].
+/// Per-iteration record kept by [`FaultTolerantConverter::build`] (and, one
+/// per fault set, by the CLPR09 baseline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IterationStats {
-    /// Number of vertices that survived the oversampled fault set `J`.
+    /// Number of vertices that survived the oversampled fault set `J` (all
+    /// `n` under [`FaultModel::Edge`]).
     pub surviving_vertices: usize,
     /// Number of edges of `G \ J`.
     pub surviving_edges: usize,
@@ -190,9 +249,9 @@ impl FaultTolerantConverter {
     /// Runs the conversion of Theorem 2.1 on `graph` with the given black-box
     /// spanner algorithm, sequentially (one worker).
     ///
-    /// The output is an `r`-fault-tolerant `algorithm.stretch()`-spanner with
-    /// high probability; use `ftspan_graph::verify` to check it when
-    /// certainty is required.
+    /// The output is an `r`-fault-tolerant `algorithm.stretch()`-spanner
+    /// under the parameters' [`FaultModel`] with high probability; use
+    /// `ftspan_graph::verify` to check it when certainty is required.
     pub fn build<A>(&self, graph: &Graph, algorithm: &A, rng: &mut dyn RngCore) -> ConversionResult
     where
         A: SpannerAlgorithm + ?Sized,
@@ -240,45 +299,51 @@ impl FaultTolerantConverter {
     where
         A: SpannerAlgorithm + ?Sized,
     {
-        let p = self.params.sampling_probability();
-        let alpha = self.params.iterations_for(graph.node_count());
-        let seeds = par::derive_seeds(rng, alpha);
-
-        let outcomes = par::map(threads, alpha, |i| {
-            let run = run_iteration(graph, algorithm, seeds[i], p);
-            (run.edges, run.stats)
-        });
-        outcomes
-            .into_iter()
-            .map(|(edges, stats)| merge_iteration(union, &edges, stats))
-            .collect()
+        let seeds = par::derive_seeds(rng, self.params.iterations_for(graph.node_count()));
+        let faults = self.params.sampled_faults();
+        union_runs(graph, algorithm, &seeds, |_| faults, threads, union)
     }
 }
 
-/// One conversion iteration: the survivor mask of the oversampled fault set
-/// `J`, drawn first from the iteration's private stream, the black box's
-/// output on `G \ J` (over the parent graph's edge ids), and its statistics
+/// What fails in one black-box run: every vertex, or every edge,
+/// independently with the given probability (the conversion's oversized
+/// fault set `J`), or exactly the given vertices (the CLPR09 baseline).
+#[derive(Clone, Copy)]
+pub(crate) enum Faults<'a> {
+    Vertices(f64),
+    Edges(f64),
+    Explicit(&'a FaultSet),
+}
+
+/// One black-box run: the vertex survivor mask, the black box's output on
+/// what survived (over the parent graph's edge ids), and its statistics
 /// (`new_edges` is filled by the in-order merge).
-struct IterationRun {
+struct MaskedRun {
     alive: Vec<bool>,
     edges: Vec<EdgeId>,
     stats: IterationStats,
 }
 
-fn run_iteration<A>(graph: &Graph, algorithm: &A, seed: u64, p: f64) -> IterationRun
+/// The one place a union construction runs its black box. A sampled mask is
+/// drawn first from the run's private stream — vertices in id order, or
+/// edges in id order — and the black box then continues on the same stream
+/// over the surviving edges, given as a mask over `graph`.
+fn run_masked<A>(graph: &Graph, algorithm: &A, seed: u64, faults: Faults<'_>) -> MaskedRun
 where
     A: SpannerAlgorithm + ?Sized,
 {
     let mut task_rng = par::stream(seed);
-    // Sample the oversized fault set J.
-    let alive: Vec<bool> = (0..graph.node_count())
-        .map(|_| task_rng.gen::<f64>() >= p)
-        .collect();
-    // Run the black box on G \ J as an edge mask over G.
-    let live: Vec<bool> = graph
-        .edges()
-        .map(|(_, e)| alive[e.u.index()] && alive[e.v.index()])
-        .collect();
+    let n = graph.node_count();
+    let mut draw = |count: usize, p: f64| -> Vec<bool> {
+        (0..count).map(|_| task_rng.gen::<f64>() >= p).collect()
+    };
+    let (alive, live) = match faults {
+        Faults::Edges(p) => (vec![true; n], draw(graph.edge_count(), p)),
+        Faults::Vertices(p) => vertex_masks(graph, draw(n, p)),
+        Faults::Explicit(set) => {
+            vertex_masks(graph, set.to_dead_mask(n).iter().map(|&d| !d).collect())
+        }
+    };
     let edges: Vec<EdgeId> = algorithm
         .build_masked(graph, &live, &mut task_rng)
         .iter()
@@ -289,15 +354,48 @@ where
         spanner_edges: edges.len(),
         new_edges: 0,
     };
-    IterationRun {
+    MaskedRun {
         alive,
         edges,
         stats,
     }
 }
 
-/// Adds one iteration's output to the union, in iteration order, counting
-/// the edges new to it.
+/// `alive` and the edges of `graph` with both endpoints alive.
+fn vertex_masks(graph: &Graph, alive: Vec<bool>) -> (Vec<bool>, Vec<bool>) {
+    let live = graph
+        .edges()
+        .map(|(_, e)| alive[e.u.index()] && alive[e.v.index()])
+        .collect();
+    (alive, live)
+}
+
+/// Runs the black box once per seed, run `i` with `faults(i)` failing,
+/// across up to `threads` workers, and merges the outputs into `union` in
+/// run order. Returns each run's statistics, `new_edges` counted against
+/// `union`.
+pub(crate) fn union_runs<'a, A>(
+    graph: &Graph,
+    algorithm: &A,
+    seeds: &[u64],
+    faults: impl Fn(usize) -> Faults<'a> + Sync,
+    threads: usize,
+    union: &mut EdgeSet,
+) -> Vec<IterationStats>
+where
+    A: SpannerAlgorithm + ?Sized,
+{
+    par::map(threads, seeds.len(), |i| {
+        let run = run_masked(graph, algorithm, seeds[i], faults(i));
+        (run.edges, run.stats)
+    })
+    .into_iter()
+    .map(|(edges, stats)| merge_iteration(union, &edges, stats))
+    .collect()
+}
+
+/// Adds one run's output to the union, in run order, counting the edges new
+/// to it.
 fn merge_iteration(
     union: &mut EdgeSet,
     edges: &[EdgeId],
@@ -344,6 +442,9 @@ fn endpoints_of(graph: &Graph, edges: &[EdgeId]) -> Arc<[(NodeId, NodeId)]> {
 /// * each iteration's **output** as endpoint pairs, which stay valid across
 ///   edge-id compaction. They are shared (`Arc`) between versions: a repair
 ///   replaces only the touched iterations' entries.
+///
+/// Under [`FaultModel::Edge`] every vertex survives every iteration, so any
+/// change touches every iteration: the trace stays valid but saves nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConversionTrace {
     /// Vertex count of the graph the trace was built on. Repair requires the
@@ -424,12 +525,12 @@ impl FaultTolerantConverter {
         A: SpannerAlgorithm + ?Sized,
     {
         let n = graph.node_count();
-        let p = self.params.sampling_probability();
         let alpha = self.params.iterations_for(n);
         let seeds = par::derive_seeds(rng, alpha);
+        let faults = self.params.sampled_faults();
 
         let runs = par::map(threads, alpha, |i| {
-            let run = run_iteration(graph, algorithm, seeds[i], p);
+            let run = run_masked(graph, algorithm, seeds[i], faults);
             let output = endpoints_of(graph, &run.edges);
             (run, output)
         });
@@ -540,11 +641,11 @@ impl FaultTolerantConverter {
                 "changed edge ({u}, {v}) is out of range for {n} vertices"
             )));
         }
-        let p = self.params.sampling_probability();
+        let faults = self.params.sampled_faults();
         let touched = trace.touched_iterations(changed);
 
         let runs = par::map(threads, touched.len(), |t| {
-            let run = run_iteration(new_graph, algorithm, trace.seeds[touched[t]], p);
+            let run = run_masked(new_graph, algorithm, trace.seeds[touched[t]], faults);
             let output = endpoints_of(new_graph, &run.edges);
             (run.edges, output)
         });
@@ -632,21 +733,6 @@ pub fn corollary_2_2(
     converter.build(graph, &ftspan_spanners::GreedySpanner::new(stretch), rng)
 }
 
-/// Samples the oversized fault set once (exposed for the distributed
-/// implementation in `ftspan-local`, where each vertex makes this decision
-/// locally).
-pub fn sample_oversized_fault_set<R: Rng + ?Sized>(
-    n: usize,
-    params: &ConversionParams,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    let p = params.sampling_probability();
-    (0..n)
-        .filter(|_| rng.gen::<f64>() < p)
-        .map(NodeId::new)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,6 +746,10 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
+    fn edge(faults: usize) -> ConversionParams {
+        ConversionParams::new(faults).with_fault_model(FaultModel::Edge)
+    }
+
     #[test]
     fn iteration_count_follows_theorem() {
         let p = ConversionParams::new(2);
@@ -669,6 +759,13 @@ mod tests {
         assert_eq!(p.with_iterations(17).iterations_for(n), 17);
         let scaled = ConversionParams::new(2).with_scale(0.5);
         assert!(scaled.iterations_for(n) < expected);
+        // Edge faults: 4 r (r + 2) ln n, one factor of r below the vertex
+        // count.
+        let expected = (4.0 * 3.0 * 5.0 * (100f64).ln()).ceil() as usize;
+        assert_eq!(edge(3).iterations_for(n), expected);
+        assert_eq!(edge(3).with_iterations(9).iterations_for(n), 9);
+        assert!(edge(3).with_scale(0.25).iterations_for(n) < expected);
+        assert!(edge(3).iterations_for(n) < ConversionParams::new(3).iterations_for(n));
     }
 
     #[test]
@@ -676,12 +773,15 @@ mod tests {
         assert_eq!(ConversionParams::new(0).sampling_probability(), 0.5);
         assert_eq!(ConversionParams::new(1).sampling_probability(), 0.5);
         assert_eq!(ConversionParams::new(4).sampling_probability(), 0.75);
+        assert_eq!(edge(1).sampling_probability(), 0.5);
+        assert!((edge(3).sampling_probability() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic]
     fn zero_scale_rejected() {
-        ConversionParams::new(1).with_scale(0.0);
+        for params in [ConversionParams::new(1), edge(1)] {
+            assert!(std::panic::catch_unwind(|| params.with_scale(0.0)).is_err());
+        }
     }
 
     #[test]
@@ -690,6 +790,19 @@ mod tests {
         let g = generate::gnp(25, 0.5, generate::WeightKind::Unit, &mut r);
         let result = corollary_2_2(&g, 3.0, 1, &mut r);
         assert!(verify::is_fault_tolerant_k_spanner(
+            &g,
+            &result.edges,
+            3.0,
+            1
+        ));
+        assert!(result.size() <= g.edge_count());
+        assert_eq!(result.per_iteration.len(), result.iterations);
+
+        let mut r = rng(11);
+        let g = generate::gnp(18, 0.5, generate::WeightKind::Unit, &mut r);
+        let result =
+            FaultTolerantConverter::new(edge(1)).build(&g, &GreedySpanner::new(3.0), &mut r);
+        assert!(verify::is_edge_fault_tolerant_k_spanner(
             &g,
             &result.edges,
             3.0,
@@ -710,6 +823,22 @@ mod tests {
         );
         let result = corollary_2_2(&g, 3.0, 2, &mut r);
         assert!(verify::is_fault_tolerant_k_spanner(
+            &g,
+            &result.edges,
+            3.0,
+            2
+        ));
+
+        let mut r = rng(12);
+        let g = generate::connected_gnp(
+            14,
+            0.4,
+            generate::WeightKind::Uniform { min: 1.0, max: 2.0 },
+            &mut r,
+        );
+        let result =
+            FaultTolerantConverter::new(edge(2)).build(&g, &BaswanaSenSpanner::new(2), &mut r);
+        assert!(verify::is_edge_fault_tolerant_k_spanner(
             &g,
             &result.edges,
             3.0,
@@ -742,6 +871,21 @@ mod tests {
         let mean = result.mean_surviving_vertices();
         // Expected survivors: n / r = 15; allow generous sampling slack.
         assert!(mean > 9.0 && mean < 21.0, "mean survivors {mean}");
+
+        // Edge faults keep every vertex and roughly m / r edges.
+        let mut r = rng(13);
+        let g = generate::gnp(40, 0.4, generate::WeightKind::Unit, &mut r);
+        let m = g.edge_count() as f64;
+        let converter = FaultTolerantConverter::new(edge(4).with_iterations(150));
+        let result = converter.build(&g, &GreedySpanner::new(3.0), &mut r);
+        assert_eq!(result.mean_surviving_vertices(), 40.0);
+        let stats = &result.per_iteration;
+        let mean = stats.iter().map(|s| s.surviving_edges).sum::<usize>() as f64 / 150.0;
+        assert!(
+            mean > 0.15 * m && mean < 0.35 * m,
+            "mean surviving edges {mean} not around m/4 = {}",
+            m / 4.0
+        );
     }
 
     #[test]
@@ -761,18 +905,10 @@ mod tests {
         let params = ConversionParams::new(2);
         let bound = params.size_bound(100, |n| n as f64);
         assert_eq!(bound, params.iterations_for(100) as f64 * 100.0);
-    }
-
-    #[test]
-    fn sample_oversized_fault_set_has_expected_density() {
-        let mut r = rng(6);
-        let params = ConversionParams::new(4); // p = 3/4
-        let sampled = sample_oversized_fault_set(1000, &params, &mut r);
-        assert!(
-            sampled.len() > 650 && sampled.len() < 850,
-            "got {}",
-            sampled.len()
-        );
+        // Edge faults evaluate f at n, not 2n/r.
+        let params = edge(2);
+        let bound = params.size_bound(50, |n| 2.0 * n as f64);
+        assert_eq!(bound, params.iterations_for(50) as f64 * 100.0);
     }
 
     #[test]
@@ -781,6 +917,10 @@ mod tests {
         let g = Graph::new(0);
         let result = corollary_2_2(&g, 3.0, 2, &mut r);
         assert_eq!(result.size(), 0);
+        let converter = FaultTolerantConverter::new(edge(2));
+        let result = converter.build(&g, &GreedySpanner::new(3.0), &mut rng(14));
+        assert_eq!(result.size(), 0);
+        assert!(result.per_iteration.iter().all(|s| s.surviving_edges == 0));
     }
 
     #[test]
@@ -875,6 +1015,18 @@ mod tests {
             assert!(repaired.touched_iterations > 0);
             assert!(repaired.touched_iterations < trace.seeds.len());
         }
+
+        // Under edge faults every vertex survives every iteration, so the
+        // change touches all of them: the repair is a full re-run, and still
+        // equals the from-scratch build.
+        let converter = FaultTolerantConverter::new(edge(2).with_iterations(40));
+        let (_, trace) = converter.build_traced(&g, &alg, &mut rng(16), 2);
+        let (reference, reference_trace) =
+            converter.build_traced(&new_graph, &alg, &mut rng(16), 1);
+        let repaired = repaired(&converter, &g, &new_graph, &alg, &trace, &changed, 2);
+        assert_eq!(repaired.edges, reference.edges);
+        assert_eq!(repaired.trace, reference_trace);
+        assert_eq!(repaired.touched_iterations, 40);
     }
 
     /// A black box that counts its runs.
@@ -1029,10 +1181,21 @@ mod tests {
                 converter.build_with_threads(&g, &GreedySpanner::new(3.0), &mut rng(9), threads);
             assert_eq!(reference, got, "threads = {threads} changed the result");
         }
-        // The randomized black box follows the same discipline.
+        // The randomized black box follows the same discipline, under both
+        // fault models and in the CLPR09 baseline's explicit fault sets.
         let bs = BaswanaSenSpanner::new(2);
-        let reference = converter.build_with_threads(&g, &bs, &mut rng(10), 1);
-        let got = converter.build_with_threads(&g, &bs, &mut rng(10), 4);
-        assert_eq!(reference, got);
+        let edge_converter = FaultTolerantConverter::new(edge(2).with_iterations(40));
+        let clpr = crate::baselines::ClprStyleBaseline::sampled(2, 30);
+        for threads in [2usize, 4, 8] {
+            let reference = converter.build_with_threads(&g, &bs, &mut rng(10), 1);
+            let got = converter.build_with_threads(&g, &bs, &mut rng(10), threads);
+            assert_eq!(reference, got, "vertex, threads = {threads}");
+            let reference = edge_converter.build_with_threads(&g, &bs, &mut rng(10), 1);
+            let got = edge_converter.build_with_threads(&g, &bs, &mut rng(10), threads);
+            assert_eq!(reference, got, "edge, threads = {threads}");
+            let reference = clpr.build_with_threads(&g, &bs, &mut rng(10), 1);
+            let got = clpr.build_with_threads(&g, &bs, &mut rng(10), threads);
+            assert_eq!(reference, got, "clpr09, threads = {threads}");
+        }
     }
 }

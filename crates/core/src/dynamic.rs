@@ -43,15 +43,15 @@
 //! across the edge-id compaction in one pass — untouched iterations are
 //! never visited, and their recorded outputs are shared between versions.
 
-use crate::algorithms::{conversion_params, core_algorithms};
+use crate::algorithms::{conversion_plan, core_algorithms, ConversionPlan};
 use crate::api::{FaultModel, GraphInput, Registry, SpannerRequest};
-use crate::conversion::{ConversionTrace, FaultTolerantConverter};
+use crate::conversion::ConversionTrace;
 use crate::serve::FtSpanner;
 use crate::{CoreError, Result};
 use ftspan_graph::{Graph, NodeId};
-use ftspan_spanners::SpannerAlgorithm;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -136,10 +136,10 @@ pub struct SequencedDelta {
 /// graph.
 ///
 /// The canonical order contract — relied on by the incremental repair in
-/// [`FaultTolerantConverter::repair_traced`] — is: surviving edges keep
-/// their relative order (deletions compact the edge list), and inserted
-/// edges are appended in delta order. Edge identifiers are reassigned
-/// accordingly.
+/// [`crate::conversion::FaultTolerantConverter::repair_traced`] — is:
+/// surviving edges keep their relative order (deletions compact the edge
+/// list), and inserted edges are appended in delta order. Edge identifiers
+/// are reassigned accordingly.
 ///
 /// # Errors
 ///
@@ -504,51 +504,16 @@ impl BuildRecipe {
     }
 }
 
-/// A plan for the traced (repairable) build path of a recipe.
-struct RepairablePlan {
-    converter: FaultTolerantConverter,
-    black_box: Box<dyn SpannerAlgorithm>,
-    provenance: String,
-    stretch: f64,
-}
-
-fn repairable_plan(recipe: &BuildRecipe) -> Option<RepairablePlan> {
-    let request = &recipe.request;
-    if request.fault_model != FaultModel::Vertex {
-        // The edge-fault extension samples *edges* into the oversized fault
-        // set, so an edge delta changes every iteration's mask — there is no
-        // locality to exploit.
+/// The plan of the traced (repairable) build path of a recipe: the
+/// vertex-fault conversions. The edge model samples *edges* into the
+/// oversized fault set, so an edge delta touches every iteration — there is
+/// no locality to exploit.
+fn repairable_plan(recipe: &BuildRecipe) -> Option<ConversionPlan> {
+    if recipe.request.fault_model != FaultModel::Vertex {
         return None;
     }
-    match recipe.algorithm.as_str() {
-        "conversion" => {
-            let black_box = request.black_box.instantiate(request.stretch);
-            let stretch = black_box.stretch();
-            let provenance = format!(
-                "Theorem 2.1 conversion over {} (k = {}, r = {})",
-                request.black_box, stretch, request.faults
-            );
-            Some(RepairablePlan {
-                converter: FaultTolerantConverter::new(conversion_params(request)),
-                black_box,
-                provenance,
-                stretch,
-            })
-        }
-        "corollary-2.2" => {
-            let provenance = format!(
-                "Corollary 2.2 (greedy, k = {}, r = {})",
-                request.stretch, request.faults
-            );
-            Some(RepairablePlan {
-                converter: FaultTolerantConverter::new(conversion_params(request)),
-                black_box: Box::new(ftspan_spanners::GreedySpanner::new(request.stretch)),
-                provenance,
-                stretch: request.stretch,
-            })
-        }
-        _ => None,
-    }
+    conversion_plan(&recipe.algorithm, &recipe.request)
+        .filter(|plan| plan.fault_model == FaultModel::Vertex)
 }
 
 /// An [`FtSpanner`] bundled with its build recipe, its last applied
@@ -584,7 +549,7 @@ impl DynamicArtifact {
     /// [`CoreError::InvalidParameter`] for an unknown algorithm; otherwise
     /// whatever the construction itself reports.
     pub fn build(graph: &Graph, recipe: BuildRecipe) -> Result<Self> {
-        let (artifact, trace) = build_for_recipe(graph, &recipe)?;
+        let (artifact, trace) = build_for_recipe(Cow::Borrowed(graph), &recipe)?;
         Ok(DynamicArtifact {
             artifact: Arc::new(artifact),
             version: 1,
@@ -706,7 +671,7 @@ impl DynamicArtifact {
                 (artifact, Some(repaired.trace), action)
             }
             Err(reason) => {
-                let (artifact, trace) = build_for_recipe(&new_graph, &self.recipe)?;
+                let (artifact, trace) = build_for_recipe(Cow::Owned(new_graph), &self.recipe)?;
                 (artifact, trace, ApplyAction::Rebuilt { reason })
             }
         };
@@ -731,22 +696,24 @@ impl DynamicArtifact {
     }
 }
 
-/// Runs a recipe from scratch: the traced path for repairable algorithms,
-/// the registry path otherwise.
+/// Runs a recipe from scratch on `graph`: the traced path for repairable
+/// algorithms, the registry path otherwise. The artifact adopts an owned
+/// graph and copies a borrowed one only once the build is done.
 fn build_for_recipe(
-    graph: &Graph,
+    graph: Cow<'_, Graph>,
     recipe: &BuildRecipe,
 ) -> Result<(FtSpanner, Option<ConversionTrace>)> {
     let mut rng = ChaCha8Rng::seed_from_u64(recipe.seed);
     if let Some(plan) = repairable_plan(recipe) {
         let (result, trace) = plan.converter.build_traced(
-            graph,
+            &graph,
             plan.black_box.as_ref(),
             &mut rng,
             recipe.request.effective_threads(),
         );
-        let artifact = FtSpanner::from_edge_set(
-            graph,
+        let artifact = FtSpanner::from_parts(
+            graph.into_owned(),
+            None,
             result.edges,
             &recipe.algorithm,
             &recipe.tagged_provenance(&plan.provenance),
@@ -766,9 +733,9 @@ fn build_for_recipe(
                 registry.names().join(", ")
             ),
         })?;
-    let mut report = algorithm.build(GraphInput::from(graph), &recipe.request, &mut rng)?;
+    let mut report = algorithm.build(GraphInput::from(&*graph), &recipe.request, &mut rng)?;
     report.provenance = recipe.tagged_provenance(&report.provenance);
-    let artifact = FtSpanner::from_report(graph, &report)?;
+    let artifact = FtSpanner::adopt_report(graph.into_owned(), None, &report)?;
     Ok((artifact, None))
 }
 

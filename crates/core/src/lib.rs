@@ -10,7 +10,9 @@
 //!   a black-box transformation turning any `k`-spanner algorithm with size
 //!   `f(n)` into an `r`-fault-tolerant one of size `O(r³ log n · f(2n/r))`,
 //!   by repeatedly *oversampling* a random fault set and building a spanner
-//!   on what remains.
+//!   on what remains. The same converter also protects against edge faults
+//!   (an extension beyond the paper: every edge joins the oversampled fault
+//!   set instead of every vertex).
 //! * [`two_spanner`] — **Theorem 3.3 / 3.4** (stretch `k = 2`, directed,
 //!   arbitrary costs): an `O(log n)`-approximation for minimum-cost
 //!   `r`-fault-tolerant 2-spanner via a knapsack-cover-strengthened LP
@@ -19,9 +21,6 @@
 //! * [`baselines`] — the prior-work comparison points: a CLPR09-style
 //!   union-over-fault-sets construction and the DK10 rounding with
 //!   `α = Θ(r log n)`.
-//! * [`edge_faults`] — the edge-fault analogue of the conversion theorem
-//!   (an extension beyond the paper; every edge joins the oversampled fault
-//!   set instead of every vertex).
 //! * [`adaptive`] — a practical variant of the conversion that stops as soon
 //!   as the union passes a verification battery, instead of always running
 //!   the full `Θ(r³ log n)` iterations.
@@ -59,7 +58,6 @@ pub mod api;
 pub mod baselines;
 pub mod conversion;
 pub mod dynamic;
-pub mod edge_faults;
 mod error;
 pub mod lower_bounds;
 pub mod par;

@@ -57,7 +57,7 @@
 //! assert!(cert.holds());
 //! ```
 
-use crate::api::{FaultModel, SpannerEdges, SpannerReport};
+use crate::api::{FaultModel, ResolvedSource, SpannerEdges, SpannerReport};
 use crate::{CoreError, Result};
 use ftspan_graph::csr::{reconstruct_path, CsrSubgraph, SsspWorkspace};
 use ftspan_graph::{EdgeSet, Graph, NodeId};
@@ -137,22 +137,12 @@ impl FtSpanner {
     /// * [`CoreError::Graph`] if the report's edge set was built for a
     ///   different graph.
     pub fn from_report(graph: &Graph, report: &SpannerReport) -> Result<Self> {
-        let edges = undirected_edges(report)?;
-        Self::from_parts(
-            graph.clone(),
-            None,
-            edges.clone(),
-            &report.algorithm,
-            &report.provenance,
-            report.fault_model,
-            report.faults,
-            report.stretch,
-        )
+        Self::adopt_report(graph.clone(), None, report)
     }
 
     /// Like [`FtSpanner::from_report`], but adopts a source CSR that was
-    /// already packed at the construction boundary (the
-    /// `FtSpannerBuilder::on_graph` path) instead of re-packing `graph`.
+    /// already packed at the construction boundary instead of re-packing
+    /// `graph`.
     ///
     /// # Errors
     ///
@@ -164,26 +154,60 @@ impl FtSpanner {
         source_csr: CsrSubgraph,
         report: &SpannerReport,
     ) -> Result<Self> {
+        Self::adopt_report(graph.clone(), Some(source_csr), report)
+    }
+
+    /// Like [`FtSpanner::from_report_with_csr`], but takes the resolved
+    /// source by value (the `FtSpannerBuilder::artifact_on_graph` path): the
+    /// artifact adopts its graph and CSR without copying either.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FtSpanner::from_report_with_csr`], plus
+    /// [`CoreError::InvalidParameter`] for a directed source.
+    pub fn from_resolved(source: ResolvedSource, report: &SpannerReport) -> Result<Self> {
+        match source {
+            ResolvedSource::Undirected { graph, csr } => {
+                Self::adopt_report(graph, Some(csr), report)
+            }
+            ResolvedSource::Directed(_) => Err(CoreError::InvalidParameter {
+                message: format!(
+                    "algorithm `{}` consumed a directed input; only undirected spanners \
+                     can serve distance queries",
+                    report.algorithm
+                ),
+            }),
+        }
+    }
+
+    /// [`FtSpanner::from_report_with_csr`] taking ownership of `graph`;
+    /// `None` packs the source CSR here.
+    pub(crate) fn adopt_report(
+        graph: Graph,
+        source_csr: Option<CsrSubgraph>,
+        report: &SpannerReport,
+    ) -> Result<Self> {
         let edges = undirected_edges(report)?;
-        if source_csr.node_count() != graph.node_count()
-            || source_csr.edge_count() != graph.edge_count()
-            || source_csr.edge_count() != source_csr.parent_edge_count()
-        {
+        if let Some(csr) = source_csr.as_ref().filter(|csr| {
+            csr.node_count() != graph.node_count()
+                || csr.edge_count() != graph.edge_count()
+                || csr.edge_count() != csr.parent_edge_count()
+        }) {
             return Err(CoreError::InvalidParameter {
                 message: format!(
                     "source CSR ({} nodes, {} of {} edges) is not a full packing of the \
                      {}-node, {}-edge graph",
-                    source_csr.node_count(),
-                    source_csr.edge_count(),
-                    source_csr.parent_edge_count(),
+                    csr.node_count(),
+                    csr.edge_count(),
+                    csr.parent_edge_count(),
                     graph.node_count(),
                     graph.edge_count(),
                 ),
             });
         }
         Self::from_parts(
-            graph.clone(),
-            Some(source_csr),
+            graph,
+            source_csr,
             edges.clone(),
             &report.algorithm,
             &report.provenance,

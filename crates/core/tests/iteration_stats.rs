@@ -1,5 +1,6 @@
 //! Pinned per-iteration statistics of seeded conversion, CLPR09 and
-//! edge-fault builds.
+//! edge-fault builds — every union construction of `ftspan-core`, which all
+//! run their black box through one masked-run kernel.
 //!
 //! Every black-box run sees `G \ J` as an edge mask over the parent graph,
 //! and the statistics count the mask: surviving vertices, surviving edges,
@@ -12,7 +13,7 @@
 
 use ftspan_core::baselines::ClprStyleBaseline;
 use ftspan_core::conversion::{ConversionParams, ConversionResult, FaultTolerantConverter};
-use ftspan_core::edge_faults::{edge_fault_tolerant_spanner_with_threads, EdgeFaultParams};
+use ftspan_core::FaultModel;
 use ftspan_graph::stream::GeneratorSpec;
 use ftspan_graph::{generate, EdgeSet, Graph};
 use ftspan_spanners::BlackBoxKind;
@@ -189,25 +190,30 @@ fn edge_fault_iteration_stats_are_pinned() {
         (&mesh, BlackBoxKind::ThorupZwick, 3, 3.0, 14),
     ];
     let mut got = Vec::new();
+    let mut edge_runs = Vec::new();
     for (graph, kind, faults, stretch, seed) in cases {
-        let params = EdgeFaultParams::new(faults).with_scale(0.5);
+        let params = ConversionParams::new(faults)
+            .with_fault_model(FaultModel::Edge)
+            .with_scale(0.5);
         let alg = kind.instantiate(stretch);
-        let result = edge_fault_tolerant_spanner_with_threads(
+        let result = FaultTolerantConverter::new(params).build_with_threads(
             graph,
             alg.as_ref(),
-            &params,
             &mut rng(seed),
             2,
         );
+        let surviving = result.per_iteration.iter().map(|s| s.surviving_edges);
         got.push((
-            [
-                result.iterations,
-                result.size(),
-                result.surviving_edges.iter().sum(),
-            ],
-            digest(result.surviving_edges.iter().copied()),
+            [result.iterations, result.size(), surviving.clone().sum()],
+            digest(surviving),
             edge_digest(&result.edges),
         ));
+        // Every vertex survives every iteration, and the runs' new edges add
+        // up to the spanner.
+        let (counts, _, _) = summary(&result);
+        assert_eq!(counts[2], counts[0] * graph.node_count());
+        assert_eq!(counts[5], counts[1]);
+        edge_runs.push([counts[4], counts[5]]);
     }
     assert_eq!(
         got,
@@ -217,5 +223,10 @@ fn edge_fault_iteration_stats_are_pinned() {
             ([55, 116, 3215], 13147302267988516118, 69274334838492901),
             ([150, 323, 16108], 16928384404080205573, 7023023755851027469),
         ]
+    );
+    // Σ spanner_edges and Σ new_edges per case.
+    assert_eq!(
+        edge_runs,
+        [[4769, 323], [1995, 114], [2312, 116], [16083, 323]]
     );
 }

@@ -517,7 +517,7 @@ pub fn is_ft_two_spanner_by_definition(graph: &DiGraph, spanner: &ArcSet, r: usi
 /// *edge* fault set `faults`, measured against distances in `G \ F`.
 ///
 /// This is the edge-fault analogue of [`max_stretch_under_faults`]: the
-/// companion fault model handled by `ftspan-core::edge_faults`.
+/// companion fault model of `ftspan-core`'s conversion (`FaultModel::Edge`).
 ///
 /// # Panics
 ///

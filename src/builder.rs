@@ -3,8 +3,7 @@
 use crate::registry::registry;
 use ftspan_core::serve::FtSpanner;
 use ftspan_core::{
-    BuildRecipe, CoreError, GraphInput, GraphSource, ResolvedSource, Result, SpannerReport,
-    SpannerRequest,
+    BuildRecipe, CoreError, GraphInput, GraphSource, Result, SpannerReport, SpannerRequest,
 };
 use ftspan_graph::{DiGraph, Graph};
 use ftspan_spanners::BlackBoxKind;
@@ -242,9 +241,9 @@ impl FtSpannerBuilder {
     }
 
     /// Like [`FtSpannerBuilder::on_graph`], but promotes the report to a
-    /// queryable [`FtSpanner`] artifact. The CSR packed when the source was
-    /// resolved is adopted by the artifact — the source graph is packed
-    /// exactly once end to end.
+    /// queryable [`FtSpanner`] artifact. The graph and the CSR packed when
+    /// the source was resolved are moved into the artifact — the source
+    /// graph is packed exactly once end to end and never copied.
     ///
     /// # Errors
     ///
@@ -256,18 +255,7 @@ impl FtSpannerBuilder {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut report = self.build_with_rng(resolved.as_input(), &mut rng)?;
         report.provenance = self.recipe().tagged_provenance(&report.provenance);
-        match resolved {
-            ResolvedSource::Undirected { graph, csr } => {
-                FtSpanner::from_report_with_csr(&graph, csr, &report)
-            }
-            ResolvedSource::Directed(_) => Err(CoreError::InvalidParameter {
-                message: format!(
-                    "algorithm `{}` consumed a directed input; only undirected spanners \
-                     can serve distance queries",
-                    report.algorithm
-                ),
-            }),
-        }
+        FtSpanner::from_resolved(resolved, &report)
     }
 
     /// Builds on a directed graph with the builder-owned generator.

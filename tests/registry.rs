@@ -144,3 +144,29 @@ fn edge_fault_requests_are_either_honored_or_cleanly_rejected() {
         }
     }
 }
+
+#[test]
+fn union_constructions_report_what_every_iteration_selected() {
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let g = generate::connected_gnp(40, 0.2, generate::WeightKind::Unit, &mut rng);
+    let builders = [
+        FtSpannerBuilder::new("conversion"),
+        FtSpannerBuilder::new("conversion").edge_faults(),
+        FtSpannerBuilder::new("corollary-2.2"),
+        FtSpannerBuilder::new("edge-fault"),
+        FtSpannerBuilder::new("clpr09"),
+        FtSpannerBuilder::new("adaptive"),
+    ];
+    for builder in builders {
+        let report = builder.faults(1).seed(3).build(&g).unwrap();
+        let name = format!("{} ({})", report.algorithm, report.fault_model);
+        assert_eq!(report.per_iteration.len(), report.iterations, "{name}");
+        // Each run's new edges count against the union in run order, so
+        // they add up to the spanner.
+        let new_edges: usize = report.per_iteration.iter().map(|s| s.new_edges).sum();
+        assert_eq!(new_edges, report.size(), "{name}");
+        for stats in &report.per_iteration {
+            assert!(stats.spanner_edges >= stats.new_edges, "{name}: {stats:?}");
+        }
+    }
+}
