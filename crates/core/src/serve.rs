@@ -1127,6 +1127,24 @@ impl<'a> FaultSession<'a> {
         (self.dead_nodes.as_deref(), self.dead_edges.as_deref())
     }
 
+    /// A search from `u` on `csr` under this session's masks that stops
+    /// once `v`'s label is final ([`CsrSubgraph::sssp_target_into`]: the
+    /// same distance and path to `v` as a full traversal, bit for bit).
+    /// `None` when `v` has failed: a dead vertex is never labelled, so
+    /// there is nothing to search for.
+    fn search_to(&self, csr: &CsrSubgraph, u: NodeId, v: NodeId) -> Result<Option<SsspWorkspace>> {
+        self.check_node(u)?;
+        self.check_node(v)?;
+        let (dead, dead_edges) = self.masks();
+        if dead.is_some_and(|d| d[v.index()]) {
+            return Ok(None);
+        }
+        let mut workspace = SsspWorkspace::new();
+        csr.sssp_target_into(u, v, dead, dead_edges, &mut workspace)
+            .map_err(CoreError::Graph)?;
+        Ok(Some(workspace))
+    }
+
     /// Shortest-path distance from `u` to `v` in the surviving spanner
     /// `H \ F` (`INFINITY` when disconnected or an endpoint has failed).
     ///
@@ -1134,15 +1152,8 @@ impl<'a> FaultSession<'a> {
     ///
     /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
     pub fn distance(&self, u: NodeId, v: NodeId) -> Result<f64> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        let (dead, dead_edges) = self.masks();
-        let dist = self
-            .artifact
-            .spanner_csr
-            .sssp(u, dead, dead_edges)
-            .map_err(CoreError::Graph)?;
-        Ok(dist[v.index()])
+        let search = self.search_to(&self.artifact.spanner_csr, u, v)?;
+        Ok(search.map_or(f64::INFINITY, |ws| ws.distances()[v.index()]))
     }
 
     /// All shortest-path distances from `u` in the surviving spanner (one
@@ -1167,15 +1178,8 @@ impl<'a> FaultSession<'a> {
     ///
     /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
     pub fn path(&self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        let (dead, dead_edges) = self.masks();
-        let (dist, parents) = self
-            .artifact
-            .spanner_csr
-            .sssp_with_parents(u, dead, dead_edges)
-            .map_err(CoreError::Graph)?;
-        Ok(reconstruct_path(&parents, &dist, u, v))
+        let search = self.search_to(&self.artifact.spanner_csr, u, v)?;
+        Ok(search.and_then(|ws| reconstruct_path(ws.parents(), ws.distances(), u, v)))
     }
 
     /// Distance from `u` to `v` in the surviving *source* graph `G \ F` —
@@ -1185,15 +1189,8 @@ impl<'a> FaultSession<'a> {
     ///
     /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
     pub fn baseline_distance(&self, u: NodeId, v: NodeId) -> Result<f64> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        let (dead, dead_edges) = self.masks();
-        let dist = self
-            .artifact
-            .source_csr
-            .sssp(u, dead, dead_edges)
-            .map_err(CoreError::Graph)?;
-        Ok(dist[v.index()])
+        let search = self.search_to(&self.artifact.source_csr, u, v)?;
+        Ok(search.map_or(f64::INFINITY, |ws| ws.distances()[v.index()]))
     }
 
     /// All shortest-path distances from `u` in the surviving *source* graph
@@ -1221,21 +1218,20 @@ impl<'a> FaultSession<'a> {
     ///
     /// Returns [`CoreError::UnknownNode`] if an endpoint is out of bounds.
     pub fn stretch_certificate(&self, u: NodeId, v: NodeId) -> Result<StretchCertificate> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        let (dead, dead_edges) = self.masks();
-        let (dist, parents) = self
-            .artifact
-            .spanner_csr
-            .sssp_with_parents(u, dead, dead_edges)
-            .map_err(CoreError::Graph)?;
+        let (distance, path) = match self.search_to(&self.artifact.spanner_csr, u, v)? {
+            Some(ws) => (
+                ws.distances()[v.index()],
+                reconstruct_path(ws.parents(), ws.distances(), u, v),
+            ),
+            None => (f64::INFINITY, None),
+        };
         Ok(StretchCertificate::new(
             u,
             v,
-            dist[v.index()],
+            distance,
             self.baseline_distance(u, v)?,
             self.artifact.stretch,
-            reconstruct_path(&parents, &dist, u, v),
+            path,
         ))
     }
 
@@ -2127,6 +2123,58 @@ mod tests {
             assert_eq!(stats.total(), stats.hits + stats.misses);
             assert_eq!(cached.session().fault_count(), 2);
             assert_eq!(cached.artifact().node_count(), n);
+        }
+    }
+
+    /// The plain session's target-bounded searches answer bit for bit like
+    /// the cached session's full trees on an artifact above the 2048
+    /// half-edge frontier switch (both CSRs run on the bucket queue) with
+    /// `{0, 1, 2}` weights, whose zero-weight edges and equal labels make
+    /// ties everywhere. Pairs include dead endpoints and the source itself.
+    #[test]
+    fn plain_bounded_session_matches_cached_trees_on_the_bucket_frontier() {
+        let (rows, cols) = (40, 40);
+        let grid = generate::grid(rows, cols);
+        let g = Graph::from_edges(
+            grid.node_count(),
+            grid.edges().map(|(id, e)| {
+                let w = (id.index().wrapping_mul(2_654_435_761) >> 7) % 3;
+                (e.u.index(), e.v.index(), w as f64)
+            }),
+        )
+        .unwrap();
+        let mut spanner = g.empty_edge_set();
+        for (id, _) in g.edges() {
+            if id.index() % 4 != 0 {
+                spanner.insert(id);
+            }
+        }
+        let artifact =
+            FtSpanner::from_edge_set(&g, spanner, "test", "test", FaultModel::Vertex, 2, 3.0)
+                .unwrap();
+        assert!(2 * artifact.spanner_csr.edge_count() >= 2048);
+        let n = artifact.node_count();
+        let faults = [NodeId::new(cols + 1), NodeId::new(n / 2)];
+        let plain = artifact.under_faults(&faults).unwrap();
+        let mut cached = artifact.under_faults(&faults).unwrap().cached(64);
+        for u in (0..n).step_by(37).chain([cols + 1]) {
+            for v in [0, 1, cols, cols + 1, n / 2, n / 2 + 7, n - 1, u] {
+                let (u, v) = (NodeId::new(u), NodeId::new(v));
+                let d = plain.distance(u, v).unwrap();
+                assert_eq!(d.to_bits(), cached.distance(u, v).unwrap().to_bits());
+                assert_eq!(plain.path(u, v).unwrap(), cached.path(u, v).unwrap());
+                let (a, b) = (
+                    plain.stretch_certificate(u, v).unwrap(),
+                    cached.stretch_certificate(u, v).unwrap(),
+                );
+                assert_eq!(a, b);
+                assert_eq!(a.spanner_distance.to_bits(), b.spanner_distance.to_bits());
+                assert_eq!(a.baseline_distance.to_bits(), b.baseline_distance.to_bits());
+                assert_eq!(
+                    plain.baseline_distance(u, v).unwrap().to_bits(),
+                    b.baseline_distance.to_bits()
+                );
+            }
         }
     }
 

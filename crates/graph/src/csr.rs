@@ -32,6 +32,9 @@ const BUCKET_QUEUE_HALF_EDGES: usize = 2048;
 trait Frontier {
     fn push(&mut self, dist: f64, node: NodeId);
     fn pop(&mut self) -> Option<(f64, NodeId)>;
+    /// `true` only if no queued entry is below `bound` (it may answer
+    /// `false` when that holds; a stop is then just later).
+    fn nothing_below(&mut self, bound: f64) -> bool;
 }
 
 impl Frontier for BinaryHeap<HeapEntry> {
@@ -44,6 +47,11 @@ impl Frontier for BinaryHeap<HeapEntry> {
     fn pop(&mut self) -> Option<(f64, NodeId)> {
         BinaryHeap::pop(self).map(|e| (e.dist, e.node))
     }
+
+    #[inline]
+    fn nothing_below(&mut self, bound: f64) -> bool {
+        self.peek().is_none_or(|e| e.dist >= bound)
+    }
 }
 
 impl Frontier for BucketQueue {
@@ -55,6 +63,35 @@ impl Frontier for BucketQueue {
     #[inline]
     fn pop(&mut self) -> Option<(f64, NodeId)> {
         BucketQueue::pop(self)
+    }
+
+    #[inline]
+    fn nothing_below(&mut self, bound: f64) -> bool {
+        BucketQueue::nothing_below(self, bound)
+    }
+}
+
+/// When [`CsrSubgraph::relax`] may end before its frontier is empty. A
+/// type, not a value tested per pop, so a full run compiles to the plain
+/// loop.
+trait Stop: Copy {
+    fn reached<F: Frontier>(self, frontier: &mut F, dist: &[f64]) -> bool;
+}
+
+/// Run to exhaustion: every label is final.
+impl Stop for () {
+    #[inline]
+    fn reached<F: Frontier>(self, _: &mut F, _: &[f64]) -> bool {
+        false
+    }
+}
+
+/// Stop as soon as this target's label is final: no queued entry can
+/// still strictly lower it.
+impl Stop for NodeId {
+    #[inline]
+    fn reached<F: Frontier>(self, frontier: &mut F, dist: &[f64]) -> bool {
+        frontier.nothing_below(dist[self.index()])
     }
 }
 
@@ -412,6 +449,71 @@ impl CsrSubgraph {
         dead_edges: Option<&[bool]>,
         workspace: &mut SsspWorkspace,
     ) -> Result<()> {
+        self.search(source, (), dead, dead_edges, workspace)
+    }
+
+    /// Like [`CsrSubgraph::sssp_into`], but stops as soon as `target`'s
+    /// label is final: the point-to-point query. Afterwards
+    /// `workspace.distances()[target]` and the path
+    /// [`reconstruct_path`] reads from the workspace to `target` are
+    /// **bit-identical** to those of the full [`CsrSubgraph::sssp_into`]
+    /// run on the same CSR and masks; every other entry may be partial
+    /// (`INFINITY` for a vertex the search never reached, or a label the
+    /// full run would lower). An unreachable or dead target is never
+    /// final early, so the search then runs to exhaustion.
+    ///
+    /// Why it is exact: the search is the full run's relaxation loop,
+    /// which before each pop asks its frontier whether any queued entry is
+    /// below `dist[target]`, and ends when none is. The binary heap answers
+    /// by peeking; the bucket queue answers once its drain cursor is two
+    /// buckets past `dist[target]`'s (see [`BucketQueue`]).
+    ///
+    /// 1. After the stop, every queued entry is at least the frontier
+    ///    bound, which is at least `dist[target]`; every later candidate
+    ///    `d + w` is at least a popped `d` (weights are non-negative and
+    ///    floating-point addition is monotone), so it is too.
+    /// 2. So no later strict improvement can reach `target`, nor any vertex
+    ///    labelled at most `dist[target]` — which includes every vertex on
+    ///    `target`'s parent chain, since labels only grow along it. Parents
+    ///    change only on a strict improvement, so the chain is final too.
+    /// 3. The frontier, the pushes and the pops are those of the full run
+    ///    up to the stop: the bounded run is a prefix of the full run's pop
+    ///    sequence, so `dist[target]` and the reconstructed path equal the
+    ///    full run's.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`CsrSubgraph::sssp`], and
+    /// [`GraphError::NodeOutOfBounds`] if `target` is out of bounds.
+    pub fn sssp_target_into(
+        &self,
+        source: NodeId,
+        target: NodeId,
+        dead: Option<&[bool]>,
+        dead_edges: Option<&[bool]>,
+        workspace: &mut SsspWorkspace,
+    ) -> Result<()> {
+        let n = self.node_count();
+        if target.index() >= n {
+            return Err(GraphError::NodeOutOfBounds {
+                node: target.index(),
+                len: n,
+            });
+        }
+        self.search(source, target, dead, dead_edges, workspace)
+    }
+
+    /// The body of [`CsrSubgraph::sssp_into`] and
+    /// [`CsrSubgraph::sssp_target_into`]: validation, frontier choice and
+    /// one [`CsrSubgraph::relax`] run ending at `stop`.
+    fn search<S: Stop>(
+        &self,
+        source: NodeId,
+        stop: S,
+        dead: Option<&[bool]>,
+        dead_edges: Option<&[bool]>,
+        workspace: &mut SsspWorkspace,
+    ) -> Result<()> {
         self.validate_masks(source, dead, dead_edges)?;
         workspace.reset(self.node_count());
         let is_dead = |v: NodeId| dead.is_some_and(|d| d[v.index()]);
@@ -434,29 +536,33 @@ impl CsrSubgraph {
                 BucketQueue::suggest_delta(self.weight_sum, self.max_weight, self.targets.len());
             buckets.reset(delta, self.max_weight);
             buckets.push(0.0, source);
-            self.relax(buckets, dist, Some(parent), live);
+            self.relax(buckets, dist, Some(parent), live, stop);
         } else {
             Frontier::push(heap, 0.0, source);
-            self.relax(heap, dist, Some(parent), live);
+            self.relax(heap, dist, Some(parent), live, stop);
         }
         Ok(())
     }
 
-    /// Dijkstra's relaxation loop, shared by [`CsrSubgraph::sssp_into`] and
-    /// the recomputation phase of [`CsrSubgraph::sssp_repair_into`]: pops
-    /// `frontier` until it is empty, skips stale entries, and relaxes
-    /// each half-edge `i` out of the popped vertex whose head `u` passes
-    /// `live(i, u)`. Every strict improvement is pushed, and recorded in
-    /// `parent` when one is given.
+    /// Dijkstra's relaxation loop, shared by every search and by the
+    /// recomputation phase of [`CsrSubgraph::sssp_repair_into`]: pops
+    /// `frontier` until it is empty or `stop` is reached, skips stale
+    /// entries, and relaxes each half-edge `i` out of the popped vertex
+    /// whose head `u` passes `live(i, u)`. Every strict improvement is
+    /// pushed, and recorded in `parent` when one is given.
     #[inline]
-    fn relax<F: Frontier>(
+    fn relax<F: Frontier, S: Stop>(
         &self,
         frontier: &mut F,
         dist: &mut [f64],
         mut parent: Option<&mut Vec<Option<NodeId>>>,
         live: impl Fn(usize, NodeId) -> bool,
+        stop: S,
     ) {
-        while let Some((d, v)) = frontier.pop() {
+        while !stop.reached(frontier, dist) {
+            let Some((d, v)) = frontier.pop() else {
+                break;
+            };
             if d > dist[v.index()] {
                 continue;
             }
@@ -639,9 +745,13 @@ impl CsrSubgraph {
                 });
             }
         }
-        self.relax(heap, dist, None, |i, u| {
-            mark[u.index()] == AFFECTED && !edge_dead(i)
-        });
+        self.relax(
+            heap,
+            dist,
+            None,
+            |i, u| mark[u.index()] == AFFECTED && !edge_dead(i),
+            (),
+        );
         Ok(())
     }
 }

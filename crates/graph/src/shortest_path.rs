@@ -388,16 +388,42 @@ impl BucketQueue {
     /// compare the returned distance against their tentative-distance array
     /// and skip outdated pairs.
     pub fn pop(&mut self) -> Option<(f64, NodeId)> {
-        while self.live > 0 {
-            let ring = self.buckets.len() as u64;
-            let slot = (self.cursor % ring) as usize;
-            if let Some(entry) = self.buckets[slot].pop() {
-                self.live -= 1;
-                return Some(entry);
-            }
+        self.skip_empty();
+        if self.live == 0 {
+            return None;
+        }
+        let slot = (self.cursor % self.buckets.len() as u64) as usize;
+        self.live -= 1;
+        self.buckets[slot].pop()
+    }
+
+    /// Advances the drain cursor to the next non-empty bucket (a no-op on
+    /// an exhausted queue).
+    fn skip_empty(&mut self) {
+        let ring = self.buckets.len() as u64;
+        while self.live > 0 && self.buckets[(self.cursor % ring) as usize].is_empty() {
             self.cursor += 1;
         }
-        None
+    }
+
+    /// Returns `true` when no queued entry has a distance below `bound`,
+    /// so no later pop can strictly lower a label at or below `bound`.
+    ///
+    /// Conservative: the answer is `true` only once the drain cursor is at
+    /// least two buckets past `bound`'s bucket (or the queue is empty).
+    /// An entry's absolute bucket is its rounded quotient `dist / delta`
+    /// (in a relaxation loop the clamp in [`BucketQueue::push`] never
+    /// fires: a candidate is never below the entry just popped), and no
+    /// queued entry's bucket is behind the cursor, which only moves past an
+    /// empty slot — also when the ring is capped at `1 << 16` buckets and
+    /// wraps. So every queued quotient is at least two above `bound`'s
+    /// bucket, more than one whole bucket above `bound`'s own quotient, and
+    /// its distance exceeds `bound` without trusting the last bit of either
+    /// quotient. Order within a bucket (LIFO, unsorted) never enters the
+    /// argument.
+    pub(crate) fn nothing_below(&mut self, bound: f64) -> bool {
+        self.skip_empty();
+        self.live == 0 || self.cursor >= ((bound / self.delta) as u64).saturating_add(2)
     }
 
     /// Returns `true` if no entries (stale or not) remain queued.
@@ -531,6 +557,68 @@ mod tests {
         q.push(0.5, NodeId::new(1)); // same absolute bucket as the cursor
         assert_eq!(q.pop(), Some((0.5, NodeId::new(1))));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Dijkstra on `g` from `source` over a bucket queue of width 1 sized
+    /// for weights up to 1e6, whose ring is therefore capped at `1 << 16`
+    /// buckets; stops at `target`'s final label when one is given. Returns
+    /// the labels and what is left queued.
+    fn capped_bucket_run(
+        g: &Graph,
+        source: NodeId,
+        target: Option<NodeId>,
+    ) -> (Vec<f64>, BucketQueue) {
+        let mut q = BucketQueue::new();
+        q.reset(1.0, 1e6);
+        assert_eq!(q.buckets.len(), (1 << 16) + 3, "ring capped");
+        let mut dist = vec![INFINITY; g.node_count()];
+        dist[source.index()] = 0.0;
+        q.push(0.0, source);
+        loop {
+            if target.is_some_and(|t| q.nothing_below(dist[t.index()])) {
+                break;
+            }
+            let Some((d, v)) = q.pop() else {
+                break;
+            };
+            if d > dist[v.index()] {
+                continue;
+            }
+            for (u, eid) in g.incident(v) {
+                let nd = d + g.edge(eid).weight;
+                if nd < dist[u.index()] {
+                    dist[u.index()] = nd;
+                    q.push(nd, u);
+                }
+            }
+        }
+        (dist, q)
+    }
+
+    #[test]
+    fn capped_ring_wraps_and_stops_exactly() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let weights = crate::generate::WeightKind::Uniform { min: 0.5, max: 1e6 };
+        let g = crate::generate::gnp(60, 0.15, weights, &mut rng);
+        let source = NodeId::new(0);
+        let reference = dijkstra(&g, source).unwrap();
+        let (full, _) = capped_bucket_run(&g, source, None);
+        assert_eq!(full, reference);
+        // Labels run far past the ring, so entries wrapped onto earlier
+        // slots.
+        let far = reference
+            .iter()
+            .filter(|d| d.is_finite())
+            .fold(0.0, |a: f64, &d| a.max(d));
+        assert!(far > f64::from(1 << 17), "farthest label {far}");
+        for t in 0..g.node_count() {
+            let (dist, mut rest) = capped_bucket_run(&g, source, Some(NodeId::new(t)));
+            assert_eq!(dist[t].to_bits(), reference[t].to_bits(), "target {t}");
+            while let Some((d, _)) = rest.pop() {
+                assert!(d > dist[t], "target {t}: {d} left queued below {}", dist[t]);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! `CsrSubgraph::sssp_into` pinned **bit-equal** to the `SsspOptions`
-//! reference Dijkstra on the parent graph.
+//! reference Dijkstra on the parent graph, and
+//! `CsrSubgraph::sssp_target_into` pinned bit-equal to `sssp_into` at its
+//! target.
 //!
 //! `sssp_into` runs one relaxation loop over one of two frontiers, picked by
 //! size: a binary heap below 2048 half-edges, a bucket queue at or above.
@@ -11,8 +13,15 @@
 //! views, vertex and edge masks. Parent trees may break ties differently
 //! (any tight shortest-path tree is correct), so they are checked for
 //! validity, not identity.
+//!
+//! The target-bounded search is the same loop stopped once the target's
+//! label is final, so on the same CSR and masks its target distance and
+//! reconstructed path must equal the full run's exactly: every case also
+//! runs it to a pseudo-random target, to the source, to a dead target and
+//! to an unreachable one. A separate test checks that the stop happens at
+//! all, which equality alone cannot see.
 
-use ftspan_graph::csr::{CsrSubgraph, SsspWorkspace};
+use ftspan_graph::csr::{reconstruct_path, CsrSubgraph, SsspWorkspace};
 use ftspan_graph::shortest_path::SsspOptions;
 use ftspan_graph::stream::GeneratorSpec;
 use ftspan_graph::{generate, EdgeSet, Graph, NodeId};
@@ -39,7 +48,8 @@ fn graph_from_bits(n: usize, bits: &[bool], weights: &[f64]) -> Graph {
 /// Runs `sssp_into` on `csr` (packed from the edges `selected` of `g`) and
 /// checks the contract: distances bit-identical to the reference Dijkstra
 /// over the selected, live edges of `g`, and a valid (tight, alive, rooted)
-/// parent tree.
+/// parent tree. Then checks the bounded search against that full run
+/// ([`assert_bounded_runs_match`]), in the same workspace.
 fn assert_matches_reference(
     g: &Graph,
     selected: &EdgeSet,
@@ -102,6 +112,51 @@ fn assert_matches_reference(
                 assert!(tight, "vertex {v}: parent edge not tight/alive");
             }
         }
+    }
+    let full_dist = got.to_vec();
+    let full_parents = ws.parents().to_vec();
+    assert_bounded_runs_match(csr, source, dead, dead_edges, &full_dist, &full_parents, ws);
+}
+
+/// Runs `sssp_target_into` from `source` to a pseudo-random target, to the
+/// source itself, to the first dead vertex and to the first live vertex
+/// the full run left unreached (when those exist), and checks each against
+/// the full run's `full_dist` / `full_parents` on the same CSR and masks:
+/// the target's distance bit for bit, and the reconstructed path.
+fn assert_bounded_runs_match(
+    csr: &CsrSubgraph,
+    source: NodeId,
+    dead: Option<&[bool]>,
+    dead_edges: Option<&[bool]>,
+    full_dist: &[f64],
+    full_parents: &[Option<NodeId>],
+    ws: &mut SsspWorkspace,
+) {
+    let n = csr.node_count();
+    let is_dead = |v: usize| dead.is_some_and(|d| d[v]);
+    let random = (source.index().wrapping_mul(2_654_435_761) + 7 * csr.edge_count() + 1) % n;
+    let dead_target = (0..n).find(|&v| is_dead(v));
+    let unreachable = (0..n).find(|&v| !is_dead(v) && full_dist[v].is_infinite());
+    let targets = [Some(random), Some(source.index()), dead_target, unreachable];
+    for t in targets.into_iter().flatten() {
+        let target = NodeId::new(t);
+        csr.sssp_target_into(source, target, dead, dead_edges, ws)
+            .unwrap();
+        assert_eq!(
+            ws.distances()[t].to_bits(),
+            full_dist[t].to_bits(),
+            "target {t} from {}: bounded {} vs full {} ({} half-edges)",
+            source.index(),
+            ws.distances()[t],
+            full_dist[t],
+            2 * csr.edge_count()
+        );
+        assert_eq!(
+            reconstruct_path(ws.parents(), ws.distances(), source, target),
+            reconstruct_path(full_parents, full_dist, source, target),
+            "target {t} from {}: paths differ",
+            source.index()
+        );
     }
 }
 
@@ -286,10 +341,110 @@ fn workspace_reuse_never_leaks_state() {
         for src in [0, n - 1] {
             let source = NodeId::new(src);
             assert_matches_reference(&g, &full, &csr, source, None, None, &mut shared);
+            // `shared` last held bounded runs: a full run after them must
+            // see none of their partial state.
+            csr.sssp_into(source, None, None, &mut shared).unwrap();
             let mut fresh = SsspWorkspace::new();
             csr.sssp_into(source, None, None, &mut fresh).unwrap();
             assert_eq!(fresh.distances(), shared.distances());
             assert_eq!(fresh.parents(), shared.parents());
+        }
+    }
+}
+
+/// Reweights `g` edge by edge with `weight(edge id)`.
+fn reweighted(g: &Graph, weight: impl Fn(usize) -> f64) -> Graph {
+    Graph::from_edges(
+        g.node_count(),
+        g.edges()
+            .map(|(id, e)| (e.u.index(), e.v.index(), weight(id.index()))),
+    )
+    .unwrap()
+}
+
+/// Grids with hashed `{0, 1, 2}` weights, on both sides of the switch:
+/// zero-weight edges and many equal labels, the profile in which ties are
+/// everywhere and a stop at `dist[target]` must not cut off an equal-label
+/// entry that could still matter.
+#[test]
+fn tied_weight_grids_match_reference() {
+    let mut ws = SsspWorkspace::new();
+    for (rows, cols) in [(9, 11), (40, 40)] {
+        let spec = GeneratorSpec::Grid {
+            rows,
+            cols,
+            wrap: false,
+            weights: generate::WeightKind::Unit,
+            seed: 5,
+        };
+        let unit = spec.generate_csr().unwrap().to_graph().unwrap();
+        let g = reweighted(&unit, |e| (e.wrapping_mul(2_654_435_761) >> 7) as f64 % 3.0);
+        let n = g.node_count();
+        assert_views_match(&g, &[0, n / 3, n - 1], &mut ws);
+    }
+}
+
+/// Weights of 1 to 10 with every 97th edge at 1e9, above the switch: the
+/// bucket width is clamped to `max_weight / 4096`, so the ring is at its
+/// largest size a CSR search can reach and almost every entry lands in the
+/// first few buckets — the regime where a stop decided per bucket is
+/// coarsest. (The `1 << 16` ring cap itself is out of a CSR search's reach;
+/// `BucketQueue`'s unit tests drive it directly.)
+#[test]
+fn wide_weight_spread_matches_reference() {
+    let spec = GeneratorSpec::Gnm {
+        nodes: 500,
+        edges: 1500,
+        weights: generate::WeightKind::Unit,
+        seed: 17,
+    };
+    let unit = spec.generate_csr().unwrap().to_graph().unwrap();
+    let g = reweighted(&unit, |e| {
+        let h = e.wrapping_mul(2_654_435_761) % 1_000_003;
+        if h % 97 == 0 {
+            1e9
+        } else {
+            1.0 + (h % 10) as f64
+        }
+    });
+    assert!(2 * g.edge_count() >= BUCKET_HALF_EDGES);
+    let mut ws = SsspWorkspace::new();
+    assert_views_match(&g, &[0, 250, 499], &mut ws);
+}
+
+/// The stop happens: a bounded search to a neighbour of the source leaves
+/// the far half of a long path unlabelled, on the bucket queue (a path of
+/// at least 2048 half-edges) and on the heap (a short one), from an end and
+/// from the middle. A search that never stopped would label everything and
+/// still answer exactly, so only this test can see it.
+#[test]
+fn bounded_search_stops_near_the_source() {
+    let mut ws = SsspWorkspace::new();
+    for n in [1100usize, 40] {
+        let csr = CsrSubgraph::from_graph(&generate::path(n));
+        assert_eq!(
+            2 * csr.edge_count() >= BUCKET_HALF_EDGES,
+            n == 1100,
+            "one run per frontier"
+        );
+        for (source, target, far) in [(0, 1, n / 2..n), (n / 2, n / 2 + 1, 0..n / 4)] {
+            csr.sssp_target_into(
+                NodeId::new(source),
+                NodeId::new(target),
+                None,
+                None,
+                &mut ws,
+            )
+            .unwrap();
+            assert_eq!(ws.distances()[target], 1.0);
+            let labelled = far
+                .clone()
+                .filter(|&v| ws.distances()[v].is_finite())
+                .count();
+            assert_eq!(
+                labelled, 0,
+                "n = {n}: search from {source} went past {far:?}"
+            );
         }
     }
 }

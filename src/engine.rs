@@ -725,7 +725,10 @@ impl Engine {
     /// scope, so one session serves them all. A unit of one query has
     /// nothing to reuse, so it skips the source cache and counts neither
     /// hits nor misses (the cache is transparent, so the answer is
-    /// identical). If the shared session cannot be opened, every query is
+    /// identical); its flat session then runs a target-bounded search that
+    /// stops once `v`'s label is final instead of a full tree (the same
+    /// answer bit for bit, see `CsrSubgraph::sssp_target_into`). If the
+    /// shared session cannot be opened, every query is
     /// answered alone so each reports exactly the error it would have
     /// produced on its own — error queries never poison their group.
     fn run_unit(
