@@ -1128,9 +1128,10 @@ impl Scenario {
 
     /// Large-n shortest paths: a generated CSR served directly (no Graph
     /// detour), swept from a rotating set of sources through one reused
-    /// [`SsspWorkspace`]. At these sizes the automatic strategy picks the
-    /// bucket queue; the digest folds every distance of every sweep, so the
-    /// result also pins the bucket/heap distance equivalence at scale. The
+    /// [`SsspWorkspace`]. At these sizes, with weights from 1 to 4, every
+    /// sweep runs on the bucket queue; the digest folds every distance of
+    /// every sweep, so the result also pins the bucket/heap distance
+    /// equivalence at scale. The
     /// library counts no SSSP work, so the row carries no counters.
     ///
     /// [`SsspWorkspace`]: ftspan_graph::csr::SsspWorkspace

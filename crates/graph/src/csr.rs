@@ -16,9 +16,8 @@
 //! subgraph per fault set.
 
 use crate::graph::Edge;
-use crate::shortest_path::BucketQueue;
+use crate::shortest_path::{BucketQueue, HeapEntry};
 use crate::{EdgeId, EdgeSet, Graph, GraphError, NodeId, Result, INFINITY};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Half-edge count at which [`CsrSubgraph::sssp_into`] switches its
@@ -26,6 +25,14 @@ use std::collections::BinaryHeap;
 /// dominated by setup cost, where the heap's zero-reset wins; past a few
 /// thousand half-edges the bucket queue's `O(1)` operations take over.
 const BUCKET_QUEUE_HALF_EDGES: usize = 2048;
+
+/// Largest ratio of the maximum to the smallest positive half-edge weight
+/// at which [`CsrSubgraph::sssp_into`] uses the bucket queue. On a wider
+/// spread the bucket width (the mean weight, at least `max_weight / 4096`)
+/// dwarfs most labels, which pile into the first few buckets, whose
+/// unordered draining re-relaxes vertices over and over; the heap's cost
+/// does not depend on the spread.
+const BUCKET_QUEUE_MAX_SPREAD: f64 = 4096.0;
 
 /// The priority queue of a Dijkstra run: [`CsrSubgraph::relax`] pops the
 /// nearest tentative label and pushes every strict improvement.
@@ -95,32 +102,6 @@ impl Stop for NodeId {
     }
 }
 
-/// A heap entry ordered by ascending distance (mirrors the one in
-/// [`crate::shortest_path`]; distances entering the heap are finite).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A CSR-packed view of a subset of a parent [`Graph`]'s edges.
 ///
 /// The vertex set (and the vertex identifiers) are those of the parent
@@ -160,6 +141,9 @@ pub struct CsrSubgraph {
     /// Largest half-edge weight (0 when no edges are selected); drives the
     /// bucket-queue ring size.
     max_weight: f64,
+    /// Smallest positive half-edge weight (`INFINITY` when there is none);
+    /// with `max_weight` it decides whether searches use the bucket queue.
+    min_positive_weight: f64,
     /// Sum of all half-edge weights; `weight_sum / targets.len()` is the
     /// mean weight the bucket-queue delta heuristic starts from.
     weight_sum: f64,
@@ -205,7 +189,7 @@ impl CsrSubgraph {
                 cursor[from.index()] += 1;
             }
         }
-        let (max_weight, weight_sum) = weight_stats(&weights);
+        let (max_weight, min_positive_weight, weight_sum) = weight_stats(&weights);
         Ok(CsrSubgraph {
             offsets,
             targets,
@@ -214,6 +198,7 @@ impl CsrSubgraph {
             edge_count: edges.len(),
             parent_edge_count: graph.edge_count(),
             max_weight,
+            min_positive_weight,
             weight_sum,
         })
     }
@@ -429,9 +414,11 @@ impl CsrSubgraph {
     /// to the allocating variants — the workspace only changes where they
     /// land.
     ///
-    /// The frontier is a binary heap below 2048 half-edges and a bucket
-    /// queue ([`BucketQueue`]) at or above, a deterministic function of the
-    /// packed CSR. Either way the distances are **bit-identical**:
+    /// The frontier is a bucket queue (Dial's algorithm with real-valued
+    /// bucket widths) when the CSR has at least 2048 half-edges and its
+    /// largest weight is at most 4096 times its smallest positive one, and a
+    /// binary heap otherwise: a deterministic function of the packed CSR.
+    /// Either way the distances are **bit-identical**:
     /// floating-point addition of non-negative weights is monotone, so the
     /// strict-improvement relaxation fixpoint the traversal converges to is
     /// unique regardless of expansion order. Parent trees are valid
@@ -466,7 +453,7 @@ impl CsrSubgraph {
     /// which before each pop asks its frontier whether any queued entry is
     /// below `dist[target]`, and ends when none is. The binary heap answers
     /// by peeking; the bucket queue answers once its drain cursor is two
-    /// buckets past `dist[target]`'s (see [`BucketQueue`]).
+    /// buckets past `dist[target]`'s.
     ///
     /// 1. After the stop, every queued entry is at least the frontier
     ///    bound, which is at least `dist[target]`; every later candidate
@@ -531,7 +518,7 @@ impl CsrSubgraph {
             ..
         } = workspace;
         dist[source.index()] = 0.0;
-        if self.targets.len() >= BUCKET_QUEUE_HALF_EDGES {
+        if self.uses_bucket_queue() {
             let delta =
                 BucketQueue::suggest_delta(self.weight_sum, self.max_weight, self.targets.len());
             buckets.reset(delta, self.max_weight);
@@ -542,6 +529,14 @@ impl CsrSubgraph {
             self.relax(heap, dist, Some(parent), live, stop);
         }
         Ok(())
+    }
+
+    /// Whether [`CsrSubgraph::search`] runs on the bucket queue: enough
+    /// half-edges to amortize its reset, and a weight spread narrow enough
+    /// for its buckets to keep labels apart.
+    fn uses_bucket_queue(&self) -> bool {
+        self.targets.len() >= BUCKET_QUEUE_HALF_EDGES
+            && self.max_weight <= BUCKET_QUEUE_MAX_SPREAD * self.min_positive_weight
     }
 
     /// Dijkstra's relaxation loop, shared by every search and by the
@@ -949,7 +944,7 @@ impl CsrBuilder {
                 ),
             });
         }
-        let (max_weight, weight_sum) = weight_stats(&self.weights);
+        let (max_weight, min_positive_weight, weight_sum) = weight_stats(&self.weights);
         Ok(CsrSubgraph {
             offsets: self.offsets,
             targets: self.targets,
@@ -958,22 +953,28 @@ impl CsrBuilder {
             edge_count: self.filled,
             parent_edge_count: self.filled,
             max_weight,
+            min_positive_weight,
             weight_sum,
         })
     }
 }
 
-/// Maximum and sum of the half-edge weight array (both 0 when empty).
-fn weight_stats(weights: &[f64]) -> (f64, f64) {
+/// Maximum, smallest positive value and sum of the half-edge weight array
+/// (0, `INFINITY` and 0 when no weight is positive).
+fn weight_stats(weights: &[f64]) -> (f64, f64, f64) {
     let mut max_weight = 0.0f64;
+    let mut min_positive = f64::INFINITY;
     let mut weight_sum = 0.0f64;
     for &w in weights {
         if w > max_weight {
             max_weight = w;
         }
+        if w > 0.0 && w < min_positive {
+            min_positive = w;
+        }
         weight_sum += w;
     }
-    (max_weight, weight_sum)
+    (max_weight, min_positive, weight_sum)
 }
 
 /// Reusable buffers for [`CsrSubgraph::sssp_into`]: the distance array, the
@@ -1251,5 +1252,47 @@ mod tests {
         assert!(csr.sssp(NodeId::new(0), None, Some(&bad_edges)).is_err());
         let wrong = EdgeSet::new(42);
         assert!(CsrSubgraph::from_edge_set(&g, &wrong).is_err());
+    }
+
+    #[test]
+    fn frontier_choice_follows_size_and_weight_spread() {
+        use crate::stream::GeneratorSpec;
+        // The perfbench serve-churn road mesh, whose reweights multiply a
+        // weight by less than 3, and the serve-fanout G(400, 8000).
+        let mesh = GeneratorSpec::PlanarMesh {
+            rows: 50,
+            cols: 50,
+            diagonal_p: 0.3,
+            jitter: 0.3,
+            seed: 2011,
+        }
+        .generate_csr()
+        .unwrap();
+        assert!(mesh.uses_bucket_queue());
+        assert!(3.0 * mesh.max_weight <= BUCKET_QUEUE_MAX_SPREAD * mesh.min_positive_weight);
+        let gnm = GeneratorSpec::Gnm {
+            nodes: 400,
+            edges: 8000,
+            weights: generate::WeightKind::Uniform {
+                min: 1.0,
+                max: 10.0,
+            },
+            seed: 11,
+        }
+        .generate_csr()
+        .unwrap();
+        assert!(gnm.uses_bucket_queue());
+        // A path of 2048 half-edges: zero weights do not count towards the
+        // spread, one heavy edge past it selects the heap, and so does a
+        // path one edge shorter.
+        let path = |n: usize, heavy: f64| {
+            let edges: Vec<_> = (0..n - 1)
+                .map(|i| (i, i + 1, [1.0, 0.0, heavy][i % 3]))
+                .collect();
+            CsrSubgraph::from_edge_list(n, &edges).unwrap()
+        };
+        assert!(path(1025, 4096.0).uses_bucket_queue());
+        assert!(!path(1025, 4097.0).uses_bucket_queue());
+        assert!(!path(1024, 1.0).uses_bucket_queue());
     }
 }

@@ -53,19 +53,6 @@ pub enum GraphError {
         /// Number of vertices no part could claim.
         unassigned: usize,
     },
-    /// A graph file could not be read or written.
-    Io {
-        /// The underlying I/O error, rendered as a string so the error stays
-        /// cloneable and comparable.
-        message: String,
-    },
-    /// A graph file had invalid contents.
-    Parse {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// Description of what was expected.
-        message: String,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -111,20 +98,6 @@ impl fmt::Display for GraphError {
                      part with spare capacity (disconnected input or too-tight imbalance bound)"
                 )
             }
-            GraphError::Io { message } => {
-                write!(f, "graph i/o failed: {message}")
-            }
-            GraphError::Parse { line, message } => {
-                write!(f, "invalid graph file at line {line}: {message}")
-            }
-        }
-    }
-}
-
-impl From<std::io::Error> for GraphError {
-    fn from(err: std::io::Error) -> Self {
-        GraphError::Io {
-            message: err.to_string(),
         }
     }
 }
@@ -165,13 +138,6 @@ mod tests {
                 message: "p must be in [0,1]".into(),
             },
             GraphError::PartitionStalled { unassigned: 5 },
-            GraphError::Io {
-                message: "file not found".into(),
-            },
-            GraphError::Parse {
-                line: 3,
-                message: "expected three fields".into(),
-            },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -3,11 +3,11 @@
 //! An `r`-fault-tolerant `k`-spanner must remain a `k`-spanner of `G \ F` for
 //! *every* vertex set `F` with `|F| <= r`. Verification therefore needs to
 //! enumerate (for small instances) or sample (for larger ones) fault sets;
-//! the types here provide both, plus the adversarial "midpoint" fault sets
-//! that witness violations of the Lemma 3.1 characterization for 2-spanners.
+//! the types here provide both, plus adversarial heuristics (high-degree
+//! vertices and articulation points) for instances too large to enumerate.
 
 use crate::components::articulation_points;
-use crate::{DiGraph, EdgeId, NodeId};
+use crate::{EdgeId, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -168,16 +168,6 @@ pub fn sample_fault_sets<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<FaultSet> {
     (0..count).map(|_| sample_fault_set(n, r, rng)).collect()
-}
-
-/// For a directed graph and an arc `(u, v)`, returns the adversarial fault
-/// set consisting of up to `r` midpoints of length-2 paths from `u` to `v`.
-///
-/// This is exactly the witness used in the proof of Lemma 3.1: if a spanner
-/// omits `(u, v)` and has at most `r` two-paths, failing all their midpoints
-/// disconnects the pair.
-pub fn midpoint_faults(graph: &DiGraph, u: NodeId, v: NodeId, r: usize) -> FaultSet {
-    FaultSet::from_nodes(graph.two_path_midpoints(u, v).take(r).collect())
 }
 
 /// Greedy adversarial fault heuristic for undirected graphs: repeatedly fail
@@ -402,18 +392,6 @@ mod tests {
         assert_eq!(g.len(), 2);
         let many = sample_fault_sets(10, 2, 7, &mut rng);
         assert_eq!(many.len(), 7);
-    }
-
-    #[test]
-    fn midpoint_faults_hit_two_paths() {
-        let g = generate::gap_gadget(3, 10.0).unwrap();
-        let f = midpoint_faults(&g, NodeId::new(0), NodeId::new(1), 3);
-        assert_eq!(f.len(), 3);
-        for &w in f.nodes() {
-            assert!(w.index() >= 2);
-        }
-        let f2 = midpoint_faults(&g, NodeId::new(0), NodeId::new(1), 2);
-        assert_eq!(f2.len(), 2);
     }
 
     #[test]

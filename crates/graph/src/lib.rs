@@ -35,10 +35,9 @@
 //!   edge-fault analogues.
 //! * [`components`] — union–find, connected components, articulation points
 //!   and vertex connectivity (the connectivity limits on fault tolerance).
-//! * [`tree`] — minimum spanning forests, BFS / shortest-path trees and the
-//!   lightness measure.
-//! * [`stats`] — degree and per-edge stretch distributions for reporting.
-//! * [`io`] — a simple text format for reading and writing graphs.
+//! * [`tree`] — minimum spanning forests and the lightness measure.
+//! * [`stats`] — degree and per-edge stretch distributions and girth for
+//!   reporting.
 //!
 //! # Example
 //!
@@ -68,7 +67,6 @@ pub mod components;
 pub mod csr;
 pub mod faults;
 pub mod generate;
-pub mod io;
 pub mod par;
 pub mod partition;
 pub mod shortest_path;

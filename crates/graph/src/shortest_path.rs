@@ -9,16 +9,23 @@ use crate::{EdgeSet, Graph, GraphError, NodeId, Result, INFINITY};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A heap entry ordered by ascending distance.
+/// A [`BinaryHeap`] entry ordered by ascending distance, so the max-heap
+/// pops the nearest tentative label first; ties pop the smaller node first.
+/// Every Dijkstra loop in the workspace that runs on a binary heap uses it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+pub struct HeapEntry {
+    /// Tentative distance (finite and non-negative).
+    pub dist: f64,
+    /// The vertex (or index) the distance belongs to.
+    pub node: NodeId,
 }
 
 impl Eq for HeapEntry {}
 
+// `#[inline]`: the comparator runs on every heap operation, also in the
+// crates that use this type.
 impl Ord for HeapEntry {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse order: BinaryHeap is a max-heap, we want the minimum
         // distance on top. Distances are finite and non-negative, so
@@ -32,6 +39,7 @@ impl Ord for HeapEntry {
 }
 
 impl PartialOrd for HeapEntry {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -271,6 +279,10 @@ pub fn all_pairs(graph: &Graph) -> Result<Vec<Vec<f64>>> {
     graph.nodes().map(|v| dijkstra(graph, v)).collect()
 }
 
+/// Most buckets one relaxation can span: [`BucketQueue::suggest_delta`]
+/// never returns a width below `max_weight / MAX_RING_SPAN`.
+const MAX_RING_SPAN: f64 = 4096.0;
+
 /// A circular bucket queue (Dial's algorithm, generalized to real weights)
 /// for label-correcting shortest-path runs.
 ///
@@ -294,10 +306,9 @@ pub fn all_pairs(graph: &Graph) -> Result<Vec<Vec<f64>>> {
 /// * the mean keeps the expansion order close to Dijkstra's, so nodes are
 ///   rarely popped before their final distance is known and re-relaxations
 ///   stay rare;
-/// * the clamp bounds the ring to roughly `4096` buckets
+/// * the clamp bounds the ring to at most `4096` buckets plus rounding
 ///   (`ceil(max_weight / delta) + 3`), so resetting the queue between runs
-///   stays cheap even on graphs whose weights span many orders of
-///   magnitude;
+///   stays cheap;
 /// * unit-weight graphs get `delta = 1`, which degenerates to textbook
 ///   Dial — exact Dijkstra order with `O(1)` queue operations.
 ///
@@ -305,7 +316,7 @@ pub fn all_pairs(graph: &Graph) -> Result<Vec<Vec<f64>>> {
 /// scanning and re-relaxation), so the heuristic is purely about
 /// performance.
 #[derive(Debug, Clone, Default)]
-pub struct BucketQueue {
+pub(crate) struct BucketQueue {
     /// Ring of buckets; absolute bucket `i` lives at slot `i % buckets.len()`.
     buckets: Vec<Vec<(f64, NodeId)>>,
     /// Bucket width (always positive after `reset`).
@@ -317,11 +328,6 @@ pub struct BucketQueue {
 }
 
 impl BucketQueue {
-    /// Creates an empty queue; buckets are sized by [`BucketQueue::reset`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Suggested bucket width for a graph with the given half-edge weight
     /// sum, maximum edge weight and half-edge count (see the type-level
     /// docs for the rationale). Falls back to `1.0` for empty or all-zero
@@ -331,7 +337,7 @@ impl BucketQueue {
             return 1.0;
         }
         let mean = weight_sum / half_edges as f64;
-        mean.max(max_weight / 4096.0)
+        mean.max(max_weight / MAX_RING_SPAN)
     }
 
     /// Clears the queue and sizes the ring for distances that grow by at
@@ -342,6 +348,8 @@ impl BucketQueue {
     /// draining absolute bucket `b` land in `[b, b + ceil(max_weight /
     /// delta) + 1]` (the `+1` absorbs floating-point rounding of the new
     /// tentative distance), so live entries never wrap onto each other.
+    /// `delta` must be at least `max_weight / 4096`, as
+    /// [`BucketQueue::suggest_delta`] returns, which keeps the ring small.
     pub fn reset(&mut self, delta: f64, max_weight: f64) {
         let delta = if delta.is_finite() && delta > 0.0 {
             delta
@@ -349,13 +357,15 @@ impl BucketQueue {
             1.0
         };
         let span = if max_weight.is_finite() && max_weight > 0.0 {
-            // Cap the ring: an undersized ring only wraps distant buckets
-            // onto each other (processed out of order but still correct —
-            // the relaxation fixpoint does not depend on drain order).
-            ((max_weight / delta).ceil() as usize).min(1 << 16)
+            (max_weight / delta).ceil() as usize
         } else {
             0
         };
+        // One bucket of slack for the rounding of `max_weight / delta`.
+        debug_assert!(
+            span <= MAX_RING_SPAN as usize + 1,
+            "delta {delta} is below max_weight / {MAX_RING_SPAN} for max_weight {max_weight}"
+        );
         let want = span.saturating_add(3);
         if self.buckets.len() < want {
             self.buckets.resize_with(want, Vec::new);
@@ -415,8 +425,7 @@ impl BucketQueue {
     /// (in a relaxation loop the clamp in [`BucketQueue::push`] never
     /// fires: a candidate is never below the entry just popped), and no
     /// queued entry's bucket is behind the cursor, which only moves past an
-    /// empty slot — also when the ring is capped at `1 << 16` buckets and
-    /// wraps. So every queued quotient is at least two above `bound`'s
+    /// empty slot. So every queued quotient is at least two above `bound`'s
     /// bucket, more than one whole bucket above `bound`'s own quotient, and
     /// its distance exceeds `bound` without trusting the last bit of either
     /// quotient. Order within a bucket (LIFO, unsorted) never enters the
@@ -424,11 +433,6 @@ impl BucketQueue {
     pub(crate) fn nothing_below(&mut self, bound: f64) -> bool {
         self.skip_empty();
         self.live == 0 || self.cursor >= ((bound / self.delta) as u64).saturating_add(2)
-    }
-
-    /// Returns `true` if no entries (stale or not) remain queued.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 }
 
@@ -527,7 +531,7 @@ mod tests {
 
     #[test]
     fn bucket_queue_drains_in_bucket_order() {
-        let mut q = BucketQueue::new();
+        let mut q = BucketQueue::default();
         q.reset(1.0, 4.0);
         q.push(0.0, NodeId::new(0));
         q.push(3.5, NodeId::new(3));
@@ -537,7 +541,6 @@ mod tests {
         while let Some((d, v)) = q.pop() {
             popped.push((d, v.index()));
         }
-        assert!(q.is_empty());
         // Bucket indices (floor(d / delta)) come out ascending; order within
         // a bucket is unspecified.
         let indices: Vec<u64> = popped.iter().map(|&(d, _)| d as u64).collect();
@@ -550,75 +553,13 @@ mod tests {
     #[test]
     fn bucket_queue_handles_same_bucket_reinsertion() {
         // Zero-weight relaxations re-file into the bucket being drained.
-        let mut q = BucketQueue::new();
+        let mut q = BucketQueue::default();
         q.reset(1.0, 1.0);
         q.push(0.5, NodeId::new(0));
         assert!(q.pop().is_some());
         q.push(0.5, NodeId::new(1)); // same absolute bucket as the cursor
         assert_eq!(q.pop(), Some((0.5, NodeId::new(1))));
         assert_eq!(q.pop(), None);
-    }
-
-    /// Dijkstra on `g` from `source` over a bucket queue of width 1 sized
-    /// for weights up to 1e6, whose ring is therefore capped at `1 << 16`
-    /// buckets; stops at `target`'s final label when one is given. Returns
-    /// the labels and what is left queued.
-    fn capped_bucket_run(
-        g: &Graph,
-        source: NodeId,
-        target: Option<NodeId>,
-    ) -> (Vec<f64>, BucketQueue) {
-        let mut q = BucketQueue::new();
-        q.reset(1.0, 1e6);
-        assert_eq!(q.buckets.len(), (1 << 16) + 3, "ring capped");
-        let mut dist = vec![INFINITY; g.node_count()];
-        dist[source.index()] = 0.0;
-        q.push(0.0, source);
-        loop {
-            if target.is_some_and(|t| q.nothing_below(dist[t.index()])) {
-                break;
-            }
-            let Some((d, v)) = q.pop() else {
-                break;
-            };
-            if d > dist[v.index()] {
-                continue;
-            }
-            for (u, eid) in g.incident(v) {
-                let nd = d + g.edge(eid).weight;
-                if nd < dist[u.index()] {
-                    dist[u.index()] = nd;
-                    q.push(nd, u);
-                }
-            }
-        }
-        (dist, q)
-    }
-
-    #[test]
-    fn capped_ring_wraps_and_stops_exactly() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let weights = crate::generate::WeightKind::Uniform { min: 0.5, max: 1e6 };
-        let g = crate::generate::gnp(60, 0.15, weights, &mut rng);
-        let source = NodeId::new(0);
-        let reference = dijkstra(&g, source).unwrap();
-        let (full, _) = capped_bucket_run(&g, source, None);
-        assert_eq!(full, reference);
-        // Labels run far past the ring, so entries wrapped onto earlier
-        // slots.
-        let far = reference
-            .iter()
-            .filter(|d| d.is_finite())
-            .fold(0.0, |a: f64, &d| a.max(d));
-        assert!(far > f64::from(1 << 17), "farthest label {far}");
-        for t in 0..g.node_count() {
-            let (dist, mut rest) = capped_bucket_run(&g, source, Some(NodeId::new(t)));
-            assert_eq!(dist[t].to_bits(), reference[t].to_bits(), "target {t}");
-            while let Some((d, _)) = rest.pop() {
-                assert!(d > dist[t], "target {t}: {d} left queued below {}", dist[t]);
-            }
-        }
     }
 
     #[test]
@@ -632,7 +573,7 @@ mod tests {
         assert_eq!(BucketQueue::suggest_delta(0.0, 0.0, 0), 1.0);
         assert_eq!(BucketQueue::suggest_delta(0.0, 0.0, 5), 1.0);
         // Reset survives nonsense deltas.
-        let mut q = BucketQueue::new();
+        let mut q = BucketQueue::default();
         q.reset(f64::NAN, f64::INFINITY);
         q.push(2.0, NodeId::new(0));
         assert_eq!(q.pop(), Some((2.0, NodeId::new(0))));

@@ -2,12 +2,12 @@
 //!
 //! The experiments report more than a single worst-case stretch number: the
 //! distribution of per-edge stretches, the degree profile of the workload
-//! graphs, and how much of the total weight a spanner keeps. This module
+//! graphs, and the girth behind the greedy spanner's size bound. This module
 //! gathers those summaries in one place so the experiment binaries and the
 //! examples do not each reimplement them.
 
 use crate::csr::CsrSubgraph;
-use crate::{DiGraph, EdgeSet, Graph, GraphError, Result};
+use crate::{EdgeSet, Graph, GraphError, Result};
 
 /// Summary of the degrees of a graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,58 +157,6 @@ pub fn stretch_stats(graph: &Graph, spanner: &EdgeSet) -> Result<StretchStats> {
     })
 }
 
-/// Size/weight summary of a candidate spanner relative to its input graph.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SizeStats {
-    /// Vertices of the input graph.
-    pub nodes: usize,
-    /// Edges of the input graph.
-    pub input_edges: usize,
-    /// Edges kept by the spanner.
-    pub kept_edges: usize,
-    /// Total weight of the input graph.
-    pub input_weight: f64,
-    /// Total weight kept by the spanner.
-    pub kept_weight: f64,
-}
-
-impl SizeStats {
-    /// Fraction of edges kept (1.0 for an edgeless input).
-    pub fn edge_fraction(&self) -> f64 {
-        if self.input_edges == 0 {
-            1.0
-        } else {
-            self.kept_edges as f64 / self.input_edges as f64
-        }
-    }
-
-    /// Fraction of weight kept (1.0 for a zero-weight input).
-    pub fn weight_fraction(&self) -> f64 {
-        if self.input_weight == 0.0 {
-            1.0
-        } else {
-            self.kept_weight / self.input_weight
-        }
-    }
-}
-
-/// Computes the size/weight summary of `spanner` on `graph`.
-///
-/// # Errors
-///
-/// Returns [`GraphError::MismatchedEdgeSet`] if `spanner` was built for a
-/// different graph.
-pub fn size_stats(graph: &Graph, spanner: &EdgeSet) -> Result<SizeStats> {
-    let kept_weight = graph.edge_set_weight(spanner)?;
-    Ok(SizeStats {
-        nodes: graph.node_count(),
-        input_edges: graph.edge_count(),
-        kept_edges: spanner.len(),
-        input_weight: graph.total_weight(),
-        kept_weight,
-    })
-}
-
 /// The girth of the graph (length of its shortest cycle, counting hops), or
 /// `None` if the graph is a forest.
 ///
@@ -251,23 +199,6 @@ pub fn girth(graph: &Graph) -> Option<usize> {
         }
     }
     best
-}
-
-/// Degree summary of a directed cost graph: max over in- and out-degrees,
-/// the quantity `Δ` of Theorem 3.4.
-pub fn digraph_max_degree(graph: &DiGraph) -> usize {
-    graph.max_degree()
-}
-
-/// Density of a directed graph: arcs present divided by the `n (n - 1)`
-/// possible arcs (1.0 for graphs with fewer than two vertices).
-pub fn digraph_density(graph: &DiGraph) -> f64 {
-    let n = graph.node_count();
-    if n < 2 {
-        1.0
-    } else {
-        graph.arc_count() as f64 / (n * (n - 1)) as f64
-    }
 }
 
 #[cfg(test)]
@@ -343,27 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn size_stats_fractions() {
-        let g = Graph::from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]).unwrap();
-        let mut half = g.empty_edge_set();
-        half.insert(g.find_edge(NodeId::new(0), NodeId::new(1)).unwrap());
-        half.insert(g.find_edge(NodeId::new(2), NodeId::new(3)).unwrap());
-        let s = size_stats(&g, &half).unwrap();
-        assert_eq!(s.kept_edges, 2);
-        assert!((s.edge_fraction() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((s.weight_fraction() - 4.0 / 6.0).abs() < 1e-12);
-        assert!(size_stats(&g, &EdgeSet::new(1)).is_err());
-    }
-
-    #[test]
-    fn size_stats_of_empty_graph_are_defined() {
-        let g = Graph::new(2);
-        let s = size_stats(&g, &g.full_edge_set()).unwrap();
-        assert_eq!(s.edge_fraction(), 1.0);
-        assert_eq!(s.weight_fraction(), 1.0);
-    }
-
-    #[test]
     fn girth_of_standard_graphs() {
         assert_eq!(girth(&generate::cycle(7)), Some(7));
         assert_eq!(girth(&generate::complete(5)), Some(3));
@@ -386,14 +296,5 @@ mod tests {
             g.add_edge(NodeId::new(a), NodeId::new(b), 1.0).unwrap();
         }
         assert_eq!(girth(&g), Some(3));
-    }
-
-    #[test]
-    fn digraph_summaries() {
-        let d = generate::complete_digraph(4);
-        assert_eq!(digraph_max_degree(&d), 3);
-        assert!((digraph_density(&d) - 1.0).abs() < 1e-12);
-        let single = crate::DiGraph::new(1);
-        assert_eq!(digraph_density(&single), 1.0);
     }
 }

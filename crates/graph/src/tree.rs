@@ -7,14 +7,10 @@
 //!
 //! * [`minimum_spanning_forest`] — Kruskal's algorithm over the
 //!   [`crate::components::UnionFind`] forest.
-//! * [`shortest_path_tree`] / [`bfs_tree`] — single-source trees, used both
-//!   as cheap spanner baselines (a shortest-path tree preserves distances
-//!   from its root exactly) and by the distributed-algorithm simulator.
 //! * [`lightness`] — the weight of an edge set normalized by the MST weight.
 
 use crate::components::UnionFind;
-use crate::shortest_path::SsspOptions;
-use crate::{EdgeSet, Graph, GraphError, NodeId, Result};
+use crate::{EdgeSet, Graph, Result};
 
 /// A minimum spanning forest of `graph` (a minimum spanning tree per
 /// connected component), returned as an [`EdgeSet`] over the graph's edges.
@@ -70,8 +66,8 @@ pub fn mst_weight(graph: &Graph) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::MismatchedEdgeSet`] if `edges` was built for a
-/// different graph.
+/// Returns [`MismatchedEdgeSet`](crate::GraphError::MismatchedEdgeSet) if
+/// `edges` was built for a different graph.
 pub fn lightness(graph: &Graph, edges: &EdgeSet) -> Result<f64> {
     let w = graph.edge_set_weight(edges)?;
     let base = mst_weight(graph);
@@ -82,151 +78,10 @@ pub fn lightness(graph: &Graph, edges: &EdgeSet) -> Result<f64> {
     }
 }
 
-/// A rooted tree produced by a single-source search, stored as a parent map
-/// plus the tree edges as an [`EdgeSet`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RootedTree {
-    root: NodeId,
-    parent: Vec<Option<NodeId>>,
-    edges: EdgeSet,
-}
-
-impl RootedTree {
-    /// The root vertex.
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Parent of `v` in the tree, `None` for the root and for vertices not
-    /// reached from the root.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of bounds.
-    pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent[v.index()]
-    }
-
-    /// The edges of the tree as a set over the parent graph's edges.
-    pub fn edges(&self) -> &EdgeSet {
-        &self.edges
-    }
-
-    /// Number of vertices reachable from the root (including the root).
-    pub fn reached(&self) -> usize {
-        1 + self.parent.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// The path from `v` up to the root (inclusive of both endpoints), or
-    /// `None` if `v` was not reached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of bounds.
-    pub fn path_to_root(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        if v != self.root && self.parent[v.index()].is_none() {
-            return None;
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        Some(path)
-    }
-}
-
-/// The shortest-path tree rooted at `root`, with respect to edge weights.
-///
-/// Each reached vertex stores the predecessor on one shortest path from the
-/// root; the tree preserves the distance from `root` to every reachable
-/// vertex exactly, which makes it the canonical "stretch from one source"
-/// baseline.
-///
-/// # Errors
-///
-/// Returns [`GraphError::NodeOutOfBounds`] if `root` is out of bounds.
-pub fn shortest_path_tree(graph: &Graph, root: NodeId) -> Result<RootedTree> {
-    let n = graph.node_count();
-    if root.index() >= n {
-        return Err(GraphError::NodeOutOfBounds {
-            node: root.index(),
-            len: n,
-        });
-    }
-    let dist = SsspOptions::new().run(graph, root)?;
-    let mut parent = vec![None; n];
-    let mut edges = graph.empty_edge_set();
-    // For every vertex, pick the incident edge that realizes the distance.
-    for v in graph.nodes() {
-        if v == root || !dist[v.index()].is_finite() {
-            continue;
-        }
-        let mut best: Option<(NodeId, crate::EdgeId)> = None;
-        for (u, eid) in graph.incident(v) {
-            let w = graph.edge(eid).weight;
-            if (dist[u.index()] + w - dist[v.index()]).abs() <= 1e-9 {
-                match best {
-                    Some((bu, _)) if bu <= u => {}
-                    _ => best = Some((u, eid)),
-                }
-            }
-        }
-        if let Some((u, eid)) = best {
-            parent[v.index()] = Some(u);
-            edges.insert(eid);
-        }
-    }
-    Ok(RootedTree {
-        root,
-        parent,
-        edges,
-    })
-}
-
-/// The breadth-first-search tree rooted at `root` (hop-count shortest paths,
-/// ignoring edge weights).
-///
-/// # Errors
-///
-/// Returns [`GraphError::NodeOutOfBounds`] if `root` is out of bounds.
-pub fn bfs_tree(graph: &Graph, root: NodeId) -> Result<RootedTree> {
-    let n = graph.node_count();
-    if root.index() >= n {
-        return Err(GraphError::NodeOutOfBounds {
-            node: root.index(),
-            len: n,
-        });
-    }
-    let mut parent = vec![None; n];
-    let mut edges = graph.empty_edge_set();
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[root.index()] = true;
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        for (u, eid) in graph.incident(v) {
-            if !seen[u.index()] {
-                seen[u.index()] = true;
-                parent[u.index()] = Some(v);
-                edges.insert(eid);
-                queue.push_back(u);
-            }
-        }
-    }
-    Ok(RootedTree {
-        root,
-        parent,
-        edges,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
-    use crate::shortest_path;
+    use crate::{generate, NodeId};
 
     #[test]
     fn mst_of_a_cycle_drops_the_heaviest_edge() {
@@ -272,68 +127,5 @@ mod tests {
         assert_eq!(lightness(&g, &g.full_edge_set()).unwrap(), 1.0);
         let wrong = EdgeSet::new(7);
         assert!(lightness(&g, &wrong).is_err());
-    }
-
-    #[test]
-    fn shortest_path_tree_preserves_root_distances() {
-        let g = Graph::from_edges(
-            5,
-            [
-                (0, 1, 1.0),
-                (1, 2, 1.0),
-                (2, 3, 1.0),
-                (3, 4, 1.0),
-                (0, 4, 10.0),
-                (0, 2, 1.5),
-            ],
-        )
-        .unwrap();
-        let tree = shortest_path_tree(&g, NodeId::new(0)).unwrap();
-        assert_eq!(tree.root(), NodeId::new(0));
-        assert_eq!(tree.edges().len(), 4);
-        let exact = shortest_path::dijkstra(&g, NodeId::new(0)).unwrap();
-        let on_tree = shortest_path::dijkstra_on_edges(&g, tree.edges(), NodeId::new(0)).unwrap();
-        for v in 0..5 {
-            assert!((exact[v] - on_tree[v]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn shortest_path_tree_handles_unreachable_vertices() {
-        let g = Graph::from_unit_edges(4, [(0, 1)]).unwrap();
-        let tree = shortest_path_tree(&g, NodeId::new(0)).unwrap();
-        assert_eq!(tree.reached(), 2);
-        assert_eq!(tree.parent(NodeId::new(3)), None);
-        assert!(tree.path_to_root(NodeId::new(3)).is_none());
-        assert_eq!(
-            tree.path_to_root(NodeId::new(1)).unwrap(),
-            vec![NodeId::new(1), NodeId::new(0)]
-        );
-        assert!(shortest_path_tree(&g, NodeId::new(9)).is_err());
-    }
-
-    #[test]
-    fn bfs_tree_spans_the_component() {
-        let g = generate::grid(3, 4);
-        let tree = bfs_tree(&g, NodeId::new(0)).unwrap();
-        assert_eq!(tree.reached(), 12);
-        assert_eq!(tree.edges().len(), 11);
-        // BFS tree hop distances match direct BFS.
-        let hops = shortest_path::bfs_hops(&g, NodeId::new(0)).unwrap();
-        for v in g.nodes() {
-            let path = tree.path_to_root(v).unwrap();
-            assert_eq!(path.len() - 1, hops[v.index()]);
-        }
-        assert!(bfs_tree(&g, NodeId::new(100)).is_err());
-    }
-
-    #[test]
-    fn path_to_root_of_the_root_is_trivial() {
-        let g = generate::path(3);
-        let tree = bfs_tree(&g, NodeId::new(1)).unwrap();
-        assert_eq!(
-            tree.path_to_root(NodeId::new(1)).unwrap(),
-            vec![NodeId::new(1)]
-        );
     }
 }

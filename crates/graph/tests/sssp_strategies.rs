@@ -3,13 +3,14 @@
 //! `CsrSubgraph::sssp_target_into` pinned bit-equal to `sssp_into` at its
 //! target.
 //!
-//! `sssp_into` runs one relaxation loop over one of two frontiers, picked by
-//! size: a binary heap below 2048 half-edges, a bucket queue at or above.
-//! Both drive the same strict-improvement relaxation to exhaustion, so
-//! their distance arrays must agree with the reference to the last bit on
-//! every graph and mask; that exact equality is what lets the serving paths
-//! switch frontiers by size without changing a single digest. The cases
-//! below cover CSRs on both sides of the switch, full and partial edge
+//! `sssp_into` runs one relaxation loop over one of two frontiers, picked
+//! from the packed CSR: a bucket queue from 2048 half-edges on when the
+//! largest weight is at most 4096 times the smallest positive one, a binary
+//! heap otherwise. Both drive the same strict-improvement relaxation to
+//! exhaustion, so their distance arrays must agree with the reference to the
+//! last bit on every graph and mask; that exact equality is what lets the
+//! serving paths switch frontiers without changing a single digest. The
+//! cases below cover CSRs on both sides of the switch, full and partial edge
 //! views, vertex and edge masks. Parent trees may break ties differently
 //! (any tight shortest-path tree is correct), so they are checked for
 //! validity, not identity.
@@ -27,7 +28,7 @@ use ftspan_graph::stream::GeneratorSpec;
 use ftspan_graph::{generate, EdgeSet, Graph, NodeId};
 use proptest::prelude::*;
 
-/// Half-edge count at which `sssp_into` switches to the bucket queue.
+/// Half-edge count from which `sssp_into` may use the bucket queue.
 const BUCKET_HALF_EDGES: usize = 2048;
 
 fn graph_from_bits(n: usize, bits: &[bool], weights: &[f64]) -> Graph {
@@ -384,12 +385,11 @@ fn tied_weight_grids_match_reference() {
     }
 }
 
-/// Weights of 1 to 10 with every 97th edge at 1e9, above the switch: the
-/// bucket width is clamped to `max_weight / 4096`, so the ring is at its
-/// largest size a CSR search can reach and almost every entry lands in the
-/// first few buckets — the regime where a stop decided per bucket is
-/// coarsest. (The `1 << 16` ring cap itself is out of a CSR search's reach;
-/// `BucketQueue`'s unit tests drive it directly.)
+/// Weights of 1 to 10 with every 97th edge heavy, above the size switch.
+/// At 4096 the spread is the widest that keeps the bucket queue: the bucket
+/// width is the mean weight, far above most edges, so almost every entry
+/// lands in the first few buckets — the regime where a stop decided per
+/// bucket is coarsest. At 1e9 the search runs on the heap.
 #[test]
 fn wide_weight_spread_matches_reference() {
     let spec = GeneratorSpec::Gnm {
@@ -399,17 +399,42 @@ fn wide_weight_spread_matches_reference() {
         seed: 17,
     };
     let unit = spec.generate_csr().unwrap().to_graph().unwrap();
-    let g = reweighted(&unit, |e| {
-        let h = e.wrapping_mul(2_654_435_761) % 1_000_003;
-        if h % 97 == 0 {
-            1e9
-        } else {
-            1.0 + (h % 10) as f64
-        }
-    });
-    assert!(2 * g.edge_count() >= BUCKET_HALF_EDGES);
     let mut ws = SsspWorkspace::new();
-    assert_views_match(&g, &[0, 250, 499], &mut ws);
+    for heavy in [4096.0, 1e9] {
+        let g = reweighted(&unit, |e| {
+            let h = e.wrapping_mul(2_654_435_761) % 1_000_003;
+            if h % 97 == 0 {
+                heavy
+            } else {
+                1.0 + (h % 10) as f64
+            }
+        });
+        assert!(2 * g.edge_count() >= BUCKET_HALF_EDGES);
+        assert_views_match(&g, &[0, 250, 499], &mut ws);
+    }
+}
+
+/// Log-uniform weights from 1e-3 over 6, 9 and 12 decades: a spread far
+/// past the bucket queue's, which buckets of the mean weight would drain
+/// almost in arbitrary order, re-relaxing vertices many times over.
+#[test]
+fn heavy_tailed_weights_match_reference() {
+    let spec = GeneratorSpec::Gnm {
+        nodes: 500,
+        edges: 1500,
+        weights: generate::WeightKind::Unit,
+        seed: 23,
+    };
+    let unit = spec.generate_csr().unwrap().to_graph().unwrap();
+    let mut ws = SsspWorkspace::new();
+    for decades in [6.0, 9.0, 12.0] {
+        let g = reweighted(&unit, |e| {
+            let h = e.wrapping_mul(2_654_435_761) % 1_000_003;
+            1e-3 * 10f64.powf(decades * h as f64 / 1_000_003.0)
+        });
+        assert!(2 * g.edge_count() >= BUCKET_HALF_EDGES);
+        assert_views_match(&g, &[0, 250, 499], &mut ws);
+    }
 }
 
 /// The stop happens: a bounded search to a neighbour of the source leaves

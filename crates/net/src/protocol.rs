@@ -585,15 +585,8 @@ fn put_graph_error(buf: &mut Vec<u8>, e: &GraphError) {
             put_u8(buf, 5);
             put_str(buf, message);
         }
-        GraphError::Io { message } => {
-            put_u8(buf, 6);
-            put_str(buf, message);
-        }
-        GraphError::Parse { line, message } => {
-            put_u8(buf, 7);
-            put_u64(buf, *line as u64);
-            put_str(buf, message);
-        }
+        // Codes 6 and 7 are retired and decode as `Malformed`; do not reuse
+        // them without a protocol version bump.
         GraphError::PartitionStalled { unassigned } => {
             put_u8(buf, 8);
             put_u64(buf, *unassigned as u64);
@@ -895,13 +888,6 @@ impl<'a> Cursor<'a> {
             5 => GraphError::InvalidParameter {
                 message: self.string("error message")?,
             },
-            6 => GraphError::Io {
-                message: self.string("error message")?,
-            },
-            7 => GraphError::Parse {
-                line: self.usize("error field")?,
-                message: self.string("error message")?,
-            },
             8 => GraphError::PartitionStalled {
                 unassigned: self.usize("error field")?,
             },
@@ -1108,13 +1094,7 @@ mod tests {
             CoreError::Graph(GraphError::InvalidParameter {
                 message: "p must be in [0,1]".into(),
             }),
-            CoreError::Graph(GraphError::Io {
-                message: "file not found".into(),
-            }),
-            CoreError::Graph(GraphError::Parse {
-                line: 3,
-                message: "expected three fields".into(),
-            }),
+            CoreError::Graph(GraphError::PartitionStalled { unassigned: 5 }),
             CoreError::Lp(LpError::Infeasible),
             CoreError::Lp(LpError::Unbounded),
             CoreError::Lp(LpError::IterationLimit { iterations: 70 }),

@@ -6,6 +6,7 @@
 //! no silent successes on garbage.
 
 use fault_tolerant_spanners::core::CoreError;
+use fault_tolerant_spanners::graph::GraphError;
 use fault_tolerant_spanners::prelude::*;
 use fault_tolerant_spanners::QueryOutcome;
 use ftspan_net::{
@@ -241,6 +242,24 @@ fn mutated_valid_frames_never_panic_and_errors_stay_typed() {
         // allocation proportional to a lying length instead of real bytes.
         let _ = Request::read_from(&mut &wire[..]);
         let _ = Response::read_from(&mut &wire[..]);
+    }
+}
+
+#[test]
+fn retired_graph_error_codes_decode_as_malformed() {
+    // Two frames that differ only in the graph error kind locate its byte.
+    let frame = |e: GraphError| encode_response(&Response::Batch(vec![Err(CoreError::Graph(e))]));
+    let base = frame(GraphError::NodeOutOfBounds { node: 9, len: 4 });
+    let other = frame(GraphError::EdgeOutOfBounds { edge: 9, len: 4 });
+    let kind: Vec<usize> = (0..base.len()).filter(|&i| base[i] != other[i]).collect();
+    assert_eq!(kind.len(), 1);
+    for code in [6u8, 7] {
+        let mut forged = base.clone();
+        forged[kind[0]] = code;
+        match Response::read_from(&mut &forged[..]) {
+            Err(NetError::Malformed { message }) => assert!(message.contains("graph error")),
+            other => panic!("graph error code {code} decoded as {other:?}"),
+        }
     }
 }
 

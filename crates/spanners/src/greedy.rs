@@ -1,6 +1,7 @@
 //! The greedy spanner of Althöfer, Das, Dobkin, Joseph and Soares.
 
-use crate::{HeapEntry, SpannerAlgorithm};
+use crate::SpannerAlgorithm;
+use ftspan_graph::shortest_path::HeapEntry;
 use ftspan_graph::{EdgeSet, Graph, NodeId};
 use rand::RngCore;
 use std::collections::BinaryHeap;

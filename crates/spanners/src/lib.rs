@@ -52,32 +52,3 @@ pub use cluster::ClusterSpanner;
 pub use greedy::GreedySpanner;
 pub use kinds::BlackBoxKind;
 pub use thorup_zwick::ThorupZwickSpanner;
-
-use ftspan_graph::NodeId;
-use std::cmp::Ordering;
-
-/// Max-heap entry ordered by ascending distance (same trick as the
-/// shortest-path module: reverse the comparison).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}

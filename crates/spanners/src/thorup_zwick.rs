@@ -9,7 +9,8 @@
 //! experiments run both the baseline and the paper's conversion on the same
 //! underlying construction.
 
-use crate::{HeapEntry, SpannerAlgorithm};
+use crate::SpannerAlgorithm;
+use ftspan_graph::shortest_path::HeapEntry;
 use ftspan_graph::{EdgeId, EdgeSet, Graph, NodeId};
 use rand::{Rng, RngCore};
 use std::collections::BinaryHeap;

@@ -127,10 +127,4 @@ fn main() {
             algorithm.summary()
         );
     }
-
-    // Persist the network so the run can be reproduced or inspected offline.
-    let path = std::env::temp_dir().join("spanner_zoo_network.graph");
-    if io::save_graph(&network, &path).is_ok() {
-        println!("\nnetwork written to {}", path.display());
-    }
 }

@@ -211,8 +211,8 @@ pub mod prelude {
 
     // The graph substrate.
     pub use ftspan_graph::{
-        components, faults, generate, io, par, partition, shortest_path, stats, stream, tree,
-        verify, ArcSet, DiGraph, EdgeSet, Graph, NodeId,
+        components, faults, generate, par, partition, shortest_path, stats, stream, tree, verify,
+        ArcSet, DiGraph, EdgeSet, Graph, NodeId,
     };
 
     // Distributed verification (LOCAL-model checkers).

@@ -89,8 +89,8 @@
 use ftspan_core::serve::{CacheStats, CachedSession, FtSpanner, QuerySession};
 use ftspan_core::{CoreError, FaultModel, Result, StretchCertificate};
 use ftspan_graph::partition::{partition, PartitionConfig};
+use ftspan_graph::shortest_path::HeapEntry;
 use ftspan_graph::{Graph, NodeId};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -743,30 +743,6 @@ enum Via {
     Shard(u32),
 }
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: usize,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A fault-scoped query session over a [`ShardedArtifact`].
 ///
 /// Implements [`QuerySession`] — `distance` / `path` /
@@ -917,9 +893,10 @@ impl<'a> ShardedSession<'a> {
         dist[ui] = 0.0;
         heap.push(HeapEntry {
             dist: 0.0,
-            node: ui,
+            node: NodeId::new(ui),
         });
-        while let Some(HeapEntry { dist: d, node: i }) = heap.pop() {
+        while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+            let i = node.index();
             if d > dist[i] {
                 continue;
             }
@@ -951,7 +928,10 @@ impl<'a> ShardedSession<'a> {
                     if want_path {
                         parent[j] = Some((i as u32, Via::Shard(p as u32)));
                     }
-                    heap.push(HeapEntry { dist: nd, node: j });
+                    heap.push(HeapEntry {
+                        dist: nd,
+                        node: NodeId::new(j),
+                    });
                 }
             }
             if i < b {
@@ -978,7 +958,10 @@ impl<'a> ShardedSession<'a> {
                         if want_path {
                             parent[j] = Some((i as u32, Via::Cut));
                         }
-                        heap.push(HeapEntry { dist: nd, node: j });
+                        heap.push(HeapEntry {
+                            dist: nd,
+                            node: NodeId::new(j),
+                        });
                     }
                 }
             }

@@ -431,27 +431,6 @@ fn distributed_verification_agrees_with_centralized_oracles() {
 }
 
 #[test]
-fn graph_io_roundtrip_preserves_spanner_validity() {
-    let mut r = rng(18);
-    let g = generate::connected_gnp(
-        20,
-        0.3,
-        generate::WeightKind::Uniform { min: 0.5, max: 2.5 },
-        &mut r,
-    );
-    let spanner = GreedySpanner::new(3.0).build(&g, &mut r);
-    assert!(verify::is_k_spanner(&g, &spanner, 3.0));
-
-    // Writing and re-reading keeps vertex and edge identifiers stable, so the
-    // same EdgeSet still describes a valid spanner of the loaded graph.
-    let mut buf = Vec::new();
-    io::write_graph(&g, &mut buf).unwrap();
-    let loaded = io::read_graph(buf.as_slice()).unwrap();
-    assert_eq!(loaded.edge_count(), g.edge_count());
-    assert!(verify::is_k_spanner(&loaded, &spanner, 3.0));
-}
-
-#[test]
 fn statistics_agree_with_the_verification_oracles() {
     let mut r = rng(19);
     let g = generate::connected_gnp(18, 0.3, generate::WeightKind::Unit, &mut r);

@@ -629,24 +629,4 @@ proptest! {
             }
         }
     }
-
-    /// Graph I/O round-trips arbitrary generated graphs exactly (same vertex
-    /// count, same edges with the same identifiers and weights).
-    #[test]
-    fn graph_io_roundtrip(
-        n in 1usize..12,
-        bits in proptest::collection::vec(any::<bool>(), 0..66),
-    ) {
-        let g = graph_from_bits(n, &bits);
-        let mut buf = Vec::new();
-        io::write_graph(&g, &mut buf).unwrap();
-        let back = io::read_graph(buf.as_slice()).unwrap();
-        prop_assert_eq!(back.node_count(), g.node_count());
-        prop_assert_eq!(back.edge_count(), g.edge_count());
-        for (id, e) in g.edges() {
-            let other = back.edge(id);
-            prop_assert_eq!((other.u, other.v), (e.u, e.v));
-            prop_assert!((other.weight - e.weight).abs() < 1e-12);
-        }
-    }
 }
