@@ -431,6 +431,34 @@ fn distributed_verification_agrees_with_centralized_oracles() {
 }
 
 #[test]
+fn csr_roundtrip_preserves_spanner_validity() {
+    let mut r = rng(18);
+    let g = generate::connected_gnp(
+        20,
+        0.3,
+        generate::WeightKind::Uniform { min: 0.5, max: 2.5 },
+        &mut r,
+    );
+    let spanner = GreedySpanner::new(3.0).build(&g, &mut r);
+    assert!(verify::is_k_spanner(&g, &spanner, 3.0));
+
+    // Packing into CSR and reconstructing keeps vertex and edge identifiers
+    // and weights, so the same EdgeSet still describes a valid spanner of
+    // the reconstructed graph.
+    let loaded = fault_tolerant_spanners::graph::csr::CsrSubgraph::from_graph(&g)
+        .to_graph()
+        .unwrap();
+    assert_eq!(loaded.node_count(), g.node_count());
+    assert_eq!(loaded.edge_count(), g.edge_count());
+    for (id, e) in g.edges() {
+        let other = loaded.edge(id);
+        assert_eq!((other.u, other.v), (e.u, e.v));
+        assert_eq!(other.weight.to_bits(), e.weight.to_bits());
+    }
+    assert!(verify::is_k_spanner(&loaded, &spanner, 3.0));
+}
+
+#[test]
 fn statistics_agree_with_the_verification_oracles() {
     let mut r = rng(19);
     let g = generate::connected_gnp(18, 0.3, generate::WeightKind::Unit, &mut r);

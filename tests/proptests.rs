@@ -583,6 +583,46 @@ proptest! {
         }
     }
 
+    /// The CSR search is exact at every weight spread: on a graph above the
+    /// bucket queue's size switch with log-uniform weights over 0 to 13
+    /// decades (so on both sides of the 4096x spread rule), `sssp_into`
+    /// distances are bit-equal to the reference Dijkstra, and the
+    /// target-bounded search agrees with the full run at its target.
+    #[test]
+    fn csr_sssp_matches_reference_at_every_weight_spread(
+        n in 150usize..260,
+        extra in 1100usize..1500,
+        decades in 0.0f64..13.0,
+        seed in any::<u64>(),
+    ) {
+        use fault_tolerant_spanners::graph::csr::{CsrSubgraph, SsspWorkspace};
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut g = Graph::new(n);
+        let mut seen = std::collections::HashSet::new();
+        while g.edge_count() < extra {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && seen.insert((u.min(v), u.max(v))) {
+                let w = 1e-3 * 10f64.powf(decades * rng.gen::<f64>());
+                g.add_edge(NodeId::new(u), NodeId::new(v), w).unwrap();
+            }
+        }
+        let csr = CsrSubgraph::from_graph(&g);
+        let source = NodeId::new(rng.gen_range(0..n));
+        let target = NodeId::new(rng.gen_range(0..n));
+        let want = shortest_path::dijkstra(&g, source).unwrap();
+        let mut ws = SsspWorkspace::new();
+        csr.sssp_into(source, None, None, &mut ws).unwrap();
+        for (v, (a, b)) in want.iter().zip(ws.distances()).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "vertex {}", v);
+        }
+        let mut bounded = SsspWorkspace::new();
+        csr.sssp_target_into(source, target, None, None, &mut bounded).unwrap();
+        prop_assert_eq!(
+            bounded.distances()[target.index()].to_bits(),
+            want[target.index()].to_bits()
+        );
+    }
+
     /// Decoding `.ftspan` v2 images never panics: the pristine image round
     /// trips exactly, every truncation is a typed error, and arbitrary byte
     /// mutations either decode cleanly or fail with a typed error.
