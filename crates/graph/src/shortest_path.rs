@@ -280,7 +280,10 @@ pub fn all_pairs(graph: &Graph) -> Result<Vec<Vec<f64>>> {
 }
 
 /// Most buckets one relaxation can span: [`BucketQueue::suggest_delta`]
-/// never returns a width below `max_weight / MAX_RING_SPAN`.
+/// never returns a width below `max_weight / MAX_RING_SPAN`. The CSR search
+/// keeps weight spreads within 100 on the bucket queue, but zero-weight
+/// half-edges do not count towards the spread and pull the mean down, so on
+/// large graphs that are mostly zero-weight this clamp still bounds the ring.
 const MAX_RING_SPAN: f64 = 4096.0;
 
 /// A circular bucket queue (Dial's algorithm, generalized to real weights)

@@ -5,7 +5,7 @@
 //!
 //! `sssp_into` runs one relaxation loop over one of two frontiers, picked
 //! from the packed CSR: a bucket queue from 2048 half-edges on when the
-//! largest weight is at most 4096 times the smallest positive one, a binary
+//! largest weight is at most 100 times the smallest positive one, a binary
 //! heap otherwise. Both drive the same strict-improvement relaxation to
 //! exhaustion, so their distance arrays must agree with the reference to the
 //! last bit on every graph and mask; that exact equality is what lets the
@@ -385,8 +385,8 @@ fn tied_weight_grids_match_reference() {
     }
 }
 
-/// Weights of 1 to 10 with every 97th edge heavy, above the size switch.
-/// At 4096 the spread is the widest that keeps the bucket queue: the bucket
+/// Weights of 1 to 10 with every third edge heavy, above the size switch.
+/// At 100 the spread is the widest that keeps the bucket queue: the bucket
 /// width is the mean weight, far above most edges, so almost every entry
 /// lands in the first few buckets — the regime where a stop decided per
 /// bucket is coarsest. At 1e9 the search runs on the heap.
@@ -400,16 +400,21 @@ fn wide_weight_spread_matches_reference() {
     };
     let unit = spec.generate_csr().unwrap().to_graph().unwrap();
     let mut ws = SsspWorkspace::new();
-    for heavy in [4096.0, 1e9] {
+    for heavy in [100.0, 1e9] {
         let g = reweighted(&unit, |e| {
             let h = e.wrapping_mul(2_654_435_761) % 1_000_003;
-            if h % 97 == 0 {
+            if h % 3 == 0 {
                 heavy
             } else {
                 1.0 + (h % 10) as f64
             }
         });
         assert!(2 * g.edge_count() >= BUCKET_HALF_EDGES);
+        let mut weights: Vec<f64> = g.edges().map(|(_, e)| e.weight).collect();
+        let mean = weights.iter().sum::<f64>() / weights.len() as f64;
+        weights.sort_by(f64::total_cmp);
+        let median = weights[weights.len() / 2];
+        assert!(mean >= 4.0 * median, "mean {mean}, median {median}");
         assert_views_match(&g, &[0, 250, 499], &mut ws);
     }
 }

@@ -36,6 +36,16 @@ use std::collections::BinaryHeap;
 ///   path that could cover the edge.
 /// * The relaxation that reaches `v` within `k · w` is the fold of an actual
 ///   path, so the minimum is within `k · w` too and stopping there is safe.
+/// * Before searching, the check looks at the label that the latest search
+///   rooted at `u` gave `v`. That label is the fold from `u` of a path in the
+///   spanner as it stood then; accepted edges are never removed, so the path
+///   still exists and the minimum is at most the label. A recorded label
+///   within `k · w` therefore answers "covered" exactly, and no search runs.
+///   Only searches rooted at `u` answer: a label of `u` in a search rooted at
+///   `v` folds the same path from the other end and can round differently.
+///   A search records labels only for the unchecked edges rooted at `u`,
+///   one slot per edge, so the records take `O(m)` memory and each search
+///   `O(deg(u))` extra time.
 ///
 /// Two things must not change, because both can flip a decision that sits
 /// exactly at `k · w`. The order is a stable sort by `partial_cmp` on the
@@ -88,60 +98,7 @@ impl SpannerAlgorithm for GreedySpanner {
     }
 
     fn build_masked(&self, graph: &Graph, live: &[bool], _rng: &mut dyn RngCore) -> EdgeSet {
-        let mut order: Vec<_> = graph
-            .edges()
-            .filter(|(id, _)| live[id.index()])
-            .map(|(id, e)| (e.weight, id))
-            .collect();
-        order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-
-        let n = graph.node_count();
-        let mut accepted: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-        let mut dist = vec![f64::INFINITY; n];
-        let mut touched = Vec::new();
-        let mut heap = BinaryHeap::new();
-        let mut spanner = graph.empty_edge_set();
-        for (w, id) in order {
-            let e = graph.edge(id);
-            let budget = self.stretch * w;
-            dist[e.u.index()] = 0.0;
-            touched.push(e.u);
-            heap.push(HeapEntry {
-                dist: 0.0,
-                node: e.u,
-            });
-            let mut covered = false;
-            'search: while let Some(HeapEntry { dist: d, node: x }) = heap.pop() {
-                if d > dist[x.index()] {
-                    continue;
-                }
-                for &(y, wy) in &accepted[x.index()] {
-                    let nd = d + wy;
-                    if nd > budget || nd >= dist[y.index()] {
-                        continue;
-                    }
-                    if y == e.v {
-                        covered = true;
-                        break 'search;
-                    }
-                    if dist[y.index()] == f64::INFINITY {
-                        touched.push(y);
-                    }
-                    dist[y.index()] = nd;
-                    heap.push(HeapEntry { dist: nd, node: y });
-                }
-            }
-            heap.clear();
-            for x in touched.drain(..) {
-                dist[x.index()] = f64::INFINITY;
-            }
-            if !covered {
-                spanner.insert(id);
-                accepted[e.u.index()].push((e.v, w));
-                accepted[e.v.index()].push((e.u, w));
-            }
-        }
-        spanner
+        select(graph, live, self.stretch).0
     }
 
     fn size_bound(&self, n: usize) -> f64 {
@@ -149,11 +106,92 @@ impl SpannerAlgorithm for GreedySpanner {
     }
 }
 
+/// The selection loop of [`GreedySpanner::build_masked`]: the greedy
+/// `stretch`-spanner of the live edges, and the number of distance searches
+/// it ran (live edges minus those a recorded label covered).
+pub(crate) fn select(graph: &Graph, live: &[bool], stretch: f64) -> (EdgeSet, usize) {
+    let mut order: Vec<_> = graph
+        .edges()
+        .filter(|(id, _)| live[id.index()])
+        .map(|(id, e)| (e.weight, id))
+        .collect();
+    order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+
+    let n = graph.node_count();
+    // `rooted[u]`: the edges whose lower endpoint is `u`, as (position in
+    // `order`, upper endpoint), in order; `rooted[u][decided[u]..]` are the
+    // ones still to check.
+    let mut rooted: Vec<Vec<(usize, NodeId)>> = vec![Vec::new(); n];
+    for (i, &(_, id)) in order.iter().enumerate() {
+        let e = graph.edge(id);
+        rooted[e.u.index()].push((i, e.v));
+    }
+    let mut decided = vec![0; n];
+    // `label[i]`: the label of edge `i`'s upper endpoint in the latest
+    // search rooted at its lower one, infinite if that search missed it.
+    let mut label = vec![f64::INFINITY; order.len()];
+    let mut accepted: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+    let mut dist = vec![f64::INFINITY; n];
+    let mut touched = Vec::new();
+    let mut heap = BinaryHeap::new();
+    let mut spanner = graph.empty_edge_set();
+    let mut searches = 0;
+    for (i, &(w, id)) in order.iter().enumerate() {
+        let e = graph.edge(id);
+        let budget = stretch * w;
+        decided[e.u.index()] += 1;
+        if label[i] <= budget {
+            continue;
+        }
+        searches += 1;
+        dist[e.u.index()] = 0.0;
+        touched.push(e.u);
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: e.u,
+        });
+        let mut covered = false;
+        'search: while let Some(HeapEntry { dist: d, node: x }) = heap.pop() {
+            if d > dist[x.index()] {
+                continue;
+            }
+            for &(y, wy) in &accepted[x.index()] {
+                let nd = d + wy;
+                if nd > budget || nd >= dist[y.index()] {
+                    continue;
+                }
+                if y == e.v {
+                    covered = true;
+                    break 'search;
+                }
+                if dist[y.index()] == f64::INFINITY {
+                    touched.push(y);
+                }
+                dist[y.index()] = nd;
+                heap.push(HeapEntry { dist: nd, node: y });
+            }
+        }
+        heap.clear();
+        for &(j, v) in &rooted[e.u.index()][decided[e.u.index()]..] {
+            label[j] = dist[v.index()];
+        }
+        for x in touched.drain(..) {
+            dist[x.index()] = f64::INFINITY;
+        }
+        if !covered {
+            spanner.insert(id);
+            accepted[e.u.index()].push((e.v, w));
+            accepted[e.v.index()].push((e.u, w));
+        }
+    }
+    (spanner, searches)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftspan_graph::{generate, verify, NodeId};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng() -> ChaCha8Rng {
@@ -257,6 +295,72 @@ mod tests {
         };
         assert_eq!(kept(0.1, 0.3), 4);
         assert_eq!(kept(0.3, 0.1), 3);
+    }
+
+    #[test]
+    fn a_recorded_label_at_k_w_covers_without_a_search() {
+        // The search for (0, 1) reaches 3 over 0-2-4-3 at 1 + 1 + 1, exactly
+        // the budget 2 · 1.5 of the tied edge (0, 3), which its record then
+        // covers: four searches for five edges, and (0, 3) is dropped.
+        let g = Graph::from_edges(
+            5,
+            [
+                (0, 2, 1.0),
+                (2, 4, 1.0),
+                (3, 4, 1.0),
+                (0, 1, 1.5),
+                (0, 3, 1.5),
+            ],
+        )
+        .unwrap();
+        let (spanner, searches) = select(&g, &[true; 5], 2.0);
+        let kept: Vec<usize> = spanner.iter().map(|e| e.index()).collect();
+        assert_eq!(kept, [0, 1, 2, 3]);
+        assert_eq!(searches, 4);
+    }
+
+    #[test]
+    fn only_records_rooted_at_the_lower_endpoint_answer() {
+        // The search for (3, 4) labels 0 with (0.3 + 0.2) + 0.1 == 0.6, the
+        // budget of (0, 3) at stretch 1; folded from 0 the same path is
+        // 0.6000000000000001, so (0, 3) must still be kept.
+        let g = Graph::from_edges(
+            5,
+            [
+                (0, 1, 0.1),
+                (1, 2, 0.2),
+                (2, 3, 0.3),
+                (3, 4, 0.6),
+                (0, 3, 0.6),
+            ],
+        )
+        .unwrap();
+        assert_eq!(GreedySpanner::new(1.0).build(&g, &mut rng()).len(), 5);
+    }
+
+    #[test]
+    fn recorded_labels_spare_most_searches() {
+        // Pins the work: a change that stops consulting the records, or
+        // keeps more or fewer of them, moves this count.
+        let mut r = ChaCha8Rng::seed_from_u64(2011);
+        let g = generate::gnp(
+            120,
+            0.3,
+            generate::WeightKind::Uniform {
+                min: 1.0,
+                max: 10.0,
+            },
+            &mut r,
+        );
+        let alive: Vec<bool> = g.nodes().map(|_| r.gen_bool(0.9)).collect();
+        let live: Vec<bool> = g
+            .edges()
+            .map(|(_, e)| alive[e.u.index()] && alive[e.v.index()])
+            .collect();
+        let live_edges = live.iter().filter(|&&l| l).count();
+        let (_, searches) = select(&g, &live, 3.0);
+        assert_eq!((live_edges, searches), (1683, 510));
+        assert!(searches < live_edges);
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! floating-point path sums land on the `k · w` boundary (decimal weights),
 //! where ties decide the order (few distinct weights), and where zero-length
 //! edges (both `0.0` and `-0.0`) make distances collapse.
+//!
+//! Every run of the Theorem 2.1 conversion goes through
+//! [`SpannerAlgorithm::build_masked`], so every case runs it against the
+//! reference on the masked subgraph, unmasked and under vertex-induced and
+//! edge masks, including hubs whose many equal-weight edges are decided by
+//! the labels of earlier searches from the hub, many exactly at `k · w`.
 
 use ftspan_graph::{shortest_path, EdgeSet, Graph, NodeId};
 use ftspan_spanners::{GreedySpanner, SpannerAlgorithm};
@@ -17,19 +23,40 @@ use rand_chacha::ChaCha8Rng;
 
 const STRETCHES: [f64; 4] = [1.0, 2.0, 3.0, 5.0];
 
-/// The greedy spanner by definition, one full Dijkstra per edge.
-fn reference_greedy(graph: &Graph, k: f64) -> EdgeSet {
+/// The greedy spanner by definition, one full Dijkstra per edge, and the
+/// lower endpoint of every edge whose distance was exactly `k · w`.
+fn reference_greedy(graph: &Graph, k: f64) -> (EdgeSet, Vec<NodeId>) {
     let mut order: Vec<_> = graph.edges().map(|(id, e)| (e.weight, id)).collect();
     order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
     let mut spanner = graph.empty_edge_set();
+    let mut boundary = Vec::new();
     for (w, id) in order {
         let e = graph.edge(id);
         let dist = shortest_path::dijkstra_on_edges(graph, &spanner, e.u).unwrap();
+        if dist[e.v.index()] == k * w {
+            boundary.push(e.u);
+        }
         if dist[e.v.index()] > k * w {
             spanner.insert(id);
         }
     }
-    spanner
+    (spanner, boundary)
+}
+
+/// The reference on the masked subgraph: the live edges copied into a fresh
+/// graph on the same vertex set (in edge-id order), the selection mapped
+/// back to the parent's ids, and the boundary roots.
+fn reference_masked(graph: &Graph, live: &[bool], k: f64) -> (Vec<usize>, Vec<NodeId>) {
+    let mut sub = Graph::new(graph.node_count());
+    let mut ids = Vec::new();
+    for (id, e) in graph.edges() {
+        if live[id.index()] {
+            sub.add_edge(e.u, e.v, e.weight).unwrap();
+            ids.push(id.index());
+        }
+    }
+    let (spanner, boundary) = reference_greedy(&sub, k);
+    (spanner.iter().map(|e| ids[e.index()]).collect(), boundary)
 }
 
 /// An edge weight from one of the weight families: `pick` chooses within
@@ -68,21 +95,72 @@ fn random_graph(n: usize, bits: &[bool], family: usize, picks: &[u64], reals: &[
     g
 }
 
-fn assert_matches_reference(g: &Graph, k: f64) -> Result<(), TestCaseError> {
+/// Checks `build_masked` against the reference on the masked subgraph and
+/// returns the reference's boundary roots.
+fn assert_matches_reference(
+    g: &Graph,
+    live: &[bool],
+    k: f64,
+) -> Result<Vec<NodeId>, TestCaseError> {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
-    let got = GreedySpanner::new(k).build(g, &mut rng);
-    let want = reference_greedy(g, k);
+    let got = GreedySpanner::new(k).build_masked(g, live, &mut rng);
     let got: Vec<usize> = got.iter().map(|e| e.index()).collect();
-    let want: Vec<usize> = want.iter().map(|e| e.index()).collect();
+    let (want, boundary) = reference_masked(g, live, k);
     prop_assert_eq!(got, want);
-    Ok(())
+    Ok(boundary)
+}
+
+/// The edge masks [`mask`] draws, by kind.
+const MASKS: [&str; 3] = ["unmasked", "vertex-induced", "edge"];
+
+/// Every edge live (kind 0), the edges between vertices that are `alive`
+/// (kind 1, `alive` indexed by vertex), or the edges that are `alive` (kind
+/// 2, indexed by edge id).
+fn mask(g: &Graph, kind: usize, alive: &[bool]) -> Vec<bool> {
+    g.edges()
+        .map(|(id, e)| match kind {
+            0 => true,
+            1 => alive[e.u.index()] && alive[e.v.index()],
+            _ => alive[id.index()],
+        })
+        .collect()
+}
+
+/// Hub weights, 0.1 twice as likely as the others: a fold of `k` 0.1s is
+/// exactly `k · 0.1` for every stretch tested (0.1 + 0.1 + 0.1 and 3 · 0.1
+/// are both 0.30000000000000004), while 0.1 + 0.2 overshoots 0.3.
+const HUB_WEIGHTS: [f64; 4] = [0.1, 0.1, 0.2, 0.3];
+
+/// A hub graph: every pair of the vertices `1..n` joined with probability
+/// `p`, then vertex 0 joined to each of them, all with decimal weights.
+/// Vertex 0 is the lower endpoint of each of its edges, and its edges come
+/// last in id order, so among equal weights they are decided after the
+/// others, against records of earlier searches from the hub.
+fn hub_graph(n: usize, p: f64, rng: &mut ChaCha8Rng) -> Graph {
+    let mut g = Graph::new(n);
+    let join = |g: &mut Graph, u: usize, v: usize, rng: &mut ChaCha8Rng| {
+        let w = HUB_WEIGHTS[rng.gen_range(0..HUB_WEIGHTS.len())];
+        g.add_edge(NodeId::new(u), NodeId::new(v), w).unwrap();
+    };
+    for u in 1..n {
+        for v in (u + 1)..n {
+            if rng.gen_bool(p) {
+                join(&mut g, u, v, rng);
+            }
+        }
+    }
+    for v in 1..n {
+        join(&mut g, 0, v, rng);
+    }
+    g
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// The builder selects exactly the reference's edges on random graphs of
-    /// every weight family and stretch.
+    /// every weight family and stretch, unmasked and through vertex-induced
+    /// and edge masks.
     #[test]
     fn greedy_matches_the_definition(
         n in 2usize..24,
@@ -91,17 +169,21 @@ proptest! {
         picks in proptest::collection::vec(any::<u64>(), 0..276),
         reals in proptest::collection::vec(0.01f64..5.0, 0..276),
         k in 0usize..4,
+        kind in 0usize..3,
+        alive in proptest::collection::vec(any::<bool>(), 276..277),
     ) {
         let g = random_graph(n, &bits, family, &picks, &reals);
-        assert_matches_reference(&g, STRETCHES[k])?;
+        assert_matches_reference(&g, &mask(&g, kind, &alive), STRETCHES[k])?;
     }
 }
 
 #[test]
 fn greedy_matches_the_definition_on_denser_graphs() {
     // Larger, denser inputs than the proptest draws: many edges per check,
-    // so the pruned early-exit search is exercised at depth.
+    // so the pruned early-exit search is exercised at depth, under each
+    // kind of mask.
     let mut rng = ChaCha8Rng::seed_from_u64(2011);
+    let mut mask_rng = ChaCha8Rng::seed_from_u64(2013);
     for family in 0..5 {
         for k in STRETCHES {
             let n = 60;
@@ -109,8 +191,40 @@ fn greedy_matches_the_definition_on_denser_graphs() {
             let picks: Vec<u64> = bits.iter().map(|_| rng.next_u64()).collect();
             let reals: Vec<f64> = bits.iter().map(|_| rng.gen_range(0.01..5.0)).collect();
             let g = random_graph(n, &bits, family, &picks, &reals);
-            assert_matches_reference(&g, k)
-                .unwrap_or_else(|e| panic!("family {family}, k = {k}: {e:?}"));
+            let alive: Vec<bool> = bits.iter().map(|_| mask_rng.gen_bool(0.75)).collect();
+            for (kind, name) in MASKS.iter().enumerate() {
+                assert_matches_reference(&g, &mask(&g, kind, &alive), k)
+                    .unwrap_or_else(|e| panic!("family {family}, k = {k}, {name}: {e:?}"));
+            }
         }
+    }
+}
+
+#[test]
+fn masked_greedy_matches_the_definition_on_hubs() {
+    // Hubs of 20 to 38 edges, unmasked, with a vertex-induced mask that
+    // keeps the hub, and with an edge mask. The hub's decisions that land
+    // exactly on `k · w` are counted, so the family provably reaches the
+    // boundary that a recorded label must decide like a search would.
+    let mut rng = ChaCha8Rng::seed_from_u64(2017);
+    for k in STRETCHES {
+        let mut at_boundary = 0;
+        for case in 0..24 {
+            let n = 21 + case % 19;
+            let g = hub_graph(n, 0.2, &mut rng);
+            let mut alive: Vec<bool> = (0..g.edge_count().max(n))
+                .map(|_| rng.gen_bool(0.8))
+                .collect();
+            alive[0] = true;
+            for (kind, name) in MASKS.iter().enumerate() {
+                let boundary = assert_matches_reference(&g, &mask(&g, kind, &alive), k)
+                    .unwrap_or_else(|e| panic!("k = {k}, case {case}, {name}: {e:?}"));
+                at_boundary += boundary.iter().filter(|&&u| u == NodeId::new(0)).count();
+            }
+        }
+        assert!(
+            at_boundary >= 20,
+            "k = {k}: only {at_boundary} hub decisions at k · w"
+        );
     }
 }

@@ -585,7 +585,7 @@ proptest! {
 
     /// The CSR search is exact at every weight spread: on a graph above the
     /// bucket queue's size switch with log-uniform weights over 0 to 13
-    /// decades (so on both sides of the 4096x spread rule), `sssp_into`
+    /// decades (so on both sides of the 100x spread rule), `sssp_into`
     /// distances are bit-equal to the reference Dijkstra, and the
     /// target-bounded search agrees with the full run at its target.
     #[test]
