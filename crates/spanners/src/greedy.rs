@@ -21,38 +21,72 @@ use std::collections::BinaryHeap;
 ///
 /// # The distance check
 ///
-/// Each check is a Dijkstra from `u` over an adjacency list holding only the
-/// edges accepted so far, with one distance array (reset through the list of
-/// vertices it touched) and one heap reused across checks. It drops every
-/// relaxation above `k · w` and answers "covered" the moment a relaxation
-/// reaches `v` within `k · w`. The decisions are exactly those of the
-/// definition (a full Dijkstra from `u` over the spanner so far):
+/// Each edge `(u, v)` of weight `w`, `u` the lower endpoint, is checked by
+/// one bidirectional bounded Dijkstra (Pohl 1971) over an adjacency list
+/// holding only the edges accepted so far. Its arrays (reset through the
+/// list of vertices it touched) and heaps are reused across checks. Let
+/// `B = k · w` and `B_hi = B · (1 + 4nε)`, with `n` the vertex count and `ε`
+/// the machine epsilon.
+///
+/// * The *forward* side runs from `u` and drops every relaxation above `B`.
+///   The *backward* side runs from `v`, drops every relaxation above `B_hi`,
+///   and records each labelled vertex's next hop toward `v`. The side whose
+///   frontier minimum is smaller expands next.
+/// * When a relaxation labels a vertex `y` that the other side has already
+///   labelled, the *estimate* is the sum of `y`'s two labels. If it is at
+///   most `B_hi`, the walk's *fold from `u`* is computed explicitly: `y`'s
+///   forward label, then the backward tree's weights in order toward `v`.
+///   A fold within `B` answers "covered" and the check stops.
+/// * Otherwise the check stops when the two frontier minima sum to more than
+///   `B_hi` or a frontier empties, and answers "not covered". If some
+///   estimate was within `B_hi` but its fold exceeded `B`, the margin cannot
+///   decide: the check reruns with the backward side switched off (the
+///   forward-only search, where only `v` carries a backward label), and that
+///   answer is the decision.
+///
+/// The decisions are exactly those of the definition, a full Dijkstra from
+/// `u` over the spanner so far, whose label of `v` is compared with `B`:
 ///
 /// * Adding a non-negative weight to a float is monotone in the sum and never
 ///   decreases it, so any Dijkstra from `u` computes, for every vertex, the
-///   minimum over paths of the path's weights folded left to right from `u`.
-/// * A dropped relaxation starts a path whose fold already exceeds `k · w`;
-///   extending it can never bring the fold back down, so pruning loses no
-///   path that could cover the edge.
-/// * The relaxation that reaches `v` within `k · w` is the fold of an actual
-///   path, so the minimum is within `k · w` too and stopping there is safe.
-/// * Before searching, the check looks at the label that the latest search
-///   rooted at `u` gave `v`. That label is the fold from `u` of a path in the
-///   spanner as it stood then; accepted edges are never removed, so the path
-///   still exists and the minimum is at most the label. A recorded label
-///   within `k · w` therefore answers "covered" exactly, and no search runs.
-///   Only searches rooted at `u` answer: a label of `u` in a search rooted at
-///   `v` folds the same path from the other end and can round differently.
-///   A search records labels only for the unchecked edges rooted at `u`,
-///   one slot per edge, so the records take `O(m)` memory and each search
-///   `O(deg(u))` extra time.
+///   minimum over paths of the path's weights folded left to right from `u`,
+///   and a dropped relaxation above `B` loses no path whose fold could stay
+///   within `B`. The forward-only search is therefore exact.
+/// * "Covered" found a walk from `u` to `v` whose fold is within `B`. Cutting
+///   a cycle out of a walk never raises its fold (the fold where the cycle
+///   starts is at most the fold where it ends, and the rest is monotone in
+///   its start), so some path, and with it the minimum, is within `B`.
+/// * Conversely, take a path `u = x_0, …, x_L = v` whose fold from `u` is
+///   at most `B`. Let `F_i` be the fold of its first `i` weights from `u`,
+///   and `G_i` the fold of its last `L − i` weights from `v`.
+///   - *The margin.* With `m = n − 2`, folding `L ≤ n − 1` non-negative
+///     weights errs by at most `γ = (mε/2) / (1 − mε/2)` of their real sum
+///     `S` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+///     §4.2). So `S ≤ B / (1 − γ)`, and `F_i + G_i ≤ (1 + γ) S ≤ B / (1 −
+///     mε) ≤ B (1 + 2nε)` while `nε ≤ 1/2`. Computing `B_hi` rounds twice,
+///     so `B_hi ≥ B (1 + 4nε)(1 − ε) ≥ B (1 + 2nε)`. Every `F_i + G_i` and
+///     every `G_i` is therefore within `B_hi`, and no relaxation along the
+///     path is dropped on either side. Rounding is monotone and `B_hi` is a
+///     float, so the computed sums compare with `B_hi` as the real ones do.
+///   - *A frontier empties.* That side has labelled the other endpoint,
+///     whose two labels then sum to at most `F_L ≤ B` or `G_0 ≤ B_hi`.
+///   - *The minima sum to more than `B_hi`.* Each minimum is at most its
+///     side's bound, so both are positive. No `x_i` has `F_i` and `G_i` both
+///     at or above the minima, so each `x_i` is settled forward (`F_i` below
+///     the forward minimum, as for `x_0`) or backward (as `x_L`). The first
+///     `x_{i+1}` not settled forward is settled backward, and `x_i` relaxed
+///     the edge to it, so its two labels sum to at most `F_{i+1} + G_{i+1}`.
+///   - Every relaxation that sets one label of a vertex the other side has
+///     labelled checks the current pair. So in both cases the search checked
+///     an estimate within `B_hi`: its fold was within `B`, or it forced the
+///     rerun.
 ///
 /// Two things must not change, because both can flip a decision that sits
 /// exactly at `k · w`. The order is a stable sort by `partial_cmp` on the
 /// weight, ties in edge-id order (`total_cmp` would put `-0.0` before
-/// `0.0`). The search folds sums outward from `u`: a search from `v`, or a
-/// bidirectional one, adds the same path's weights in another order and can
-/// round differently.
+/// `0.0`). Every decision compares a fold outward from `u` with `B`: the
+/// same path folded from `v` can round differently, which is why a meeting
+/// is confirmed by its explicit fold and never by its estimate.
 ///
 /// # Example
 ///
@@ -106,10 +140,24 @@ impl SpannerAlgorithm for GreedySpanner {
     }
 }
 
+/// Work done by one [`select`] run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    /// Vertices settled (popped and expanded) by either side of every check,
+    /// forward-only reruns included.
+    pub(crate) settled: usize,
+    /// Checks the margin could not decide, rerun forward-only.
+    pub(crate) fallbacks: usize,
+}
+
 /// The selection loop of [`GreedySpanner::build_masked`]: the greedy
-/// `stretch`-spanner of the live edges, and the number of distance searches
-/// it ran (live edges minus those a recorded label covered).
-pub(crate) fn select(graph: &Graph, live: &[bool], stretch: f64) -> (EdgeSet, usize) {
+/// `stretch`-spanner of the live edges, and the work its checks did.
+pub(crate) fn select(graph: &Graph, live: &[bool], stretch: f64) -> (EdgeSet, Work) {
+    select_with(graph, live, stretch, true)
+}
+
+/// [`select`] with every check bidirectional (`both_sides`) or forward-only.
+fn select_with(graph: &Graph, live: &[bool], stretch: f64, both_sides: bool) -> (EdgeSet, Work) {
     let mut order: Vec<_> = graph
         .edges()
         .filter(|(id, _)| live[id.index()])
@@ -118,73 +166,156 @@ pub(crate) fn select(graph: &Graph, live: &[bool], stretch: f64) -> (EdgeSet, us
     order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
     let n = graph.node_count();
-    // `rooted[u]`: the edges whose lower endpoint is `u`, as (position in
-    // `order`, upper endpoint), in order; `rooted[u][decided[u]..]` are the
-    // ones still to check.
-    let mut rooted: Vec<Vec<(usize, NodeId)>> = vec![Vec::new(); n];
-    for (i, &(_, id)) in order.iter().enumerate() {
-        let e = graph.edge(id);
-        rooted[e.u.index()].push((i, e.v));
-    }
-    let mut decided = vec![0; n];
-    // `label[i]`: the label of edge `i`'s upper endpoint in the latest
-    // search rooted at its lower one, infinite if that search missed it.
-    let mut label = vec![f64::INFINITY; order.len()];
+    let margin = 1.0 + 4.0 * n as f64 * f64::EPSILON;
     let mut accepted: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-    let mut dist = vec![f64::INFINITY; n];
-    let mut touched = Vec::new();
-    let mut heap = BinaryHeap::new();
+    let mut search = Search::new(n);
     let mut spanner = graph.empty_edge_set();
-    let mut searches = 0;
-    for (i, &(w, id)) in order.iter().enumerate() {
+    let mut fallbacks = 0;
+    for &(w, id) in &order {
         let e = graph.edge(id);
         let budget = stretch * w;
-        decided[e.u.index()] += 1;
-        if label[i] <= budget {
-            continue;
+        let hi = both_sides.then_some(budget * margin);
+        let mut check = search.run(&accepted, e.u, e.v, budget, hi);
+        if check == Check::Unsure {
+            fallbacks += 1;
+            check = search.run(&accepted, e.u, e.v, budget, None);
         }
-        searches += 1;
-        dist[e.u.index()] = 0.0;
-        touched.push(e.u);
-        heap.push(HeapEntry {
-            dist: 0.0,
-            node: e.u,
-        });
-        let mut covered = false;
-        'search: while let Some(HeapEntry { dist: d, node: x }) = heap.pop() {
-            if d > dist[x.index()] {
-                continue;
-            }
-            for &(y, wy) in &accepted[x.index()] {
-                let nd = d + wy;
-                if nd > budget || nd >= dist[y.index()] {
-                    continue;
-                }
-                if y == e.v {
-                    covered = true;
-                    break 'search;
-                }
-                if dist[y.index()] == f64::INFINITY {
-                    touched.push(y);
-                }
-                dist[y.index()] = nd;
-                heap.push(HeapEntry { dist: nd, node: y });
-            }
-        }
-        heap.clear();
-        for &(j, v) in &rooted[e.u.index()][decided[e.u.index()]..] {
-            label[j] = dist[v.index()];
-        }
-        for x in touched.drain(..) {
-            dist[x.index()] = f64::INFINITY;
-        }
-        if !covered {
+        if check != Check::Covered {
             spanner.insert(id);
             accepted[e.u.index()].push((e.v, w));
             accepted[e.v.index()].push((e.u, w));
         }
     }
-    (spanner, searches)
+    let work = Work {
+        settled: search.settled,
+        fallbacks,
+    };
+    (spanner, work)
+}
+
+/// The answer of one bounded search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Check {
+    Covered,
+    NotCovered,
+    /// Not covered within the margin, but a meeting's estimate was within
+    /// `B_hi` while its fold from `u` exceeded `B`.
+    Unsure,
+}
+
+/// The reusable state of the distance check; side 0 is the forward side
+/// (labels fold from `u`), side 1 the backward one (labels fold from `v`).
+struct Search {
+    label: [Vec<f64>; 2],
+    /// The next hop toward `v` of every backward-labelled vertex, with the
+    /// weight of the edge to it.
+    next: Vec<(NodeId, f64)>,
+    heap: [BinaryHeap<HeapEntry>; 2],
+    touched: Vec<NodeId>,
+    /// Vertices settled by every run so far.
+    settled: usize,
+}
+
+impl Search {
+    fn new(n: usize) -> Self {
+        Search {
+            label: [vec![f64::INFINITY; n], vec![f64::INFINITY; n]],
+            next: vec![(NodeId::new(0), 0.0); n],
+            heap: [BinaryHeap::new(), BinaryHeap::new()],
+            touched: Vec::new(),
+            settled: 0,
+        }
+    }
+
+    /// Whether `accepted` joins `u` to `v` by a path whose fold from `u` is
+    /// within `budget`. `hi` is the backward side's bound `B_hi`, `None` for
+    /// the forward-only search (which never answers [`Check::Unsure`]).
+    fn run(
+        &mut self,
+        accepted: &[Vec<(NodeId, f64)>],
+        u: NodeId,
+        v: NodeId,
+        budget: f64,
+        hi: Option<f64>,
+    ) -> Check {
+        let bound = [budget, hi.unwrap_or(budget)];
+        self.label[0][u.index()] = 0.0;
+        self.label[1][v.index()] = 0.0;
+        self.touched.extend([u, v]);
+        self.heap[0].push(HeapEntry { dist: 0.0, node: u });
+        if hi.is_some() {
+            self.heap[1].push(HeapEntry { dist: 0.0, node: v });
+        }
+        let mut unsure = false;
+        let check = 'search: loop {
+            // The side with the smaller frontier minimum expands; the check
+            // stops when the minima sum past `B_hi` or a frontier empties
+            // (the forward-only search has no backward frontier).
+            let side = match (self.heap[0].peek(), self.heap[1].peek()) {
+                (Some(f), Some(b)) if f.dist + b.dist > bound[1] => break Check::NotCovered,
+                (Some(f), Some(b)) => usize::from(f.dist > b.dist),
+                (Some(_), None) if hi.is_none() => 0,
+                _ => break Check::NotCovered,
+            };
+            let HeapEntry { dist: d, node: x } = self.heap[side].pop().unwrap();
+            if d > self.label[side][x.index()] {
+                continue;
+            }
+            self.settled += 1;
+            for &(y, w) in &accepted[x.index()] {
+                let nd = d + w;
+                if nd > bound[side] || nd >= self.label[side][y.index()] {
+                    continue;
+                }
+                let other = self.label[1 - side][y.index()];
+                if self.label[side][y.index()] == f64::INFINITY && other == f64::INFINITY {
+                    self.touched.push(y);
+                }
+                self.label[side][y.index()] = nd;
+                if side == 1 {
+                    self.next[y.index()] = (x, w);
+                }
+                if other != f64::INFINITY {
+                    match self.meet(y, v, budget, bound[1]) {
+                        Some(true) => break 'search Check::Covered,
+                        Some(false) => unsure = true,
+                        None => {}
+                    }
+                }
+                self.heap[side].push(HeapEntry { dist: nd, node: y });
+            }
+        };
+        for heap in &mut self.heap {
+            heap.clear();
+        }
+        for x in self.touched.drain(..) {
+            self.label[0][x.index()] = f64::INFINITY;
+            self.label[1][x.index()] = f64::INFINITY;
+        }
+        if check == Check::NotCovered && unsure {
+            Check::Unsure
+        } else {
+            check
+        }
+    }
+
+    /// The meeting at `y`, labelled by both sides: `None` if the estimate
+    /// exceeds `hi`, else whether the fold from `u` of the walk along the
+    /// forward label to `y`, then the backward tree to `v`, is within
+    /// `budget`.
+    fn meet(&self, y: NodeId, v: NodeId, budget: f64, hi: f64) -> Option<bool> {
+        let mut fold = self.label[0][y.index()];
+        if fold + self.label[1][y.index()] > hi {
+            return None;
+        }
+        let mut x = y;
+        while x != v {
+            let (next, w) = self.next[x.index()];
+            fold += w;
+            x = next;
+        }
+        Some(fold <= budget)
+    }
 }
 
 #[cfg(test)]
@@ -298,10 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn a_recorded_label_at_k_w_covers_without_a_search() {
-        // The search for (0, 1) reaches 3 over 0-2-4-3 at 1 + 1 + 1, exactly
-        // the budget 2 · 1.5 of the tied edge (0, 3), which its record then
-        // covers: four searches for five edges, and (0, 3) is dropped.
+    fn a_path_at_exactly_k_w_covers() {
+        // The path 0-2-4-3 folds to 1 + 1 + 1, exactly the budget 2 · 1.5 of
+        // the tied edge (0, 3), which is dropped; the five checks settle nine
+        // vertices and never fall back.
         let g = Graph::from_edges(
             5,
             [
@@ -313,17 +444,26 @@ mod tests {
             ],
         )
         .unwrap();
-        let (spanner, searches) = select(&g, &[true; 5], 2.0);
+        let (spanner, work) = select(&g, &[true; 5], 2.0);
         let kept: Vec<usize> = spanner.iter().map(|e| e.index()).collect();
         assert_eq!(kept, [0, 1, 2, 3]);
-        assert_eq!(searches, 4);
+        assert_eq!(
+            work,
+            Work {
+                settled: 9,
+                fallbacks: 0
+            }
+        );
     }
 
     #[test]
-    fn only_records_rooted_at_the_lower_endpoint_answer() {
-        // The search for (3, 4) labels 0 with (0.3 + 0.2) + 0.1 == 0.6, the
-        // budget of (0, 3) at stretch 1; folded from 0 the same path is
-        // 0.6000000000000001, so (0, 3) must still be kept.
+    fn a_meeting_only_the_backward_fold_covers_falls_back() {
+        // Checking (0, 3) at stretch 1, the sides meet on the path 0-1-2-3:
+        // its estimates, (0.1 + 0.2) + 0.3 at vertex 2 and 0.1 + (0.3 + 0.2)
+        // at vertex 1, are within the margin, and the latter is exactly the
+        // budget 0.6. Folded from 0 the path is 0.6000000000000001, so no
+        // meeting confirms, the check reruns forward-only, and (0, 3) is
+        // kept.
         let g = Graph::from_edges(
             5,
             [
@@ -335,13 +475,15 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(GreedySpanner::new(1.0).build(&g, &mut rng()).len(), 5);
+        let (spanner, work) = select(&g, &[true; 5], 1.0);
+        assert_eq!(spanner.len(), 5);
+        assert!(work.fallbacks >= 1, "{work:?}");
     }
 
     #[test]
-    fn recorded_labels_spare_most_searches() {
-        // Pins the work: a change that stops consulting the records, or
-        // keeps more or fewer of them, moves this count.
+    fn bidirectional_checks_settle_fewer_vertices() {
+        // Pins the work: a change that switches the backward side off,
+        // widens the margin or falls back more often moves these counts.
         let mut r = ChaCha8Rng::seed_from_u64(2011);
         let g = generate::gnp(
             120,
@@ -358,9 +500,12 @@ mod tests {
             .map(|(_, e)| alive[e.u.index()] && alive[e.v.index()])
             .collect();
         let live_edges = live.iter().filter(|&&l| l).count();
-        let (_, searches) = select(&g, &live, 3.0);
-        assert_eq!((live_edges, searches), (1683, 510));
-        assert!(searches < live_edges);
+        let (spanner, work) = select(&g, &live, 3.0);
+        let (forward_spanner, forward) = select_with(&g, &live, 3.0, false);
+        assert_eq!(spanner, forward_spanner);
+        assert_eq!(forward.fallbacks, 0);
+        assert_eq!((live_edges, work.settled, work.fallbacks), (1683, 11003, 0));
+        assert!(work.settled < forward.settled, "{work:?} vs {forward:?}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! Every run of the Theorem 2.1 conversion goes through
 //! [`SpannerAlgorithm::build_masked`], so every case runs it against the
 //! reference on the masked subgraph, unmasked and under vertex-induced and
-//! edge masks, including hubs whose many equal-weight edges are decided by
-//! the labels of earlier searches from the hub, many exactly at `k · w`.
+//! edge masks, including hubs whose many equal-weight edges are decided
+//! exactly at `k · w`, and long cycles and ladders where the two sides of a
+//! bidirectional check meet far from both endpoints.
 
 use ftspan_graph::{shortest_path, EdgeSet, Graph, NodeId};
 use ftspan_spanners::{GreedySpanner, SpannerAlgorithm};
@@ -135,7 +136,7 @@ const HUB_WEIGHTS: [f64; 4] = [0.1, 0.1, 0.2, 0.3];
 /// `p`, then vertex 0 joined to each of them, all with decimal weights.
 /// Vertex 0 is the lower endpoint of each of its edges, and its edges come
 /// last in id order, so among equal weights they are decided after the
-/// others, against records of earlier searches from the hub.
+/// others.
 fn hub_graph(n: usize, p: f64, rng: &mut ChaCha8Rng) -> Graph {
     let mut g = Graph::new(n);
     let join = |g: &mut Graph, u: usize, v: usize, rng: &mut ChaCha8Rng| {
@@ -205,7 +206,8 @@ fn masked_greedy_matches_the_definition_on_hubs() {
     // Hubs of 20 to 38 edges, unmasked, with a vertex-induced mask that
     // keeps the hub, and with an edge mask. The hub's decisions that land
     // exactly on `k · w` are counted, so the family provably reaches the
-    // boundary that a recorded label must decide like a search would.
+    // boundary, where a meeting's estimate can say "covered" while the fold
+    // from the hub does not.
     let mut rng = ChaCha8Rng::seed_from_u64(2017);
     for k in STRETCHES {
         let mut at_boundary = 0;
@@ -227,4 +229,74 @@ fn masked_greedy_matches_the_definition_on_hubs() {
             "k = {k}: only {at_boundary} hub decisions at k · w"
         );
     }
+}
+
+/// Long-path weights: a path of many of them folds to different sums from
+/// its two ends, e.g. (0.1 + 0.2) + 0.3 > 0.6 == (0.3 + 0.2) + 0.1.
+const LONG_WEIGHTS: [f64; 3] = [0.1, 0.2, 0.3];
+
+/// A long sparse graph with weights from [`LONG_WEIGHTS`]: a cycle through
+/// `0..n` with chords spanning 2 to `n / 4` cycle edges (`ladder` false), or
+/// a ladder whose two rails are the paths `0..n/2` and `n/2..n`, joined by
+/// rungs `(i, n/2 + i)` (`ladder` true). Each vertex starts one chord of a
+/// random span, or each rung is present, with probability 0.3.
+fn long_graph(n: usize, ladder: bool, rng: &mut ChaCha8Rng) -> Graph {
+    let mut g = Graph::new(n);
+    let mut join = |u: usize, v: usize, rng: &mut ChaCha8Rng| {
+        let (u, v) = (NodeId::new(u), NodeId::new(v));
+        if !g.has_edge(u, v) {
+            let w = LONG_WEIGHTS[rng.gen_range(0..LONG_WEIGHTS.len())];
+            g.add_edge(u, v, w).unwrap();
+        }
+    };
+    let h = n / 2;
+    for i in 0..n {
+        if ladder {
+            if i + 1 != h && i + 1 < n {
+                join(i, i + 1, rng);
+            }
+        } else {
+            join(i, (i + 1) % n, rng);
+        }
+    }
+    for i in 0..n {
+        if !rng.gen_bool(0.3) {
+            continue;
+        }
+        if ladder {
+            if i < h {
+                join(i, h + i, rng);
+            }
+        } else {
+            join(i, (i + rng.gen_range(2..n / 4 + 1)) % n, rng);
+        }
+    }
+    g
+}
+
+#[test]
+fn greedy_matches_the_definition_on_long_paths() {
+    // Cycles with chords and ladders of 40 to 64 vertices, unmasked and
+    // through both kinds of mask. A chord or rung of weight w can be covered
+    // by a path of up to k · w / 0.1 (15 at k = 5) edges, so the two sides
+    // of a check meet far from both endpoints, after many roundings. The
+    // decisions that land exactly on `k · w` (59 over all stretches) are
+    // counted, so the family provably reaches the boundary.
+    let mut rng = ChaCha8Rng::seed_from_u64(2019);
+    let mut at_boundary = 0;
+    for k in STRETCHES {
+        for case in 0..16 {
+            let n = 40 + 8 * (case % 4);
+            let g = long_graph(n, case % 2 == 1, &mut rng);
+            let alive: Vec<bool> = (0..g.edge_count().max(n))
+                .map(|_| rng.gen_bool(0.9))
+                .collect();
+            for (kind, name) in MASKS.iter().enumerate() {
+                let boundary = assert_matches_reference(&g, &mask(&g, kind, &alive), k)
+                    .unwrap_or_else(|e| panic!("k = {k}, case {case}, {name}: {e:?}"));
+                at_boundary += boundary.len();
+            }
+        }
+    }
+    assert!(at_boundary >= 40, "only {at_boundary} decisions at k · w");
 }
