@@ -22,7 +22,7 @@ use crate::scenarios::Fnv;
 use crate::{fmt, Table};
 use fault_tolerant_spanners::core::two_spanner::{solve_relaxation, RelaxationConfig};
 use fault_tolerant_spanners::prelude::*;
-use ftspan_graph::verify::FaultToleranceReport;
+use ftspan_graph::verify::{FaultToleranceReport, StretchOracle};
 use ftspan_spanners::size_bounds;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -232,8 +232,7 @@ impl ClaimRow {
 
     /// Vertex-fault tolerance of `report`'s spanner over every fault set.
     fn exhaustive(self, claim: &'static str, g: &Graph, report: &SpannerReport) -> Self {
-        let spanner = report.edge_set().expect("undirected report");
-        let check = verify::verify_fault_tolerance_exhaustive(g, spanner, K, self.r);
+        let check = oracle(g, report).verify_exhaustive(K, self.r);
         self.stretch(claim, &check)
     }
 
@@ -245,10 +244,14 @@ impl ClaimRow {
         report: &SpannerReport,
         rng: &mut ChaCha8Rng,
     ) -> Self {
-        let spanner = report.edge_set().expect("undirected report");
-        let check = verify::verify_fault_tolerance_sampled(g, spanner, K, self.r, SAMPLES, rng);
+        let check = oracle(g, report).verify_sampled(K, self.r, SAMPLES, rng);
         self.stretch(claim, &check)
     }
+}
+
+/// The stretch oracle over `report`'s undirected spanner of `g`.
+fn oracle<'a>(g: &'a Graph, report: &SpannerReport) -> StretchOracle<'a> {
+    StretchOracle::new(g, report.edge_set().expect("undirected report"))
 }
 
 fn build(name: &str, input: GraphInput<'_>, r: usize, rng: &mut ChaCha8Rng) -> SpannerReport {
@@ -303,7 +306,7 @@ fn small_instance_rows(rng: &mut ChaCha8Rng, rows: &mut Vec<ClaimRow>) {
     for r in [1, 2] {
         let edges = build_edge(g, r, rng).edges;
         let spanner = edges.as_undirected().expect("undirected report");
-        let check = verify::verify_edge_fault_tolerance_exhaustive(g, spanner, K, r);
+        let check = StretchOracle::new(g, spanner).verify_edge_exhaustive(K, r);
         rows.push(ClaimRow::on("conversion", g.into(), r).stretch("edge/valid-exhaustive", &check));
 
         let fault_sets: f64 = (0..=r).map(|i| binomial(n, i)).sum();

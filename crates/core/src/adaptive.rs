@@ -4,11 +4,11 @@
 //! bound; in practice far fewer iterations already give a valid
 //! `r`-fault-tolerant spanner (the `adaptive/iterations` row of
 //! `ftspan-bench`'s `exp_paper` table quantifies this).
-//! [`adaptive_fault_tolerant_spanner`] turns that observation into an
-//! algorithm: it runs the conversion in small batches and stops as soon as
-//! the accumulated union passes a verification battery (sampled random fault
-//! sets plus adversarial heuristics, or exhaustive enumeration on small
-//! instances).
+//! [`adaptive_fault_tolerant_spanner_with_threads`] turns that observation
+//! into an algorithm: it runs the conversion in small batches and stops as
+//! soon as the accumulated union passes a verification battery (sampled
+//! random fault sets plus adversarial heuristics, or exhaustive enumeration
+//! on small instances).
 //!
 //! The result is still only correct with respect to the checks that were run
 //! — exactly like the paper's "with high probability" guarantee — but it is
@@ -86,7 +86,7 @@ impl AdaptiveConfig {
     }
 }
 
-/// The output of [`adaptive_fault_tolerant_spanner`].
+/// The output of [`adaptive_fault_tolerant_spanner_with_threads`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveResult {
     /// The constructed spanner edges.
@@ -161,10 +161,16 @@ fn passes(
 /// `α = Θ(r³ log n)`, so the worst case matches the non-adaptive
 /// construction.
 ///
+/// Both phases run on up to `threads` workers: the conversion batches fan
+/// their iterations out and the verification batteries sweep fault sets
+/// across the same pool. Every parallel stage follows the [`crate::par`]
+/// discipline, and the stop-early decision only consumes stage outputs, so
+/// the result is byte-identical at any worker count.
+///
 /// # Example
 ///
 /// ```
-/// use ftspan_core::adaptive::{adaptive_fault_tolerant_spanner, AdaptiveConfig};
+/// use ftspan_core::adaptive::{adaptive_fault_tolerant_spanner_with_threads, AdaptiveConfig};
 /// use ftspan_spanners::GreedySpanner;
 /// use ftspan_graph::{generate, verify};
 /// use rand::SeedableRng;
@@ -172,30 +178,12 @@ fn passes(
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
 /// let g = generate::gnp(20, 0.5, generate::WeightKind::Unit, &mut rng);
 /// let config = AdaptiveConfig::new(1, g.node_count());
-/// let result = adaptive_fault_tolerant_spanner(&g, &GreedySpanner::new(3.0), &config, &mut rng);
+/// let greedy = GreedySpanner::new(3.0);
+/// let result = adaptive_fault_tolerant_spanner_with_threads(&g, &greedy, &config, &mut rng, 1);
 /// assert!(result.verified);
 /// assert!(verify::is_fault_tolerant_k_spanner(&g, &result.edges, 3.0, 1));
 /// assert!(result.iterations <= result.theorem_iterations);
 /// ```
-pub fn adaptive_fault_tolerant_spanner<A>(
-    graph: &Graph,
-    algorithm: &A,
-    config: &AdaptiveConfig,
-    rng: &mut dyn RngCore,
-) -> AdaptiveResult
-where
-    A: SpannerAlgorithm + ?Sized,
-{
-    adaptive_fault_tolerant_spanner_with_threads(graph, algorithm, config, rng, 1)
-}
-
-/// [`adaptive_fault_tolerant_spanner`] with both phases parallel: the
-/// conversion batches fan their iterations across up to `threads` workers and
-/// the verification batteries sweep fault sets across the same pool.
-///
-/// Every parallel stage follows the [`crate::par`] discipline, and the
-/// stop-early decision only consumes stage outputs, so the result is
-/// byte-identical at any worker count.
 pub fn adaptive_fault_tolerant_spanner_with_threads<A>(
     graph: &Graph,
     algorithm: &A,
@@ -270,6 +258,10 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
+    fn adaptive_greedy(g: &Graph, config: &AdaptiveConfig, rng: &mut ChaCha8Rng) -> AdaptiveResult {
+        adaptive_fault_tolerant_spanner_with_threads(g, &GreedySpanner::new(3.0), config, rng, 1)
+    }
+
     #[test]
     fn config_picks_exhaustive_for_small_instances() {
         let small = AdaptiveConfig::new(1, 20);
@@ -291,7 +283,7 @@ mod tests {
         let mut r = rng(31);
         let g = generate::gnp(22, 0.5, generate::WeightKind::Unit, &mut r);
         let config = AdaptiveConfig::new(1, g.node_count());
-        let result = adaptive_fault_tolerant_spanner(&g, &GreedySpanner::new(3.0), &config, &mut r);
+        let result = adaptive_greedy(&g, &config, &mut r);
         assert!(result.verified);
         assert!(result.iterations < result.theorem_iterations);
         assert!(result.budget_fraction() < 1.0);
@@ -309,7 +301,7 @@ mod tests {
         let g = generate::connected_gnp(14, 0.4, generate::WeightKind::Unit, &mut r);
         let config = AdaptiveConfig::new(2, g.node_count()).with_batch(16);
         assert_eq!(config.stopping, StoppingRule::Exhaustive);
-        let result = adaptive_fault_tolerant_spanner(&g, &GreedySpanner::new(3.0), &config, &mut r);
+        let result = adaptive_greedy(&g, &config, &mut r);
         // With exhaustive stopping, `verified` is a proof of validity.
         assert!(result.verified);
         assert!(ftspan_graph::verify::is_fault_tolerant_k_spanner(
@@ -328,19 +320,16 @@ mod tests {
         let config = AdaptiveConfig::new(2, g.node_count())
             .with_stopping(StoppingRule::Sampled { samples: 25 })
             .with_batch(16);
-        let result = adaptive_fault_tolerant_spanner(&g, &GreedySpanner::new(3.0), &config, &mut r);
+        let result = adaptive_greedy(&g, &config, &mut r);
         // Sampled verification is evidence, not proof: the returned edges
         // must at least be a plain 3-spanner and satisfy the adversarial
         // heuristics the battery checks.
         assert!(result.verified);
         assert!(ftspan_graph::verify::is_k_spanner(&g, &result.edges, 3.0));
+        let oracle = verify::StretchOracle::new(&g, &result.edges);
         for adversarial in [high_degree_faults(&g, 2), articulation_faults(&g, 2)] {
-            assert!(verify::is_k_spanner_under_faults(
-                &g,
-                &result.edges,
-                3.0,
-                &adversarial
-            ));
+            let dead = adversarial.to_dead_mask(g.node_count());
+            assert!(oracle.max_stretch_masked(Some(&dead), None) <= 3.0 + 1e-9);
         }
     }
 
@@ -349,7 +338,7 @@ mod tests {
         let mut r = rng(33);
         let g = Graph::new(6);
         let config = AdaptiveConfig::new(2, 6);
-        let result = adaptive_fault_tolerant_spanner(&g, &GreedySpanner::new(3.0), &config, &mut r);
+        let result = adaptive_greedy(&g, &config, &mut r);
         assert!(result.verified);
         assert_eq!(result.size(), 0);
         assert_eq!(

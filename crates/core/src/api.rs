@@ -393,27 +393,10 @@ impl SpannerRequest {
         self
     }
 
-    /// Overrides the LP inflation constant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is not positive.
-    pub fn with_alpha_constant(mut self, c: f64) -> Self {
-        assert!(c > 0.0, "alpha constant must be positive");
-        self.alpha_constant = Some(c);
-        self
-    }
-
     /// Declares the input's maximum degree (validated by bounded-degree
     /// algorithms).
     pub fn with_degree_bound(mut self, delta: usize) -> Self {
         self.degree_bound = Some(delta);
-        self
-    }
-
-    /// Sets the maximum cutting-plane rounds.
-    pub fn with_max_cut_rounds(mut self, rounds: usize) -> Self {
-        self.max_cut_rounds = rounds;
         self
     }
 
@@ -437,12 +420,6 @@ impl SpannerRequest {
     /// Sets the sample count for sampled verification / enumeration.
     pub fn with_samples(mut self, samples: usize) -> Self {
         self.samples = Some(samples);
-        self
-    }
-
-    /// Disables the post-rounding repair step.
-    pub fn without_repair(mut self) -> Self {
-        self.repair = false;
         self
     }
 
@@ -799,8 +776,7 @@ mod tests {
             .with_black_box(BlackBoxKind::BaswanaSen)
             .with_scale(0.5)
             .with_iterations(40)
-            .with_samples(10)
-            .without_repair();
+            .with_samples(10);
         assert_eq!(request.faults, 2);
         assert_eq!(request.stretch, 5.0);
         assert_eq!(request.fault_model, FaultModel::Edge);
@@ -808,7 +784,6 @@ mod tests {
         assert_eq!(request.scale, 0.5);
         assert_eq!(request.iterations, Some(40));
         assert_eq!(request.samples, Some(10));
-        assert!(!request.repair);
     }
 
     #[test]

@@ -10,18 +10,18 @@
 //!   (The real CLPR09 algorithm shares the work between fault sets via the
 //!   Thorup–Zwick hierarchy, but its size bound keeps the `k^{r+1}` factor —
 //!   see the *Substitutions* section of the workspace README.)
-//! * [`dk10_two_spanner`] — the Dinitz–Krauthgamer (arXiv 2010)
-//!   `O(r log n)`-approximation for the 2-spanner case: the same threshold
-//!   rounding, but applied to the weaker relaxation (no knapsack-cover
-//!   inequalities) and therefore needing inflation `α = Θ(r log n)`.
-//! * [`buy_everything`] — the trivial upper bound.
+//! * [`dk10_two_spanner_with_threads`] — the Dinitz–Krauthgamer (arXiv
+//!   2010) `O(r log n)`-approximation for the 2-spanner case: the same
+//!   threshold rounding, but applied to the weaker relaxation (no
+//!   knapsack-cover inequalities) and therefore needing inflation
+//!   `α = Θ(r log n)`.
 
 use crate::conversion::{union_runs, ConversionResult, Faults};
 use crate::par;
 use crate::two_spanner::{approximate_two_spanner, ApproxConfig, ApproxResult};
 use crate::Result;
 use ftspan_graph::faults::{enumerate_fault_sets, sample_fault_sets, FaultSet};
-use ftspan_graph::{ArcSet, DiGraph, Graph};
+use ftspan_graph::{DiGraph, Graph};
 use ftspan_spanners::SpannerAlgorithm;
 use rand::RngCore;
 
@@ -67,17 +67,10 @@ impl ClprStyleBaseline {
     /// The output is returned in the same [`ConversionResult`] shape as the
     /// conversion theorem so the experiments can compare them directly (the
     /// `per_iteration` entries record one entry per fault set).
-    pub fn build<A>(&self, graph: &Graph, algorithm: &A, rng: &mut dyn RngCore) -> ConversionResult
-    where
-        A: SpannerAlgorithm + ?Sized,
-    {
-        self.build_with_threads(graph, algorithm, rng, 1)
-    }
-
-    /// [`ClprStyleBaseline::build`] with the per-fault-set black-box runs
-    /// fanned out across up to `threads` workers (the [`crate::par`]
-    /// discipline: sequentially derived per-task streams, in-order merge —
-    /// output byte-identical at any worker count).
+    ///
+    /// The per-fault-set black-box runs fan out across up to `threads`
+    /// workers (the [`crate::par`] discipline: sequentially derived per-task
+    /// streams, in-order merge — output byte-identical at any worker count).
     pub fn build_with_threads<A>(
         &self,
         graph: &Graph,
@@ -119,16 +112,9 @@ impl ClprStyleBaseline {
 /// # Errors
 ///
 /// Same conditions as [`crate::two_spanner::approximate_two_spanner`].
-pub fn dk10_two_spanner(
-    graph: &DiGraph,
-    faults: usize,
-    rng: &mut dyn RngCore,
-) -> Result<ApproxResult> {
-    dk10_two_spanner_with_threads(graph, faults, rng, 1)
-}
-
-/// [`dk10_two_spanner`] with the relaxation's separation oracle granted up to
-/// `threads` workers (identical output at any count).
+///
+/// The relaxation's separation oracle is granted up to `threads` workers
+/// (identical output at any count).
 pub fn dk10_two_spanner_with_threads(
     graph: &DiGraph,
     faults: usize,
@@ -144,13 +130,6 @@ pub fn dk10_two_spanner_with_threads(
         threads: threads.max(1),
     };
     approximate_two_spanner(graph, &config, rng)
-}
-
-/// The trivial baseline: buy every arc. Always a valid `r`-fault-tolerant
-/// 2-spanner; its cost is the denominator-free upper bound experiments report
-/// alongside the LP lower bound.
-pub fn buy_everything(graph: &DiGraph) -> ArcSet {
-    graph.full_arc_set()
 }
 
 #[cfg(test)]
@@ -170,7 +149,7 @@ mod tests {
         let mut r = rng(1);
         let g = generate::gnp(15, 0.5, generate::WeightKind::Unit, &mut r);
         let baseline = ClprStyleBaseline::new(1);
-        let result = baseline.build(&g, &GreedySpanner::new(3.0), &mut r);
+        let result = baseline.build_with_threads(&g, &GreedySpanner::new(3.0), &mut r, 1);
         assert!(verify::is_fault_tolerant_k_spanner(
             &g,
             &result.edges,
@@ -189,7 +168,7 @@ mod tests {
         let mut r = rng(2);
         let g = generate::gnp(20, 0.4, generate::WeightKind::Unit, &mut r);
         let baseline = ClprStyleBaseline::sampled(2, 10);
-        let result = baseline.build(&g, &GreedySpanner::new(3.0), &mut r);
+        let result = baseline.build_with_threads(&g, &GreedySpanner::new(3.0), &mut r, 1);
         assert_eq!(result.iterations, 10);
         assert!(result.size() <= g.edge_count());
         // Every iteration removed exactly 2 vertices.
@@ -202,8 +181,10 @@ mod tests {
     fn clpr_baseline_grows_with_r() {
         let mut r = rng(3);
         let g = generate::gnp(12, 0.6, generate::WeightKind::Unit, &mut r);
-        let small = ClprStyleBaseline::new(0).build(&g, &GreedySpanner::new(3.0), &mut r);
-        let large = ClprStyleBaseline::new(2).build(&g, &GreedySpanner::new(3.0), &mut r);
+        let small =
+            ClprStyleBaseline::new(0).build_with_threads(&g, &GreedySpanner::new(3.0), &mut r, 1);
+        let large =
+            ClprStyleBaseline::new(2).build_with_threads(&g, &GreedySpanner::new(3.0), &mut r, 1);
         assert!(large.iterations > small.iterations);
         assert!(large.size() >= small.size());
     }
@@ -212,7 +193,7 @@ mod tests {
     fn dk10_baseline_is_valid_but_pays_more_inflation() {
         let mut r = rng(4);
         let g = generate::directed_gnp(10, 0.5, generate::WeightKind::Unit, &mut r);
-        let result = dk10_two_spanner(&g, 1, &mut r).unwrap();
+        let result = dk10_two_spanner_with_threads(&g, 1, &mut r, 1).unwrap();
         assert!(verify::is_ft_two_spanner(&g, &result.arcs, 1));
         // alpha = 3 * (r+1) * ln n, i.e. twice the Theorem 3.3 inflation.
         let expected = 3.0 * 2.0 * (10f64).ln();
@@ -220,9 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn buy_everything_is_always_valid() {
+    fn full_arc_set_is_always_valid() {
         let g = generate::complete_digraph(6);
-        let all = buy_everything(&g);
+        let all = g.full_arc_set();
         assert_eq!(all.len(), g.arc_count());
         for r in 0..4 {
             assert!(verify::is_ft_two_spanner(&g, &all, r));

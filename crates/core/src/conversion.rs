@@ -165,7 +165,7 @@ impl ConversionParams {
     }
 }
 
-/// Per-iteration record kept by [`FaultTolerantConverter::build`] (and, one
+/// Per-iteration record kept by [`FaultTolerantConverter::build_with_threads`] (and, one
 /// per fault set, by the CLPR09 baseline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IterationStats {
@@ -227,7 +227,7 @@ impl ConversionResult {
 /// let g = generate::gnp(30, 0.4, generate::WeightKind::Unit, &mut rng);
 /// let alg = BaswanaSenSpanner::new(2); // a 3-spanner black box
 /// let converter = FaultTolerantConverter::new(ConversionParams::new(1));
-/// let result = converter.build(&g, &alg, &mut rng);
+/// let result = converter.build_with_threads(&g, &alg, &mut rng, 1);
 /// assert!(verify::is_fault_tolerant_k_spanner(&g, &result.edges, 3.0, 1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,20 +247,12 @@ impl FaultTolerantConverter {
     }
 
     /// Runs the conversion of Theorem 2.1 on `graph` with the given black-box
-    /// spanner algorithm, sequentially (one worker).
+    /// spanner algorithm, the `α` independent iterations fanned out across up
+    /// to `threads` workers (`1` runs sequentially).
     ///
     /// The output is an `r`-fault-tolerant `algorithm.stretch()`-spanner
     /// under the parameters' [`FaultModel`] with high probability; use
     /// `ftspan_graph::verify` to check it when certainty is required.
-    pub fn build<A>(&self, graph: &Graph, algorithm: &A, rng: &mut dyn RngCore) -> ConversionResult
-    where
-        A: SpannerAlgorithm + ?Sized,
-    {
-        self.build_with_threads(graph, algorithm, rng, 1)
-    }
-
-    /// [`FaultTolerantConverter::build`] with the `α` independent iterations
-    /// fanned out across up to `threads` workers.
     ///
     /// Each iteration derives a private random stream from a seed drawn
     /// sequentially from `rng` (see [`crate::par`]) and the per-iteration
@@ -716,26 +708,20 @@ impl FaultTolerantConverter {
     }
 }
 
-/// Corollary 2.2: the conversion applied to the greedy spanner of Althöfer et
-/// al., giving `r`-fault-tolerant `k`-spanners of size
-/// `O(r^{2−2/(k+1)} n^{1+2/(k+1)} log n)` for odd `k ≥ 1`.
-///
-/// # Panics
-///
-/// Panics if `stretch < 1`.
-pub fn corollary_2_2(
-    graph: &Graph,
-    stretch: f64,
-    faults: usize,
-    rng: &mut dyn RngCore,
-) -> ConversionResult {
-    let converter = FaultTolerantConverter::new(ConversionParams::new(faults));
-    converter.build(graph, &ftspan_spanners::GreedySpanner::new(stretch), rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Corollary 2.2's construction: the conversion over the greedy
+    /// 3-spanner, on one worker.
+    fn greedy_union(g: &Graph, faults: usize, rng: &mut dyn RngCore) -> ConversionResult {
+        FaultTolerantConverter::new(ConversionParams::new(faults)).build_with_threads(
+            g,
+            &GreedySpanner::new(3.0),
+            rng,
+            1,
+        )
+    }
     use ftspan_graph::{generate, verify};
     use ftspan_spanners::{BaswanaSenSpanner, GreedySpanner};
     use rand::SeedableRng;
@@ -788,7 +774,7 @@ mod tests {
     fn output_is_fault_tolerant_r1_k3() {
         let mut r = rng(1);
         let g = generate::gnp(25, 0.5, generate::WeightKind::Unit, &mut r);
-        let result = corollary_2_2(&g, 3.0, 1, &mut r);
+        let result = greedy_union(&g, 1, &mut r);
         assert!(verify::is_fault_tolerant_k_spanner(
             &g,
             &result.edges,
@@ -800,8 +786,12 @@ mod tests {
 
         let mut r = rng(11);
         let g = generate::gnp(18, 0.5, generate::WeightKind::Unit, &mut r);
-        let result =
-            FaultTolerantConverter::new(edge(1)).build(&g, &GreedySpanner::new(3.0), &mut r);
+        let result = FaultTolerantConverter::new(edge(1)).build_with_threads(
+            &g,
+            &GreedySpanner::new(3.0),
+            &mut r,
+            1,
+        );
         assert!(verify::is_edge_fault_tolerant_k_spanner(
             &g,
             &result.edges,
@@ -821,7 +811,7 @@ mod tests {
             generate::WeightKind::Uniform { min: 1.0, max: 3.0 },
             &mut r,
         );
-        let result = corollary_2_2(&g, 3.0, 2, &mut r);
+        let result = greedy_union(&g, 2, &mut r);
         assert!(verify::is_fault_tolerant_k_spanner(
             &g,
             &result.edges,
@@ -836,8 +826,12 @@ mod tests {
             generate::WeightKind::Uniform { min: 1.0, max: 2.0 },
             &mut r,
         );
-        let result =
-            FaultTolerantConverter::new(edge(2)).build(&g, &BaswanaSenSpanner::new(2), &mut r);
+        let result = FaultTolerantConverter::new(edge(2)).build_with_threads(
+            &g,
+            &BaswanaSenSpanner::new(2),
+            &mut r,
+            1,
+        );
         assert!(verify::is_edge_fault_tolerant_k_spanner(
             &g,
             &result.edges,
@@ -852,7 +846,7 @@ mod tests {
         let g = generate::gnp(24, 0.5, generate::WeightKind::Unit, &mut r);
         let alg = BaswanaSenSpanner::new(2);
         let converter = FaultTolerantConverter::new(ConversionParams::new(1));
-        let result = converter.build(&g, &alg, &mut r);
+        let result = converter.build_with_threads(&g, &alg, &mut r, 1);
         assert!(verify::is_fault_tolerant_k_spanner(
             &g,
             &result.edges,
@@ -867,7 +861,7 @@ mod tests {
         let g = generate::gnp(60, 0.2, generate::WeightKind::Unit, &mut r);
         let params = ConversionParams::new(4).with_iterations(200);
         let converter = FaultTolerantConverter::new(params);
-        let result = converter.build(&g, &GreedySpanner::new(3.0), &mut r);
+        let result = converter.build_with_threads(&g, &GreedySpanner::new(3.0), &mut r, 1);
         let mean = result.mean_surviving_vertices();
         // Expected survivors: n / r = 15; allow generous sampling slack.
         assert!(mean > 9.0 && mean < 21.0, "mean survivors {mean}");
@@ -877,7 +871,7 @@ mod tests {
         let g = generate::gnp(40, 0.4, generate::WeightKind::Unit, &mut r);
         let m = g.edge_count() as f64;
         let converter = FaultTolerantConverter::new(edge(4).with_iterations(150));
-        let result = converter.build(&g, &GreedySpanner::new(3.0), &mut r);
+        let result = converter.build_with_threads(&g, &GreedySpanner::new(3.0), &mut r, 1);
         assert_eq!(result.mean_surviving_vertices(), 40.0);
         let stats = &result.per_iteration;
         let mean = stats.iter().map(|s| s.surviving_edges).sum::<usize>() as f64 / 150.0;
@@ -892,8 +886,8 @@ mod tests {
     fn more_faults_need_more_edges() {
         let mut r = rng(5);
         let g = generate::gnp(30, 0.5, generate::WeightKind::Unit, &mut r);
-        let small = corollary_2_2(&g, 3.0, 1, &mut r).size();
-        let large = corollary_2_2(&g, 3.0, 3, &mut r).size();
+        let small = greedy_union(&g, 1, &mut r).size();
+        let large = greedy_union(&g, 3, &mut r).size();
         assert!(
             large >= small,
             "r=3 spanner ({large}) smaller than r=1 ({small})"
@@ -915,10 +909,10 @@ mod tests {
     fn empty_graph_yields_empty_spanner() {
         let mut r = rng(7);
         let g = Graph::new(0);
-        let result = corollary_2_2(&g, 3.0, 2, &mut r);
+        let result = greedy_union(&g, 2, &mut r);
         assert_eq!(result.size(), 0);
         let converter = FaultTolerantConverter::new(edge(2));
-        let result = converter.build(&g, &GreedySpanner::new(3.0), &mut rng(14));
+        let result = converter.build_with_threads(&g, &GreedySpanner::new(3.0), &mut rng(14), 1);
         assert_eq!(result.size(), 0);
         assert!(result.per_iteration.iter().all(|s| s.surviving_edges == 0));
     }

@@ -42,7 +42,7 @@
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
 //! let g = generate::gnp(20, 0.4, generate::WeightKind::Unit, &mut rng);
 //! let converter = FaultTolerantConverter::new(ConversionParams::new(1));
-//! let result = converter.build(&g, &GreedySpanner::new(3.0), &mut rng);
+//! let result = converter.build_with_threads(&g, &GreedySpanner::new(3.0), &mut rng, 1);
 //! // The result tolerates any single vertex fault with stretch 3 (verified
 //! // exhaustively here because the graph is small).
 //! assert!(verify::is_fault_tolerant_k_spanner(&g, &result.edges, 3.0, 1));

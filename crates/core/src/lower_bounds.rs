@@ -98,7 +98,9 @@ pub fn directed_size_lower_bound(graph: &DiGraph, r: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conversion::{ConversionParams, FaultTolerantConverter};
     use ftspan_graph::{generate, verify, NodeId};
+    use ftspan_spanners::GreedySpanner;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -141,7 +143,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(22);
         let g = generate::gnp(16, 0.6, generate::WeightKind::Unit, &mut rng);
         for r in 0..3usize {
-            let result = crate::conversion::corollary_2_2(&g, 3.0, r, &mut rng);
+            let result = FaultTolerantConverter::new(ConversionParams::new(r)).build_with_threads(
+                &g,
+                &GreedySpanner::new(3.0),
+                &mut rng,
+                1,
+            );
             assert!(verify::is_fault_tolerant_k_spanner(
                 &g,
                 &result.edges,

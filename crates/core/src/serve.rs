@@ -1056,9 +1056,11 @@ pub struct StretchCertificate {
     /// Distance in the surviving source graph `G \ F` (the baseline the
     /// guarantee is measured against).
     pub baseline_distance: f64,
-    /// Realized stretch `spanner_distance / baseline_distance` (`1.0` when
-    /// the pair coincides or is disconnected in `G \ F` — the guarantee is
-    /// vacuous there).
+    /// Realized stretch `spanner_distance / baseline_distance`
+    /// ([`ftspan_graph::verify::pair_stretch`]): `1.0` when the pair is
+    /// disconnected in `G \ F` (the guarantee is vacuous there); at baseline
+    /// distance 0, `1.0` if the spanner distance is 0 too and infinite
+    /// otherwise.
     pub stretch: f64,
     /// The declared bound `k` the certificate is checked against.
     pub bound: f64,
@@ -1069,8 +1071,7 @@ pub struct StretchCertificate {
 impl StretchCertificate {
     /// A certificate for `(u, v)` from both distances, the declared bound
     /// and the witnessing path. The realized stretch is
-    /// `spanner_distance / baseline_distance`, or `1.0` where the guarantee
-    /// is vacuous: the pair coincides or is disconnected in `G \ F`.
+    /// [`ftspan_graph::verify::pair_stretch`] of the two distances.
     pub fn new(
         u: NodeId,
         v: NodeId,
@@ -1079,17 +1080,12 @@ impl StretchCertificate {
         bound: f64,
         path: Option<Vec<NodeId>>,
     ) -> Self {
-        let stretch = if baseline_distance == 0.0 || baseline_distance.is_infinite() {
-            1.0
-        } else {
-            spanner_distance / baseline_distance
-        };
         StretchCertificate {
             u,
             v,
             spanner_distance,
             baseline_distance,
-            stretch,
+            stretch: ftspan_graph::verify::pair_stretch(spanner_distance, baseline_distance),
             bound,
             path,
         }
@@ -1240,16 +1236,17 @@ impl<'a> FaultSession<'a> {
     /// suffices, see Section 2 of the paper). `1.0` when no edge survives.
     ///
     /// This is the same sweep the verification oracles run
-    /// ([`ftspan_graph::verify::max_stretch_masked_csr`]), over the
-    /// artifact's already-packed CSRs.
+    /// ([`ftspan_graph::verify::max_stretch_masked_csr_threaded`], on one
+    /// worker), over the artifact's already-packed CSRs.
     pub fn max_stretch(&self) -> f64 {
         let (dead, dead_edges) = self.masks();
-        ftspan_graph::verify::max_stretch_masked_csr(
+        ftspan_graph::verify::max_stretch_masked_csr_threaded(
             &self.artifact.source,
             &self.artifact.source_csr,
             &self.artifact.spanner_csr,
             dead,
             dead_edges,
+            1,
         )
     }
 
@@ -1715,15 +1712,14 @@ mod tests {
     #[test]
     fn certificates_hold_within_budget_and_match_the_oracle() {
         let (g, artifact) = conversion_artifact(6, 1);
+        let oracle = verify::StretchOracle::new(&g, artifact.spanner_edges());
         for fault in 0..g.node_count() {
             let session = artifact.under_faults(&[NodeId::new(fault)]).unwrap();
             assert!(session.is_within_guarantee());
-            let oracle = verify::max_stretch_under_faults(
-                &g,
-                artifact.spanner_edges(),
-                &ftspan_graph::faults::FaultSet::from_indices([fault]),
-            );
-            assert!((session.max_stretch() - oracle).abs() < 1e-9);
+            let dead =
+                ftspan_graph::faults::FaultSet::from_indices([fault]).to_dead_mask(g.node_count());
+            let expected = oracle.max_stretch_masked(Some(&dead), None);
+            assert!((session.max_stretch() - expected).abs() < 1e-9);
             for (u, v) in [(0usize, 5), (1, 9), (3, 17)] {
                 let cert = session
                     .stretch_certificate(NodeId::new(u), NodeId::new(v))
@@ -1732,6 +1728,32 @@ mod tests {
                 assert_eq!(cert.bound, 3.0);
             }
         }
+    }
+
+    #[test]
+    fn zero_distance_pair_breaks_the_certificate() {
+        // w(0, 1) = 0 with a 0-2-1 detour of weight 2; the spanner drops
+        // (0, 1), so the pair sits at distance 0 in G and 2 in H.
+        let g = Graph::from_edges(3, [(0, 1, 0.0), (0, 2, 1.0), (2, 1, 1.0)]).unwrap();
+        let mut detour = g.full_edge_set();
+        detour.remove(ftspan_graph::EdgeId::new(0));
+        let artifact =
+            FtSpanner::from_edge_set(&g, detour, "test", "test", FaultModel::Vertex, 1, 3.0)
+                .unwrap();
+        let session = artifact.session();
+        let cert = session
+            .stretch_certificate(NodeId::new(0), NodeId::new(1))
+            .unwrap();
+        assert_eq!(cert.spanner_distance, 2.0);
+        assert_eq!(cert.baseline_distance, 0.0);
+        assert!(cert.stretch.is_infinite());
+        assert!(!cert.holds());
+        assert!(!session.is_within_guarantee());
+        // A coinciding pair stays exact.
+        let cert = session
+            .stretch_certificate(NodeId::new(1), NodeId::new(1))
+            .unwrap();
+        assert_eq!(cert.stretch, 1.0);
     }
 
     #[test]

@@ -197,31 +197,7 @@ pub fn approximate_two_spanner(
     };
     let fractional = solve_relaxation(graph, &relax_cfg)?;
     let alpha = config.alpha_constant * (graph.node_count().max(2) as f64).ln();
-    let (arcs, _thresholds) = round_thresholds(graph, &fractional.x, alpha, rng);
-    finalize(graph, config, fractional, alpha, arcs)
-}
-
-/// Rounds an externally-computed fractional solution (used by the distributed
-/// algorithm, which assembles `x` from per-cluster LPs before rounding
-/// locally).
-pub fn round_fractional_solution(
-    graph: &DiGraph,
-    config: &ApproxConfig,
-    fractional: FractionalSolution,
-    rng: &mut dyn RngCore,
-) -> Result<ApproxResult> {
-    let alpha = config.alpha_constant * (graph.node_count().max(2) as f64).ln();
-    let (arcs, _thresholds) = round_thresholds(graph, &fractional.x, alpha, rng);
-    finalize(graph, config, fractional, alpha, arcs)
-}
-
-fn finalize(
-    graph: &DiGraph,
-    config: &ApproxConfig,
-    fractional: FractionalSolution,
-    alpha: f64,
-    mut arcs: ArcSet,
-) -> Result<ApproxResult> {
+    let (mut arcs, _thresholds) = round_thresholds(graph, &fractional.x, alpha, rng);
     let mut repaired = 0usize;
     if config.repair {
         // Adding a violating arc itself always satisfies it (Lemma 3.1), and

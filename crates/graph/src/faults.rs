@@ -218,9 +218,10 @@ pub fn articulation_faults(graph: &crate::Graph, r: usize) -> FaultSet {
 /// Edge faults are the natural companion model to the paper's vertex faults:
 /// an `r`-edge-fault-tolerant `k`-spanner must remain a `k`-spanner of
 /// `G \ F` for every edge set `F` with `|F| <= r`. The conversion theorem
-/// adapts to this model by sampling edges instead of vertices (see
-/// `ftspan-core::edge_faults`), and the verifiers in
-/// [`crate::verify`] accept [`EdgeFaultSet`]s directly.
+/// adapts to this model by sampling edges instead of vertices
+/// (`FaultModel::Edge` in `ftspan-core`'s conversion), and the edge-fault
+/// sweeps of [`crate::verify::StretchOracle`] report an [`EdgeFaultSet`] as
+/// their witness.
 ///
 /// # Example
 ///

@@ -194,46 +194,6 @@ pub fn cycle(n: usize) -> Graph {
     g
 }
 
-/// Preferential-attachment (Barabási–Albert style) graph: vertices arrive one
-/// at a time and attach to `m` existing vertices chosen proportionally to
-/// their degree.
-///
-/// # Panics
-///
-/// Panics if `m == 0` or `n <= m`.
-pub fn preferential_attachment<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
-    assert!(m > 0, "attachment count must be positive");
-    assert!(n > m, "need more vertices than the attachment count");
-    let mut g = Graph::new(n);
-    // Degree-weighted urn: each endpoint occurrence is one entry.
-    let mut urn: Vec<usize> = Vec::new();
-    // Seed clique on the first m+1 vertices.
-    for u in 0..=m {
-        for v in (u + 1)..=m {
-            g.add_edge(NodeId::new(u), NodeId::new(v), 1.0)
-                .expect("seed clique edges are valid");
-            urn.push(u);
-            urn.push(v);
-        }
-    }
-    for v in (m + 1)..n {
-        let mut targets = std::collections::HashSet::new();
-        let mut guard = 0;
-        while targets.len() < m && guard < 100 * m {
-            let t = urn[rng.gen_range(0..urn.len())];
-            targets.insert(t);
-            guard += 1;
-        }
-        for &t in &targets {
-            g.add_edge(NodeId::new(v), NodeId::new(t), 1.0)
-                .expect("attachment edges are valid");
-            urn.push(v);
-            urn.push(t);
-        }
-    }
-    g
-}
-
 /// A near-`d`-regular random graph built with the configuration model,
 /// discarding self-loops and parallel edges (so a few vertices may end up
 /// with degree slightly below `d`).
@@ -405,56 +365,6 @@ pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut 
     g
 }
 
-/// Random bipartite graph: sides `0..a` and `a..a+b`, every cross pair an
-/// edge independently with probability `p`, unit weights.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]`.
-pub fn random_bipartite<R: Rng + ?Sized>(a: usize, b: usize, p: f64, rng: &mut R) -> Graph {
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "edge probability must be in [0, 1], got {p}"
-    );
-    let mut g = Graph::new(a + b);
-    for u in 0..a {
-        for v in 0..b {
-            if rng.gen::<f64>() < p {
-                g.add_edge(NodeId::new(u), NodeId::new(a + v), 1.0)
-                    .expect("bipartite edges are valid");
-            }
-        }
-    }
-    g
-}
-
-/// A directed graph whose in- and out-degrees are bounded by `d`: the
-/// bidirected version of a [`random_near_regular`] undirected graph, with
-/// costs drawn from `costs`.
-///
-/// Used by the bounded-degree experiments for Theorem 3.4, which is stated
-/// for maximum (in and out) degree `Δ`.
-///
-/// # Panics
-///
-/// Panics if `d >= n`.
-pub fn bounded_degree_digraph<R: Rng + ?Sized>(
-    n: usize,
-    d: usize,
-    costs: WeightKind,
-    rng: &mut R,
-) -> DiGraph {
-    let base = random_near_regular(n, d, rng);
-    let mut g = DiGraph::new(n);
-    for (_, e) in base.edges() {
-        let c1 = costs.sample(rng);
-        let c2 = costs.sample(rng);
-        g.add_arc(e.u, e.v, c1).expect("arcs mirror valid edges");
-        g.add_arc(e.v, e.u, c2).expect("arcs mirror valid edges");
-    }
-    g
-}
-
 /// The Section 3.2 integrality-gap gadget for LP (3).
 ///
 /// Vertices: `u = 0`, `v = 1`, and midpoints `w_1..w_r` (ids `2..r+2`).
@@ -597,15 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn preferential_attachment_structure() {
-        let g = preferential_attachment(100, 3, &mut rng());
-        assert_eq!(g.node_count(), 100);
-        assert!(g.is_connected());
-        // Every non-seed vertex attaches to at least one existing vertex.
-        assert!(g.edge_count() >= 100 - 4 + 3); // seed clique has 3 choose 2 edges
-    }
-
-    #[test]
     fn near_regular_degree_bound() {
         let g = random_near_regular(60, 6, &mut rng());
         assert!(
@@ -676,31 +577,6 @@ mod tests {
     #[should_panic]
     fn watts_strogatz_rejects_odd_degree() {
         watts_strogatz(10, 3, 0.1, &mut rng());
-    }
-
-    #[test]
-    fn random_bipartite_structure() {
-        let g = random_bipartite(6, 8, 1.0, &mut rng());
-        assert_eq!(g.edge_count(), 48);
-        for u in 0..6 {
-            for v in 0..6 {
-                if u != v {
-                    assert!(!g.has_edge(NodeId::new(u), NodeId::new(v)));
-                }
-            }
-        }
-        let empty = random_bipartite(4, 4, 0.0, &mut rng());
-        assert_eq!(empty.edge_count(), 0);
-    }
-
-    #[test]
-    fn bounded_degree_digraph_respects_delta() {
-        let g = bounded_degree_digraph(30, 5, WeightKind::Unit, &mut rng());
-        assert!(g.max_degree() <= 6);
-        // Arcs come in opposite pairs.
-        for (_, a) in g.arcs() {
-            assert!(g.has_arc(a.head, a.tail));
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!    from its BFS frontier (smallest-index neighbor order), so parts grow
 //!    in lock step and stay balanced; a part stops claiming once it holds
 //!    [`Partition::capacity`] vertices, the bound
-//!    `ceil(n / parts · (1 + max_imbalance))`.
+//!    `ceil(n / parts · 1.2)`: a 20% imbalance leaves growth some slack.
 //!
 //! Every claimed vertex is adjacent to an earlier vertex of the same part,
 //! so each part induces a **connected** subgraph — which is exactly what the
@@ -35,8 +35,8 @@
 //!
 //! # Errors
 //!
-//! A disconnected input (or an imbalance bound so tight that every
-//! neighboring part is full) leaves vertices that no part can reach; the
+//! A disconnected input (or a shape for which every neighboring part is
+//! full under the imbalance bound) leaves vertices that no part can reach; the
 //! partitioner reports them with the typed
 //! [`GraphError::PartitionStalled`] instead of returning a partial cover.
 //!
@@ -57,34 +57,25 @@
 use crate::{Graph, GraphError, NodeId, Result};
 use std::collections::VecDeque;
 
+/// Maximum relative imbalance: no part exceeds
+/// `ceil(n / parts · (1 + MAX_IMBALANCE))` vertices, which leaves the
+/// lock-step growth some slack.
+const MAX_IMBALANCE: f64 = 0.2;
+
 /// How [`partition`] splits a graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionConfig {
     /// Number of parts to grow (each part is non-empty).
     pub parts: usize,
-    /// Maximum relative imbalance: no part exceeds
-    /// `ceil(n / parts · (1 + max_imbalance))` vertices. `0.0` demands
-    /// near-perfect balance; the default `0.2` leaves growth some slack.
-    pub max_imbalance: f64,
     /// Seed of the deterministic seed-vertex choice.
     pub seed: u64,
 }
 
 impl PartitionConfig {
-    /// A configuration with the default imbalance (`0.2`) and seed (`2011`,
-    /// the year of the paper — the workspace-wide default).
+    /// A configuration with the default seed (`2011`, the year of the paper
+    /// — the workspace-wide default).
     pub fn new(parts: usize) -> Self {
-        PartitionConfig {
-            parts,
-            max_imbalance: 0.2,
-            seed: 2011,
-        }
-    }
-
-    /// Sets the maximum relative imbalance (must be non-negative and finite).
-    pub fn with_max_imbalance(mut self, max_imbalance: f64) -> Self {
-        self.max_imbalance = max_imbalance;
-        self
+        PartitionConfig { parts, seed: 2011 }
     }
 
     /// Sets the seed.
@@ -134,7 +125,7 @@ impl Partition {
     }
 
     /// The size bound every part respects:
-    /// `ceil(n / parts · (1 + max_imbalance))`.
+    /// `ceil(n / parts · 1.2)`.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -214,7 +205,7 @@ impl Partition {
 /// # Errors
 ///
 /// * [`GraphError::InvalidParameter`] when `parts` is zero or exceeds the
-///   vertex count, or `max_imbalance` is negative or not finite.
+///   vertex count.
 /// * [`GraphError::PartitionStalled`] when growth cannot cover every vertex
 ///   — the input is disconnected, or the imbalance bound is too tight for
 ///   its shape.
@@ -233,18 +224,10 @@ pub fn partition(g: &Graph, config: &PartitionConfig) -> Result<Partition> {
             ),
         });
     }
-    if !(config.max_imbalance.is_finite() && config.max_imbalance >= 0.0) {
-        return Err(GraphError::InvalidParameter {
-            message: format!(
-                "max_imbalance must be a non-negative finite number, got {}",
-                config.max_imbalance
-            ),
-        });
-    }
     let parts = config.parts;
     // Each part may hold at most ceil(n / parts · (1 + ε)) vertices, but the
     // bound is never below ceil(n / parts) — the total capacity must cover n.
-    let capacity = ((n as f64 / parts as f64) * (1.0 + config.max_imbalance)).ceil() as usize;
+    let capacity = ((n as f64 / parts as f64) * (1.0 + MAX_IMBALANCE)).ceil() as usize;
     let capacity = capacity.max(n.div_ceil(parts));
 
     let seeds = spread_seeds(g, parts, config.seed);
@@ -455,12 +438,6 @@ mod tests {
             partition(&g, &PartitionConfig::new(17)),
             Err(GraphError::InvalidParameter { .. })
         ));
-        for bad in [-0.1, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                partition(&g, &PartitionConfig::new(2).with_max_imbalance(bad)),
-                Err(GraphError::InvalidParameter { .. })
-            ));
-        }
         let other = generate::grid(3, 3);
         let partition = partition(&g, &PartitionConfig::new(2)).unwrap();
         assert!(partition.cut_edges(&other).is_err());
@@ -497,14 +474,15 @@ mod tests {
     #[test]
     fn tight_imbalance_still_covers_a_path_graph() {
         // A path is the worst case for frontier deadlock; lock-step growth
-        // with capacity exactly ceil(n/parts) must still cover it from
-        // spread seeds.
+        // capped at ceil(n/parts · 1.2) = 8 must still cover it from spread
+        // seeds.
         let mut g = Graph::new(12);
         for i in 0..11 {
             g.add_edge(NodeId::new(i), NodeId::new(i + 1), 1.0).unwrap();
         }
-        let partition = partition(&g, &PartitionConfig::new(2).with_max_imbalance(0.0)).unwrap();
+        let partition = partition(&g, &PartitionConfig::new(2)).unwrap();
         check_cover(&g, &partition);
-        assert!(partition.sizes().iter().all(|&s| s <= 6));
+        assert_eq!(partition.capacity(), 8);
+        assert!(partition.sizes().iter().all(|&s| s <= 8));
     }
 }

@@ -7,6 +7,7 @@
 //! examples do not each reimplement them.
 
 use crate::csr::CsrSubgraph;
+use crate::verify::pair_stretch;
 use crate::{EdgeSet, Graph, GraphError, Result};
 
 /// Summary of the degrees of a graph.
@@ -73,14 +74,15 @@ pub fn degree_stats(graph: &Graph) -> DegreeStats {
 ///
 /// The stretch of an edge `(u, v)` is `d_H(u, v) / d_G(u, v)`: how much
 /// longer the best route in the spanner `H` is than the best route in the
-/// input. The paper's guarantee is about the maximum, but the distribution
+/// input ([`crate::verify::pair_stretch`]; a pair at input distance 0 is
+/// exact only at spanner distance 0, and infinitely stretched otherwise). The paper's guarantee is about the maximum, but the distribution
 /// shows how conservative the construction is on typical edges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StretchStats {
-    /// Number of edges measured (edges with positive input distance).
+    /// Number of edges measured (every edge of the input).
     pub edges: usize,
     /// Worst (maximum) stretch; `INFINITY` if some edge is disconnected in
-    /// the spanner.
+    /// the spanner, or at distance 0 in the input but not in the spanner.
     pub max: f64,
     /// Mean stretch over measured edges (1.0 when no edge was measured).
     pub mean: f64,
@@ -118,10 +120,7 @@ pub fn stretch_stats(graph: &Graph, spanner: &EdgeSet) -> Result<StretchStats> {
             if v < u {
                 continue;
             }
-            let base = dg[v.index()];
-            if base > 0.0 {
-                stretches.push(dh[v.index()] / base);
-            }
+            stretches.push(pair_stretch(dh[v.index()], dg[v.index()]));
         }
     }
     if stretches.is_empty() {
@@ -260,6 +259,15 @@ mod tests {
         assert!(s.max.is_infinite());
         assert!(s.mean.is_infinite());
         assert_eq!(s.fraction_exact, 0.0);
+
+        // A zero-weight edge whose spanner detour has positive length is
+        // measured, not skipped.
+        let g = Graph::from_edges(3, [(0, 1, 0.0), (0, 2, 1.0), (2, 1, 1.0)]).unwrap();
+        let mut detour = g.full_edge_set();
+        detour.remove(crate::EdgeId::new(0));
+        let s = stretch_stats(&g, &detour).unwrap();
+        assert_eq!(s.edges, 3);
+        assert!(s.max.is_infinite());
     }
 
     #[test]

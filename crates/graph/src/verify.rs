@@ -7,9 +7,11 @@
 //!
 //! * [`max_stretch`] / [`is_k_spanner`] — the plain spanner condition (1) of
 //!   the paper, checked over edges (which suffices, see Section 2).
-//! * [`max_stretch_under_faults`] / [`is_fault_tolerant_k_spanner`] — the
-//!   fault-tolerant condition for a given fault set, and exhaustively or by
-//!   sampling over all fault sets of size at most `r`.
+//! * [`is_fault_tolerant_k_spanner`] / [`is_edge_fault_tolerant_k_spanner`]
+//!   — the fault-tolerant condition `d_{H∖F}(u,v) ≤ k·d_{G∖F}(u,v)`, checked
+//!   exhaustively over every vertex- or edge-fault set of size at most `r`.
+//! * [`StretchOracle`] — everything else: the worst stretch under one fault
+//!   mask, exhaustive and sampled sweeps with a witness, and worker threads.
 //! * [`two_spanner_violations`] / [`is_ft_two_spanner`] — the Lemma 3.1
 //!   characterization for directed 2-spanners: every arc is bought or covered
 //!   by at least `r + 1` length-2 paths.
@@ -32,10 +34,12 @@ const EPS: f64 = 1e-9;
 /// mask" any number of times without re-deriving subgraphs.
 ///
 /// The free functions in this module ([`max_stretch`],
-/// [`max_stretch_under_faults`], …) are thin wrappers that build a
-/// `StretchOracle` for a single query; the exhaustive and sampled verifiers
-/// build one and sweep every fault set over it, which is where the packing
-/// pays off.
+/// [`is_fault_tolerant_k_spanner`], …) build one for a single answer. Keep
+/// an oracle instead to ask several questions of the same pair, such as a
+/// fixed fault set's stretch ([`StretchOracle::max_stretch_masked`] with the
+/// set's [`FaultSet::to_dead_mask`]) and a sweep's witness
+/// ([`StretchOracle::verify_exhaustive`], [`StretchOracle::verify_sampled`]
+/// and their edge-fault counterparts): the packing is paid once.
 ///
 /// The oracle's sweeps are parallel when [`StretchOracle::with_threads`]
 /// grants more than one worker: a single-mask query fans its per-source
@@ -115,8 +119,9 @@ impl<'a> StretchOracle<'a> {
     const SWEEP_CHUNK: usize = 4096;
 
     /// Exhaustively sweeps every vertex-fault set of size at most `r`,
-    /// parallel over fault sets. Equivalent to
-    /// [`verify_fault_tolerance_exhaustive`] (which is this with one worker).
+    /// parallel over fault sets. The number of sets is
+    /// `sum_{i<=r} C(n, i)`, so this is meant for small instances (`n` up to
+    /// a few dozen, `r <= 3`).
     pub fn verify_exhaustive(&self, k: f64, r: usize) -> FaultToleranceReport {
         let mut sets = enumerate_fault_sets(self.graph.node_count(), r);
         let mut report = FaultToleranceReport {
@@ -134,7 +139,7 @@ impl<'a> StretchOracle<'a> {
     }
 
     /// Sweeps the empty fault set plus `samples` random vertex-fault sets of
-    /// size exactly `r` (drawn sequentially from `rng`, so the battery is a
+    /// size `min(r, n)` (drawn sequentially from `rng`, so the battery is a
     /// pure function of the generator state), parallel over fault sets.
     pub fn verify_sampled<R: Rng + ?Sized>(
         &self,
@@ -161,8 +166,7 @@ impl<'a> StretchOracle<'a> {
     }
 
     /// Exhaustively sweeps every edge-fault set of size at most `r`, parallel
-    /// over fault sets. Equivalent to
-    /// [`verify_edge_fault_tolerance_exhaustive`] with the oracle's workers.
+    /// over fault sets (`sum_{i<=r} C(m, i)` sets).
     pub fn verify_edge_exhaustive(&self, k: f64, r: usize) -> FaultToleranceReport<EdgeFaultSet> {
         let mut sets = enumerate_edge_fault_sets(self.graph.edge_count(), r);
         let mut report = FaultToleranceReport {
@@ -180,8 +184,12 @@ impl<'a> StretchOracle<'a> {
     }
 
     /// Sweeps the empty edge-fault set plus `samples` random edge-fault sets
-    /// of size exactly `r` (drawn sequentially from `rng`), parallel over
+    /// of size `min(r, m)` (drawn sequentially from `rng`), parallel over
     /// fault sets.
+    ///
+    /// A failed sampled check proves the spanner invalid; a passed check is
+    /// evidence, not proof (the paper's guarantee itself is only with high
+    /// probability). The same holds for [`StretchOracle::verify_sampled`].
     pub fn verify_edge_sampled<R: Rng + ?Sized>(
         &self,
         k: f64,
@@ -213,27 +221,14 @@ impl<'a> StretchOracle<'a> {
 
 /// The masked stretch sweep shared by [`StretchOracle`] and callers that
 /// already own CSR packings of the graph and the spanner (the query-serving
-/// sessions in `ftspan-core`): worst stretch over the surviving edges of
-/// `graph`, measuring `spanner` distances against `full` distances under the
-/// same masks. `1.0` when no edge survives.
+/// sessions in `ftspan-core`): worst [`pair_stretch`] over the surviving
+/// edges of `graph`, measuring `spanner` distances against `full` distances
+/// under the same masks. `1.0` when no edge survives.
 ///
-/// # Panics
-///
-/// Panics if the CSR views or the masks were built for a different graph.
-pub fn max_stretch_masked_csr(
-    graph: &Graph,
-    full: &CsrSubgraph,
-    spanner: &CsrSubgraph,
-    dead: Option<&[bool]>,
-    dead_edges: Option<&[bool]>,
-) -> f64 {
-    max_stretch_masked_csr_threaded(graph, full, spanner, dead, dead_edges, 1)
-}
-
-/// [`max_stretch_masked_csr`] with the per-source Dijkstra sweeps fanned out
-/// across up to `threads` workers. Sources are swept independently (two
-/// Dijkstras each, writing only their own result slot) and the maxima are
-/// reduced in source order, so the answer is identical at any worker count.
+/// The per-source Dijkstra sweeps fan out across up to `threads` workers.
+/// Sources are swept independently (two Dijkstras each, writing only their
+/// own result slot) and the maxima are reduced in source order, so the
+/// answer is identical at any worker count.
 ///
 /// # Panics
 ///
@@ -287,11 +282,7 @@ pub fn max_stretch_masked_csr_threaded(
                     if v < u || is_dead(v) || dead_edges.is_some_and(|m| m[e.index()]) {
                         continue;
                     }
-                    let base = dg[v.index()];
-                    if base == 0.0 {
-                        continue;
-                    }
-                    worst = worst.max(dh[v.index()] / base);
+                    worst = worst.max(pair_stretch(dh[v.index()], dg[v.index()]));
                 }
                 worst
             })
@@ -300,11 +291,31 @@ pub fn max_stretch_masked_csr_threaded(
     )
 }
 
+/// The stretch of one pair: `spanner_distance / baseline`, the distances in
+/// `H ∖ F` and `G ∖ F`. A pair disconnected in `G ∖ F` is vacuous (`1.0`). A
+/// pair at baseline distance 0 (joined by zero-weight edges) is `1.0` only if
+/// the spanner joins it at distance 0 too, and `f64::INFINITY` otherwise:
+/// no finite stretch bounds a positive distance over a zero one.
+pub fn pair_stretch(spanner_distance: f64, baseline: f64) -> f64 {
+    if baseline.is_infinite() {
+        1.0
+    } else if baseline == 0.0 {
+        if spanner_distance == 0.0 {
+            1.0
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        spanner_distance / baseline
+    }
+}
+
 /// Maximum stretch of the spanner `spanner` over all edges of `graph`:
-/// `max_{(u,v) in E} d_H(u,v) / d_G(u,v)`.
+/// `max_{(u,v) in E} d_H(u,v) / d_G(u,v)` (each term a [`pair_stretch`]).
 ///
 /// Returns `f64::INFINITY` if some edge's endpoints are disconnected in the
-/// spanner, and `1.0` for a graph with no edges.
+/// spanner, or at distance 0 in `graph` but not in the spanner, and `1.0`
+/// for a graph with no edges.
 ///
 /// # Panics
 ///
@@ -316,30 +327,6 @@ pub fn max_stretch(graph: &Graph, spanner: &EdgeSet) -> f64 {
 /// Returns `true` if `spanner` is a `k`-spanner of `graph`.
 pub fn is_k_spanner(graph: &Graph, spanner: &EdgeSet, k: f64) -> bool {
     max_stretch(graph, spanner) <= k + EPS
-}
-
-/// Maximum stretch of `spanner` over the edges of `graph` that survive the
-/// fault set `faults`, measured against distances in `graph \ faults`.
-///
-/// Returns `1.0` if no edge survives.
-///
-/// # Panics
-///
-/// Panics if `spanner` was built for a different graph.
-pub fn max_stretch_under_faults(graph: &Graph, spanner: &EdgeSet, faults: &FaultSet) -> f64 {
-    let oracle = StretchOracle::new(graph, spanner);
-    let dead = faults.to_dead_mask(graph.node_count());
-    oracle.max_stretch_masked(Some(&dead), None)
-}
-
-/// Returns `true` if `spanner` is a `k`-spanner of `graph \ faults`.
-pub fn is_k_spanner_under_faults(
-    graph: &Graph,
-    spanner: &EdgeSet,
-    k: f64,
-    faults: &FaultSet,
-) -> bool {
-    max_stretch_under_faults(graph, spanner, faults) <= k + EPS
 }
 
 /// Report produced by fault-tolerance verification: vertex-fault sweeps
@@ -391,41 +378,13 @@ impl<F> FaultToleranceReport<F> {
     }
 }
 
-/// Exhaustively verifies that `spanner` is an `r`-fault-tolerant `k`-spanner
-/// of `graph`, by checking every fault set of size at most `r`.
-///
-/// The number of fault sets is `sum_{i<=r} C(n, i)`; intended for the small
-/// instances used in tests (`n` up to a few dozen, `r <= 3`).
-pub fn verify_fault_tolerance_exhaustive(
-    graph: &Graph,
-    spanner: &EdgeSet,
-    k: f64,
-    r: usize,
-) -> FaultToleranceReport {
-    StretchOracle::new(graph, spanner).verify_exhaustive(k, r)
-}
-
 /// Returns `true` if `spanner` is an `r`-fault-tolerant `k`-spanner of
-/// `graph`, verified exhaustively over all fault sets of size at most `r`.
+/// `graph`, verified exhaustively over all fault sets of size at most `r`
+/// ([`StretchOracle::verify_exhaustive`]).
 pub fn is_fault_tolerant_k_spanner(graph: &Graph, spanner: &EdgeSet, k: f64, r: usize) -> bool {
-    verify_fault_tolerance_exhaustive(graph, spanner, k, r).is_valid()
-}
-
-/// Verifies fault tolerance against `samples` random fault sets of size
-/// exactly `r` plus the empty set, instead of exhaustive enumeration.
-///
-/// A failed sampled check proves the spanner invalid; a passed check is
-/// evidence, not proof (the paper's guarantee itself is only with high
-/// probability).
-pub fn verify_fault_tolerance_sampled<R: Rng + ?Sized>(
-    graph: &Graph,
-    spanner: &EdgeSet,
-    k: f64,
-    r: usize,
-    samples: usize,
-    rng: &mut R,
-) -> FaultToleranceReport {
-    StretchOracle::new(graph, spanner).verify_sampled(k, r, samples, rng)
+    StretchOracle::new(graph, spanner)
+        .verify_exhaustive(k, r)
+        .is_valid()
 }
 
 /// Arcs of `graph` violating the Lemma 3.1 characterization for an
@@ -513,76 +472,17 @@ pub fn is_ft_two_spanner_by_definition(graph: &DiGraph, spanner: &ArcSet, r: usi
     true
 }
 
-/// Maximum stretch of `spanner` over the edges of `graph` that survive the
-/// *edge* fault set `faults`, measured against distances in `G \ F`.
-///
-/// This is the edge-fault analogue of [`max_stretch_under_faults`]: the
-/// companion fault model of `ftspan-core`'s conversion (`FaultModel::Edge`).
-///
-/// # Panics
-///
-/// Panics if `spanner` was built for a different graph.
-pub fn max_stretch_under_edge_faults(
-    graph: &Graph,
-    spanner: &EdgeSet,
-    faults: &EdgeFaultSet,
-) -> f64 {
-    let oracle = StretchOracle::new(graph, spanner);
-    let dead_edges = faults.to_dead_mask(graph.edge_count());
-    oracle.max_stretch_masked(None, Some(&dead_edges))
-}
-
-/// Returns `true` if `spanner` is a `k`-spanner of `graph` with the edges in
-/// `faults` removed from both.
-pub fn is_k_spanner_under_edge_faults(
-    graph: &Graph,
-    spanner: &EdgeSet,
-    k: f64,
-    faults: &EdgeFaultSet,
-) -> bool {
-    max_stretch_under_edge_faults(graph, spanner, faults) <= k + EPS
-}
-
-/// Exhaustively verifies that `spanner` is an `r`-*edge*-fault-tolerant
-/// `k`-spanner of `graph`, by checking every edge-fault set of size at most
-/// `r`.
-///
-/// The number of fault sets is `sum_{i<=r} C(m, i)`; intended for small
-/// instances (tests and the edge-fault experiment).
-pub fn verify_edge_fault_tolerance_exhaustive(
-    graph: &Graph,
-    spanner: &EdgeSet,
-    k: f64,
-    r: usize,
-) -> FaultToleranceReport<EdgeFaultSet> {
-    StretchOracle::new(graph, spanner).verify_edge_exhaustive(k, r)
-}
-
 /// Returns `true` if `spanner` is an `r`-edge-fault-tolerant `k`-spanner of
-/// `graph`, verified exhaustively.
+/// `graph`, verified exhaustively ([`StretchOracle::verify_edge_exhaustive`]).
 pub fn is_edge_fault_tolerant_k_spanner(
     graph: &Graph,
     spanner: &EdgeSet,
     k: f64,
     r: usize,
 ) -> bool {
-    verify_edge_fault_tolerance_exhaustive(graph, spanner, k, r).is_valid()
-}
-
-/// Verifies edge-fault tolerance against `samples` random edge-fault sets of
-/// size exactly `r` plus the empty set.
-///
-/// As with [`verify_fault_tolerance_sampled`], a failure is a proof of
-/// invalidity while a pass is only evidence.
-pub fn verify_edge_fault_tolerance_sampled<R: Rng + ?Sized>(
-    graph: &Graph,
-    spanner: &EdgeSet,
-    k: f64,
-    r: usize,
-    samples: usize,
-    rng: &mut R,
-) -> FaultToleranceReport<EdgeFaultSet> {
-    StretchOracle::new(graph, spanner).verify_edge_sampled(k, r, samples, rng)
+    StretchOracle::new(graph, spanner)
+        .verify_edge_exhaustive(k, r)
+        .is_valid()
 }
 
 #[cfg(test)]
@@ -639,17 +539,19 @@ mod tests {
         let mut g = generate::cycle(6);
         let chord = g.add_edge(NodeId::new(0), NodeId::new(3), 1.0).unwrap();
         let full = g.full_edge_set();
-        let f = crate::faults::EdgeFaultSet::from_indices([1]); // fail (1, 2)
-        assert_eq!(max_stretch_under_edge_faults(&g, &full, &f), 1.0);
+        // Fail (1, 2).
+        let dead_edges =
+            crate::faults::EdgeFaultSet::from_indices([1]).to_dead_mask(g.edge_count());
+        let stretch = |spanner: &EdgeSet| {
+            StretchOracle::new(&g, spanner).max_stretch_masked(None, Some(&dead_edges))
+        };
+        assert_eq!(stretch(&full), 1.0);
 
         // Spanner without the chord: once (1, 2) fails, the chord's endpoints
         // are 1 apart in G \ F but 3 apart in the spanner (0-5-4-3).
         let mut spanner = full.clone();
         spanner.remove(chord);
-        let s = max_stretch_under_edge_faults(&g, &spanner, &f);
-        assert_eq!(s, 3.0);
-        assert!(!is_k_spanner_under_edge_faults(&g, &spanner, 2.0, &f));
-        assert!(is_k_spanner_under_edge_faults(&g, &spanner, 3.0, &f));
+        assert_eq!(stretch(&spanner), 3.0);
     }
 
     #[test]
@@ -659,7 +561,7 @@ mod tests {
         // tolerant: failing a star edge can force stretch 2 over a missing
         // direct edge — but the full set always passes.
         let full = g.full_edge_set();
-        let report = verify_edge_fault_tolerance_exhaustive(&g, &full, 1.0, 2);
+        let report = StretchOracle::new(&g, &full).verify_edge_exhaustive(1.0, 2);
         assert!(report.is_valid());
         assert_eq!(
             report.checked as u128,
@@ -677,7 +579,7 @@ mod tests {
         // route through the spanner.
         assert!(is_k_spanner(&g, &star, 2.0));
         assert!(!is_edge_fault_tolerant_k_spanner(&g, &star, 2.0, 1));
-        let report = verify_edge_fault_tolerance_exhaustive(&g, &star, 2.0, 1);
+        let report = StretchOracle::new(&g, &star).verify_edge_exhaustive(2.0, 1);
         assert!(!report.is_valid());
         assert!(report.worst_stretch > 2.0);
     }
@@ -687,7 +589,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let g = generate::connected_gnp(12, 0.4, generate::WeightKind::Unit, &mut rng);
         let full = g.full_edge_set();
-        let sampled = verify_edge_fault_tolerance_sampled(&g, &full, 1.0, 2, 20, &mut rng);
+        let sampled = StretchOracle::new(&g, &full).verify_edge_sampled(1.0, 2, 20, &mut rng);
         assert!(sampled.is_valid());
         assert_eq!(sampled.checked, 21);
     }
@@ -703,7 +605,7 @@ mod tests {
             }
         }
         assert!(is_k_spanner(&g, &star, 2.0));
-        let report = verify_fault_tolerance_exhaustive(&g, &star, 2.0, 1);
+        let report = StretchOracle::new(&g, &star).verify_exhaustive(2.0, 1);
         assert!(!report.is_valid());
         let witness = report.violating_faults.unwrap();
         assert!(witness.contains(NodeId::new(0)));
@@ -722,7 +624,7 @@ mod tests {
     fn exhaustive_report_counts_fault_sets() {
         let g = generate::cycle(5);
         let full = g.full_edge_set();
-        let report = verify_fault_tolerance_exhaustive(&g, &full, 3.0, 2);
+        let report = StretchOracle::new(&g, &full).verify_exhaustive(3.0, 2);
         assert_eq!(
             report.checked as u128,
             crate::faults::count_fault_sets(5, 2)
@@ -743,7 +645,7 @@ mod tests {
         // A single random fault hits the hub with probability 1/8 per sample;
         // across 64 samples the violation is found with overwhelming
         // probability (and deterministically for this seed).
-        let report = verify_fault_tolerance_sampled(&g, &star, 2.0, 1, 64, &mut rng);
+        let report = StretchOracle::new(&g, &star).verify_sampled(2.0, 1, 64, &mut rng);
         assert!(!report.is_valid());
     }
 
@@ -761,8 +663,28 @@ mod tests {
         assert_eq!(max_stretch(&g, &spanner), 1.0);
         // Failing vertex 1: edge (2,3) survives and is in the spanner, edge
         // (3,0) survives in G (d=4) but the spanner has no surviving 0-3 path.
-        let faults = FaultSet::from_indices([1]);
-        assert!(max_stretch_under_faults(&g, &spanner, &faults).is_infinite());
+        let dead = FaultSet::from_indices([1]).to_dead_mask(4);
+        let oracle = StretchOracle::new(&g, &spanner);
+        assert!(oracle.max_stretch_masked(Some(&dead), None).is_infinite());
+    }
+
+    #[test]
+    fn zero_distance_pair_needs_a_zero_distance_spanner_path() {
+        // w(0, 1) = 0 with a 0-2-1 detour of weight 2. Dropping (0, 1) from
+        // the spanner turns a distance-0 pair into a distance-2 one, which
+        // no finite stretch covers.
+        let g = Graph::from_edges(3, [(0, 1, 0.0), (0, 2, 1.0), (2, 1, 1.0)]).unwrap();
+        let mut detour = g.full_edge_set();
+        detour.remove(EdgeId::new(0));
+        assert!(max_stretch(&g, &detour).is_infinite());
+        assert!(!is_k_spanner(&g, &detour, 3.0));
+        assert!(!is_fault_tolerant_k_spanner(&g, &detour, 3.0, 1));
+        assert!(!is_edge_fault_tolerant_k_spanner(&g, &detour, 3.0, 1));
+        // Keeping the zero-weight edge is exact.
+        assert_eq!(max_stretch(&g, &g.full_edge_set()), 1.0);
+        assert!(is_fault_tolerant_k_spanner(&g, &g.full_edge_set(), 1.0, 1));
+        assert_eq!(pair_stretch(0.0, 0.0), 1.0);
+        assert_eq!(pair_stretch(2.0, f64::INFINITY), 1.0);
     }
 
     #[test]

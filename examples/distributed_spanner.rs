@@ -47,7 +47,7 @@ fn main() {
         spanner.iterations
     );
     let report =
-        verify::verify_fault_tolerance_exhaustive(&network, spanner.edge_set().unwrap(), 3.0, 1);
+        verify::StretchOracle::new(&network, spanner.edge_set().unwrap()).verify_exhaustive(3.0, 1);
     println!(
         "verification: {} fault sets checked, worst stretch {:.3}, valid = {}",
         report.checked,

@@ -53,20 +53,14 @@ fn main() {
     println!("degree lower bound for any {r}-fault-tolerant spanner: {lower} edges");
 
     // Exhaustive verification over all single link failures, sampled beyond.
-    let report = verify::verify_edge_fault_tolerance_exhaustive(&network, edge_spanner, stretch, 1);
+    let oracle = verify::StretchOracle::new(&network, edge_spanner);
+    let report = oracle.verify_edge_exhaustive(stretch, 1);
     println!(
         "all {} single-link failures verified, worst stretch {:.2}",
         report.checked - 1,
         report.worst_stretch
     );
-    let sampled = verify::verify_edge_fault_tolerance_sampled(
-        &network,
-        edge_spanner,
-        stretch,
-        r,
-        40,
-        &mut rng,
-    );
+    let sampled = oracle.verify_edge_sampled(stretch, r, 40, &mut rng);
     println!(
         "{} sampled double-link failures verified, worst stretch {:.2}, valid = {}",
         sampled.checked - 1,
@@ -89,12 +83,12 @@ fn main() {
     );
 
     // Adversarial stress test: fail the heaviest links and the busiest hub.
-    let heavy = faults::heavy_edge_faults(&network, r);
-    let after_links = verify::max_stretch_under_edge_faults(&network, edge_spanner, &heavy);
+    let heavy = faults::heavy_edge_faults(&network, r).to_dead_mask(network.edge_count());
+    let after_links = oracle.max_stretch_masked(None, Some(&heavy));
     println!("after failing the {r} heaviest links: worst stretch {after_links:.2}");
-    let hubs = faults::high_degree_faults(&network, r);
-    let after_hubs =
-        verify::max_stretch_under_faults(&network, vertex_ft.edge_set().unwrap(), &hubs);
+    let hubs = faults::high_degree_faults(&network, r).to_dead_mask(network.node_count());
+    let after_hubs = verify::StretchOracle::new(&network, vertex_ft.edge_set().unwrap())
+        .max_stretch_masked(Some(&hubs), None);
     println!("after failing the {r} busiest routers: worst stretch {after_hubs:.2}");
 
     // The plain 3-spanner can be verified distributedly in 4 LOCAL rounds.

@@ -78,14 +78,8 @@ fn main() {
             result.edge_set().unwrap(),
             result.stretch,
         );
-        let check = verify::verify_fault_tolerance_sampled(
-            &network,
-            result.edge_set().unwrap(),
-            result.stretch,
-            1,
-            25,
-            &mut rng,
-        );
+        let check = verify::StretchOracle::new(&network, result.edge_set().unwrap())
+            .verify_sampled(result.stretch, 1, 25, &mut rng);
         println!(
             "{:>28} sampled verification: {} fault sets, worst stretch {:.2}, valid = {}",
             "",

@@ -66,12 +66,6 @@ impl FtSpannerBuilder {
         self
     }
 
-    /// Replaces the whole request (for callers that assembled one elsewhere).
-    pub fn request(mut self, request: SpannerRequest) -> Self {
-        self.request = request;
-        self
-    }
-
     /// Number of faults `r` to tolerate.
     pub fn faults(mut self, faults: usize) -> Self {
         self.request.faults = faults;
@@ -122,26 +116,10 @@ impl FtSpannerBuilder {
         self
     }
 
-    /// Overrides the LP rounding inflation constant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is not positive.
-    pub fn alpha_constant(mut self, c: f64) -> Self {
-        self.request = self.request.with_alpha_constant(c);
-        self
-    }
-
     /// Declares the input's maximum degree (checked by bounded-degree
     /// algorithms).
     pub fn degree_bound(mut self, delta: usize) -> Self {
         self.request = self.request.with_degree_bound(delta);
-        self
-    }
-
-    /// Maximum cutting-plane rounds for LP-based algorithms.
-    pub fn max_cut_rounds(mut self, rounds: usize) -> Self {
-        self.request = self.request.with_max_cut_rounds(rounds);
         self
     }
 
@@ -167,12 +145,6 @@ impl FtSpannerBuilder {
         self
     }
 
-    /// Disables the post-rounding repair step of LP-based algorithms.
-    pub fn no_repair(mut self) -> Self {
-        self.request = self.request.without_repair();
-        self
-    }
-
     /// Worker threads for the construction's parallel hot paths (per-fault-set
     /// iterations, verification sweeps, separation-oracle rounds). The default
     /// is one worker per available CPU; `threads(1)` runs sequentially.
@@ -187,11 +159,6 @@ impl FtSpannerBuilder {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// The request as currently configured.
-    pub fn current_request(&self) -> &SpannerRequest {
-        &self.request
     }
 
     /// Builds on an undirected graph with the builder-owned generator.

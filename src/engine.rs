@@ -179,14 +179,6 @@ impl QueryOutcome {
             _ => None,
         }
     }
-
-    /// The certificate, if this is a certificate outcome.
-    pub fn as_certificate(&self) -> Option<&StretchCertificate> {
-        match self {
-            QueryOutcome::Certificate(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 /// Capacity of the LRU source cache of every cached session the engine (or

@@ -44,9 +44,10 @@ fn fault_tolerant_spanner_beats_plain_spanner_under_faults() {
         .stretch(3.0)
         .build_with_rng(GraphInput::from(&g), &mut r)
         .unwrap();
+    let oracle = verify::StretchOracle::new(&g, ft.edge_set().unwrap());
     for v in 0..g.node_count() {
-        let fault = faults::FaultSet::from_indices([v]);
-        let s = verify::max_stretch_under_faults(&g, ft.edge_set().unwrap(), &fault);
+        let dead = faults::FaultSet::from_indices([v]).to_dead_mask(g.node_count());
+        let s = oracle.max_stretch_masked(Some(&dead), None);
         assert!(
             s <= 3.0 + 1e-9,
             "fault at {v} breaks the spanner (stretch {s})"
@@ -299,15 +300,14 @@ fn edge_fault_conversion_end_to_end() {
         .unwrap();
     assert_eq!(report.fault_model, FaultModel::Edge);
     let edges = report.edge_set().unwrap();
-    assert!(verify::verify_edge_fault_tolerance_exhaustive(&g, edges, 3.0, 2).is_valid());
+    let oracle = verify::StretchOracle::new(&g, edges);
+    assert!(oracle.verify_edge_exhaustive(3.0, 2).is_valid());
     assert!(report.size() >= vertex_fault_size_lower_bound(&g, 2));
     assert!(report.size() <= g.edge_count());
     // Adversarial heavy-edge failures are covered by the exhaustive check but
-    // exercise the dedicated helper too.
-    let heavy = faults::heavy_edge_faults(&g, 2);
-    assert!(verify::is_k_spanner_under_edge_faults(
-        &g, edges, 3.0, &heavy
-    ));
+    // exercise a single fixed-mask query too.
+    let heavy = faults::heavy_edge_faults(&g, 2).to_dead_mask(g.edge_count());
+    assert!(oracle.max_stretch_masked(None, Some(&heavy)) <= 3.0 + 1e-9);
 }
 
 #[test]
@@ -331,7 +331,8 @@ fn edge_fault_verifier_reports_a_violating_edge_set() {
         if !verify::is_k_spanner(&g, &trimmed, 3.0) {
             continue;
         }
-        let sweep = verify::verify_edge_fault_tolerance_exhaustive(&g, &trimmed, 3.0, 1);
+        let oracle = verify::StretchOracle::new(&g, &trimmed);
+        let sweep = oracle.verify_edge_exhaustive(3.0, 1);
         if sweep.is_valid() {
             continue;
         }
@@ -341,10 +342,9 @@ fn edge_fault_verifier_reports_a_violating_edge_set() {
             1,
             "the fault-free set passes, so one edge fails"
         );
-        assert!(verify::max_stretch_under_edge_faults(&g, &trimmed, witness) > 3.0);
-        let threaded = verify::StretchOracle::new(&g, &trimmed)
-            .with_threads(4)
-            .verify_edge_exhaustive(3.0, 1);
+        let dead_edges = witness.to_dead_mask(g.edge_count());
+        assert!(oracle.max_stretch_masked(None, Some(&dead_edges)) > 3.0);
+        let threaded = oracle.with_threads(4).verify_edge_exhaustive(3.0, 1);
         assert_eq!(threaded, sweep);
         checked += 1;
     }
@@ -497,8 +497,9 @@ fn fault_tolerance_is_limited_by_vertex_connectivity() {
     ));
     // Failing a bridge endpoint disconnects both G and the spanner; the
     // stretch over surviving edges stays bounded.
-    let fault = faults::FaultSet::from_nodes(vec![cut[0]]);
-    assert!(verify::max_stretch_under_faults(&g, ft.edge_set().unwrap(), &fault) <= 3.0 + 1e-9);
+    let dead = faults::FaultSet::from_nodes(vec![cut[0]]).to_dead_mask(g.node_count());
+    let oracle = verify::StretchOracle::new(&g, ft.edge_set().unwrap());
+    assert!(oracle.max_stretch_masked(Some(&dead), None) <= 3.0 + 1e-9);
 }
 
 #[test]

@@ -253,10 +253,12 @@ proptest! {
             .seed(seed)
             .build(&g)
             .unwrap();
-        prop_assert!(
-            verify::verify_edge_fault_tolerance_exhaustive(&g, result.edge_set().unwrap(), 3.0, 1)
-                .is_valid()
-        );
+        prop_assert!(verify::is_edge_fault_tolerant_k_spanner(
+            &g,
+            result.edge_set().unwrap(),
+            3.0,
+            1
+        ));
     }
 
     /// The degree lower bound never exceeds the size of any valid

@@ -6,7 +6,7 @@
 //! directed outputs.
 
 use fault_tolerant_spanners::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn verify_report(report: &SpannerReport, g: &Graph, dg: &DiGraph) {
@@ -141,6 +141,39 @@ fn edge_fault_requests_are_either_honored_or_cleanly_rejected() {
                 let build_err = algorithm.build(input, &request, &mut rng).unwrap_err();
                 assert_eq!(e.to_string(), build_err.to_string());
             }
+        }
+    }
+}
+
+#[test]
+fn zero_weight_edges_keep_every_union_construction_fault_tolerant() {
+    // G(14, 1/2) with weights in {0, 1, 2}: about a third of the edges join
+    // their endpoints at distance 0, which a spanner must then match exactly
+    // (any positive detour is an unbounded stretch).
+    let dg = DiGraph::new(1);
+    for seed in 0..6 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut g = Graph::new(14);
+        for u in 0..14 {
+            for v in (u + 1)..14 {
+                if rng.gen_bool(0.5) {
+                    let weight = rng.gen_range(0..3u32) as f64;
+                    g.add_edge(NodeId::new(u), NodeId::new(v), weight).unwrap();
+                }
+            }
+        }
+        let mut builders = vec![
+            FtSpannerBuilder::new("corollary-2.2"),
+            FtSpannerBuilder::new("adaptive"),
+        ];
+        for kind in BlackBoxKind::ALL {
+            for name in ["conversion", "edge-fault", "clpr09"] {
+                builders.push(FtSpannerBuilder::new(name).black_box(kind));
+            }
+        }
+        for builder in builders {
+            let report = builder.faults(1).seed(seed).build(&g).unwrap();
+            verify_report(&report, &g, &dg);
         }
     }
 }
