@@ -648,7 +648,7 @@ impl Scenario {
     /// The end-to-end network path: the same serving workload shape as the
     /// in-process scenarios, but streamed through an `ftspan-net` server on
     /// loopback. The timed section covers frame encode/decode, the TCP
-    /// round trips, admission control and the worker pool — everything a
+    /// round trips and admission control — everything a
     /// real client pays. One connection issues sequential batch requests,
     /// so results arrive in input order and the digest is comparable across
     /// runs, worker counts and queue capacities.

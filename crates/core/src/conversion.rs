@@ -312,7 +312,7 @@ pub(crate) enum Faults<'a> {
 /// (`new_edges` is filled by the in-order merge).
 struct MaskedRun {
     alive: Vec<bool>,
-    edges: Vec<EdgeId>,
+    edges: EdgeSet,
     stats: IterationStats,
 }
 
@@ -336,10 +336,7 @@ where
             vertex_masks(graph, set.to_dead_mask(n).iter().map(|&d| !d).collect())
         }
     };
-    let edges: Vec<EdgeId> = algorithm
-        .build_masked(graph, &live, &mut task_rng)
-        .iter()
-        .collect();
+    let edges = algorithm.build_masked(graph, &live, &mut task_rng);
     let stats = IterationStats {
         surviving_vertices: alive.iter().filter(|&&a| a).count(),
         surviving_edges: live.iter().filter(|&&l| l).count(),
@@ -390,26 +387,15 @@ where
 /// to it.
 fn merge_iteration(
     union: &mut EdgeSet,
-    edges: &[EdgeId],
+    edges: &EdgeSet,
     mut stats: IterationStats,
 ) -> IterationStats {
-    for &parent in edges {
+    for parent in edges {
         if union.insert(parent) {
             stats.new_edges += 1;
         }
     }
     stats
-}
-
-/// Normalized endpoint pairs of `edges`, in order.
-fn endpoints_of(graph: &Graph, edges: &[EdgeId]) -> Arc<[(NodeId, NodeId)]> {
-    edges
-        .iter()
-        .map(|&id| {
-            let e = graph.edge(id);
-            (e.u, e.v)
-        })
-        .collect()
 }
 
 /// Everything needed to repair a conversion build after an edge-only
@@ -431,9 +417,11 @@ fn endpoints_of(graph: &Graph, edges: &[EdgeId]) -> Arc<[(NodeId, NodeId)]> {
 ///   whose black box selected it. The spanner is exactly the edges with a
 ///   positive count, so a repair subtracts the touched iterations' old
 ///   outputs and adds their new ones instead of re-unioning all `α`;
-/// * each iteration's **output** as endpoint pairs, which stay valid across
-///   edge-id compaction. They are shared (`Arc`) between versions: a repair
-///   replaces only the touched iterations' entries.
+/// * each iteration's **output** as a bitset over the traced graph's edge
+///   ids (`⌈m/64⌉` words), so a repair subtracts a touched iteration's old
+///   output by walking its bits. A repair replaces the touched iterations'
+///   outputs and carries the others across the edge-id compaction a word at
+///   a time ([`EdgeSet::compacted`]).
 ///
 /// Under [`FaultModel::Edge`] every vertex survives every iteration, so any
 /// change touches every iteration: the trace stays valid but saves nothing.
@@ -454,9 +442,9 @@ pub struct ConversionTrace {
     /// Per edge id of the traced graph, the number of iterations whose black
     /// box selected the edge.
     pub counts: Vec<u32>,
-    /// Per iteration, the normalized `(u, v)` endpoint pairs of the edges the
-    /// black box admitted, in output order.
-    pub outputs: Vec<Arc<[(NodeId, NodeId)]>>,
+    /// Per iteration, the edges the black box selected, over the traced
+    /// graph's edge ids (each set's capacity is its edge count).
+    pub outputs: Vec<EdgeSet>,
 }
 
 impl ConversionTrace {
@@ -522,9 +510,7 @@ impl FaultTolerantConverter {
         let faults = self.params.sampled_faults();
 
         let runs = par::map(threads, alpha, |i| {
-            let run = run_masked(graph, algorithm, seeds[i], faults);
-            let output = endpoints_of(graph, &run.edges);
-            (run, output)
+            run_masked(graph, algorithm, seeds[i], faults)
         });
 
         let words = alpha.div_ceil(64);
@@ -533,15 +519,15 @@ impl FaultTolerantConverter {
         let mut union = graph.empty_edge_set();
         let mut per_iteration = Vec::with_capacity(alpha);
         let mut outputs = Vec::with_capacity(alpha);
-        for (i, (run, output)) in runs.into_iter().enumerate() {
+        for (i, run) in runs.into_iter().enumerate() {
             for (v, _) in run.alive.iter().enumerate().filter(|(_, &a)| a) {
                 alive[v * words + i / 64] |= 1 << (i % 64);
             }
-            for &e in &run.edges {
+            for e in &run.edges {
                 counts[e.index()] += 1;
             }
             per_iteration.push(merge_iteration(&mut union, &run.edges, run.stats));
-            outputs.push(output);
+            outputs.push(run.edges);
         }
 
         (
@@ -561,7 +547,7 @@ impl FaultTolerantConverter {
     }
 
     /// Incrementally repairs a traced build after an edge-only change, in
-    /// `O(touched black-box runs + m)`.
+    /// `O(touched black-box runs + m + α·m/64)`.
     ///
     /// `graph` is the graph `trace` was built on. `new_graph` must be the
     /// post-delta graph with the *same vertex set* and with the relative
@@ -575,7 +561,8 @@ impl FaultTolerantConverter {
     /// the recorded seed, drawing the mask first so the stream position
     /// matches a from-scratch run. The selection counts lose the touched
     /// iterations' old outputs, follow the surviving edges to their new ids,
-    /// and gain the new outputs; untouched iterations are never visited.
+    /// and gain the new outputs; untouched iterations never re-run, and
+    /// their recorded outputs cross the edge-id compaction word by word.
     /// The result — edge set and trace — equals what
     /// [`FaultTolerantConverter::build_traced`] records on `new_graph` from
     /// the same root generator state, because that build would draw the very
@@ -586,9 +573,10 @@ impl FaultTolerantConverter {
     ///
     /// [`CoreError::InvalidParameter`] if the vertex count changed, if the
     /// parameters no longer yield the traced iteration count, if the trace
-    /// does not belong to `graph`, if a changed endpoint is out of range, or
-    /// if a deleted edge is still selected by an untouched iteration (the
-    /// `changed` list was incomplete).
+    /// does not belong to `graph` (counts, masks or an output sized for
+    /// another graph, or an output the counts do not record), if a changed
+    /// endpoint is out of range, or if a deleted edge is still selected by
+    /// an untouched iteration (the `changed` list was incomplete).
     pub fn repair_traced<A>(
         &self,
         graph: &Graph,
@@ -619,10 +607,17 @@ impl FaultTolerantConverter {
                 trace.seeds.len()
             )));
         }
-        if trace.alive.len() != n * alpha.div_ceil(64) || trace.counts.len() != graph.edge_count() {
+        let m = graph.edge_count();
+        if trace.alive.len() != n * alpha.div_ceil(64) || trace.counts.len() != m {
             return Err(invalid(format!(
-                "conversion trace does not belong to the {n}-node, {}-edge graph",
-                graph.edge_count()
+                "conversion trace does not belong to the {n}-node, {m}-edge graph"
+            )));
+        }
+        if let Some(i) = trace.outputs.iter().position(|o| o.capacity() != m) {
+            return Err(invalid(format!(
+                "conversion trace records iteration {i} over {} edge slots, but the traced \
+                 graph has {m} edges",
+                trace.outputs[i].capacity()
             )));
         }
         if let Some(&(u, v)) = changed
@@ -637,26 +632,23 @@ impl FaultTolerantConverter {
         let touched = trace.touched_iterations(changed);
 
         let runs = par::map(threads, touched.len(), |t| {
-            let run = run_masked(new_graph, algorithm, trace.seeds[touched[t]], faults);
-            let output = endpoints_of(new_graph, &run.edges);
-            (run.edges, output)
+            run_masked(new_graph, algorithm, trace.seeds[touched[t]], faults).edges
         });
 
         // Take the touched iterations' old outputs out of the counts.
         let mut counts = trace.counts.clone();
         for &i in &touched {
-            for &(u, v) in trace.outputs[i].iter() {
-                let id = graph
-                    .find_edge(u, v)
-                    .map(|id| id.index())
-                    .filter(|&id| counts[id] > 0)
-                    .ok_or_else(|| {
-                        invalid(format!(
-                            "conversion trace records edge ({u}, {v}) in iteration {i}, but the \
-                             traced graph does not select it"
-                        ))
-                    })?;
-                counts[id] -= 1;
+            for id in &trace.outputs[i] {
+                let count = &mut counts[id.index()];
+                if *count == 0 {
+                    let e = graph.edge(id);
+                    return Err(invalid(format!(
+                        "conversion trace records edge ({}, {}) in iteration {i}, but the \
+                         traced graph does not select it",
+                        e.u, e.v
+                    )));
+                }
+                *count -= 1;
             }
         }
 
@@ -664,6 +656,7 @@ impl FaultTolerantConverter {
         // relative order, so one merge pass pairs them up. A deleted edge
         // must have lost every selection with the touched iterations.
         let mut new_counts = vec![0u32; new_graph.edge_count()];
+        let mut deleted = Vec::new();
         let mut next = 0;
         for (id, e) in graph.edges() {
             match new_graph.get_edge(EdgeId::new(next)) {
@@ -678,16 +671,24 @@ impl FaultTolerantConverter {
                         e.u, e.v
                     )));
                 }
-                _ => {}
+                _ => deleted.push(id),
             }
         }
 
-        let mut outputs = trace.outputs.clone();
-        for (&i, (edges, output)) in touched.iter().zip(runs) {
-            for e in edges {
-                new_counts[e.index()] += 1;
-            }
-            outputs[i] = output;
+        // Untouched outputs cross the same compaction; touched ones are the
+        // re-runs' outputs, already over the post-delta ids.
+        let mut runs = touched.iter().zip(runs).peekable();
+        let mut outputs = Vec::with_capacity(alpha);
+        for (i, old) in trace.outputs.iter().enumerate() {
+            outputs.push(match runs.next_if(|(&t, _)| t == i) {
+                Some((_, edges)) => {
+                    for e in &edges {
+                        new_counts[e.index()] += 1;
+                    }
+                    edges
+                }
+                None => old.compacted(&deleted, new_counts.len()),
+            });
         }
         let mut edges = new_graph.empty_edge_set();
         for (id, _) in new_counts.iter().enumerate().filter(|(_, &c)| c > 0) {
@@ -1104,10 +1105,91 @@ mod tests {
         assert_eq!(repaired.trace.outputs, reference_trace.outputs);
         assert_eq!(repaired.trace, reference_trace);
         assert_eq!(repaired.edges, reference.edges);
-        // Untouched iterations' outputs are shared with the old trace, not
-        // copied.
+        // Untouched iterations' outputs are the old ones moved through the
+        // edge-id map: edge 0 left, every later id moved down by one.
         for i in (0..130).filter(|i| !touched.contains(i)) {
-            assert!(Arc::ptr_eq(&repaired.trace.outputs[i], &trace.outputs[i]));
+            let mut moved = new_graph.empty_edge_set();
+            for e in &trace.outputs[i] {
+                assert_ne!(e.index(), 0, "iteration {i} cannot select the deleted edge");
+                moved.insert(EdgeId::new(e.index() - 1));
+            }
+            assert_eq!(repaired.trace.outputs[i], moved, "iteration {i}");
+        }
+    }
+
+    #[test]
+    fn repair_remaps_outputs_across_a_delete_an_insert_and_a_reweight() {
+        use crate::dynamic::{apply_deltas, EdgeDelta, SequencedDelta};
+        let g = generate::connected_gnp(
+            40,
+            0.15,
+            generate::WeightKind::Uniform { min: 1.0, max: 3.0 },
+            &mut rng(21),
+        );
+        let converter = FaultTolerantConverter::new(ConversionParams::new(1).with_iterations(90));
+        let alg = GreedySpanner::new(3.0);
+        let (_, trace) = converter.build_traced(&g, &alg, &mut rng(22), 2);
+        let first = *g.edge(EdgeId::new(0));
+        let middle = *g.edge(EdgeId::new(g.edge_count() / 2));
+        let absent = (1..g.node_count())
+            .map(|v| (NodeId::new(0), NodeId::new(v)))
+            .find(|&(u, v)| !g.has_edge(u, v))
+            .expect("vertex 0 is not adjacent to every vertex");
+        let deltas = [
+            EdgeDelta::Delete {
+                u: first.u,
+                v: first.v,
+            },
+            EdgeDelta::Insert {
+                u: absent.0,
+                v: absent.1,
+                weight: 1.5,
+            },
+            EdgeDelta::Reweight {
+                u: middle.u,
+                v: middle.v,
+                weight: 0.5,
+            },
+        ];
+        let sequenced: Vec<SequencedDelta> = deltas
+            .iter()
+            .zip(1..)
+            .map(|(delta, seq)| SequencedDelta {
+                seq,
+                delta: delta.clone(),
+            })
+            .collect();
+        let new_graph = apply_deltas(&g, &sequenced).unwrap();
+        assert_eq!(new_graph.edge_count(), g.edge_count());
+        let changed: Vec<(NodeId, NodeId)> = deltas.iter().map(EdgeDelta::endpoints).collect();
+
+        let repaired = repaired(&converter, &g, &new_graph, &alg, &trace, &changed, 2);
+        let (reference, reference_trace) =
+            converter.build_traced(&new_graph, &alg, &mut rng(22), 1);
+        assert!(repaired.touched_iterations > 0 && repaired.touched_iterations < 90);
+        assert_eq!(repaired.trace, reference_trace);
+        assert_eq!(repaired.edges, reference.edges);
+        for output in &repaired.trace.outputs {
+            assert_eq!(output.capacity(), new_graph.edge_count());
+        }
+    }
+
+    #[test]
+    fn repair_rejects_outputs_sized_for_another_graph() {
+        let g = generate::gnp(18, 0.5, generate::WeightKind::Unit, &mut rng(17));
+        let converter = FaultTolerantConverter::new(ConversionParams::new(1).with_iterations(20));
+        let alg = GreedySpanner::new(3.0);
+        let (_, trace) = converter.build_traced(&g, &alg, &mut rng(18), 1);
+        for capacity in [g.edge_count() - 1, g.edge_count() + 1, 0] {
+            let mut hostile = trace.clone();
+            hostile.outputs[7] = EdgeSet::new(capacity);
+            let err = converter
+                .repair_traced(&g, &g, &alg, &hostile, &[], 1)
+                .unwrap_err();
+            assert!(
+                matches!(&err, CoreError::InvalidParameter { message } if message.contains("iteration 7")),
+                "{err:?}"
+            );
         }
     }
 

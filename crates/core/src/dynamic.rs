@@ -37,11 +37,12 @@
 //!
 //! The trace makes a patch cost only those iterations: it keeps each
 //! vertex's survivor mask over the iterations (the touched set is a few
-//! word-wide ANDs per changed edge) and, per edge, the number of iterations
-//! that selected it. A patch re-runs the touched iterations, moves their
-//! selections from the old outputs to the new ones, and carries the counts
-//! across the edge-id compaction in one pass — untouched iterations are
-//! never visited, and their recorded outputs are shared between versions.
+//! word-wide ANDs per changed edge), per edge the number of iterations that
+//! selected it, and each iteration's output as a bitset over the edge ids.
+//! A patch re-runs the touched iterations, moves their selections from the
+//! old outputs to the new ones, and carries the counts across the edge-id
+//! compaction in one pass. Untouched iterations never re-run: their output
+//! bitsets cross the compaction a word at a time.
 
 use crate::algorithms::{conversion_plan, core_algorithms, ConversionPlan};
 use crate::api::{FaultModel, GraphInput, Registry, SpannerRequest};
@@ -252,9 +253,10 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
 ///
 /// Measured on the 2 500-vertex road mesh of the `serve-churn` benchmark
 /// (conversion over Baswana–Sen, `r = 1`, 94 iterations, 2 workers on a
-/// 2-vCPU Xeon VM), traced seeds 1–5: a single-edge patch takes 4.4–6.0 ms
-/// at the median and 5.4–7.6 ms at p90 (`dynamic.apply_ms`), against
-/// 13.8–24.5 ms for a full build (`dynamic.promote_s`).
+/// 2-vCPU Xeon VM), three traced 30 s runs of seed 1: a single-edge patch
+/// takes 5.5–7.5 ms at the median and 6.7–9.4 ms at p90
+/// (`dynamic.apply_ms`), against 21.7–36.0 ms for a full build
+/// (`dynamic.promote_s`).
 ///
 /// The delta-volume limit stays: a batch large enough to touch every
 /// iteration gains nothing from the patch bookkeeping.

@@ -154,6 +154,47 @@ impl EdgeSet {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// This set carried across a compaction of its parent graph's edge ids:
+    /// the edges `removed` leave, every later edge moves down by the number
+    /// of removed ids below it, and the result has `capacity` slots (ids past
+    /// the survivors belong to appended edges and start absent). Works a
+    /// word at a time, not an edge at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `removed` is not strictly increasing and within the
+    /// capacity, or if `capacity` is smaller than the number of survivors.
+    pub fn compacted(&self, removed: &[EdgeId], capacity: usize) -> EdgeSet {
+        let survivors = self.capacity.checked_sub(removed.len());
+        assert!(
+            survivors.is_some_and(|s| s <= capacity),
+            "cannot compact {} slots minus {} removed into {capacity}",
+            self.capacity,
+            removed.len()
+        );
+        let mut blocks = vec![0u64; capacity.div_ceil(64)];
+        let mut len = self.len;
+        let mut from = 0;
+        for (shift, &r) in removed.iter().enumerate() {
+            let r = r.index();
+            assert!(
+                from <= r && r < self.capacity,
+                "removed edge ids must be increasing and below {}",
+                self.capacity
+            );
+            copy_bits(&self.blocks, from, &mut blocks, from - shift, r - from);
+            len -= usize::from(self.contains(EdgeId::new(r)));
+            from = r + 1;
+        }
+        let tail = self.capacity - from;
+        copy_bits(&self.blocks, from, &mut blocks, from - removed.len(), tail);
+        EdgeSet {
+            blocks,
+            capacity,
+            len,
+        }
+    }
+
     /// Iterator over the edge identifiers in the set, in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -165,6 +206,29 @@ impl EdgeSet {
 
     fn recount(&mut self) {
         self.len = self.blocks.iter().map(|b| b.count_ones() as usize).sum();
+    }
+}
+
+/// ORs the `len` bits of `src` starting at bit `from` into `dst` starting at
+/// bit `to`, up to 64 bits per step.
+fn copy_bits(src: &[u64], from: usize, dst: &mut [u64], to: usize, len: usize) {
+    let mut done = 0;
+    while done < len {
+        let n = (len - done).min(64);
+        let (word, offset) = ((from + done) / 64, (from + done) % 64);
+        let mut bits = src[word] >> offset;
+        if offset > 0 && offset + n > 64 {
+            bits |= src[word + 1] << (64 - offset);
+        }
+        if n < 64 {
+            bits &= (1u64 << n) - 1;
+        }
+        let (word, offset) = ((to + done) / 64, (to + done) % 64);
+        dst[word] |= bits << offset;
+        if offset > 0 && offset + n > 64 {
+            dst[word + 1] |= bits >> (64 - offset);
+        }
+        done += n;
     }
 }
 
@@ -304,6 +368,40 @@ mod tests {
         let d = format!("{s:?}");
         assert!(d.contains("capacity"));
         assert!(d.contains('3'));
+    }
+
+    #[test]
+    fn compaction_matches_an_edge_by_edge_remap() {
+        let mut s = EdgeSet::new(300);
+        for i in (0..300).filter(|i| i % 3 == 0 || i % 7 == 1 || (60..70).contains(i)) {
+            s.insert(EdgeId::new(i));
+        }
+        let cases: [&[usize]; 5] = [
+            &[],
+            &[0],
+            &[0, 1, 63, 64, 65],
+            &[5, 127, 128, 200, 299],
+            &[299],
+        ];
+        for removed in cases {
+            for extra in [0, 1, 70] {
+                let capacity = 300 - removed.len() + extra;
+                let ids: Vec<EdgeId> = removed.iter().map(|&r| EdgeId::new(r)).collect();
+                let got = s.compacted(&ids, capacity);
+                let mut want = EdgeSet::new(capacity);
+                for e in s.iter().filter(|e| !removed.contains(&e.index())) {
+                    let below = removed.iter().filter(|&&r| r < e.index()).count();
+                    want.insert(EdgeId::new(e.index() - below));
+                }
+                assert_eq!(got, want, "removed {removed:?}, {extra} appended");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn compaction_rejects_unsorted_removals() {
+        EdgeSet::new(10).compacted(&[EdgeId::new(4), EdgeId::new(2)], 8);
     }
 
     #[test]

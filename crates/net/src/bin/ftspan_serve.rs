@@ -23,16 +23,19 @@
 //!   server never silently serves a different spanner than the store holds.
 //! * `--addr` — listen address (default `127.0.0.1:0`; port 0 lets the OS
 //!   pick).
-//! * `--workers` — batch-executing worker threads (default: one per CPU).
-//!   Each batch runs on one worker; this is the server's only parallelism.
-//! * `--queue-capacity` — pending-batch queue bound; beyond it batches are
-//!   answered `Overloaded` (default 64).
+//! * `--workers` — batches that execute at once (default: one per CPU).
+//!   Each batch runs on the connection thread that read it, holding one of
+//!   these permits; this is the server's only parallelism.
+//! * `--queue-capacity` — batches that may wait for a permit; beyond it
+//!   batches are answered `Overloaded` (default 64).
 //! * `--timeout-secs` — per-connection read/write timeout (default 30).
 //! * `--print-port` — print `PORT <n>` on stdout once listening (used by
 //!   the CI smoke test to discover the ephemeral port).
 //!
 //! The server runs until a client sends a `Shutdown` frame, then drains
-//! in-flight batches and exits 0, printing a final stats line.
+//! in-flight batches and exits 0, printing a final stats line (with the
+//! process's peak resident set, `peak_rss_kb`, where `/proc/self/status`
+//! is readable).
 
 use fault_tolerant_spanners::{ArtifactStore, BuildRecipe, DynamicArtifact, Engine};
 use ftspan_net::{Server, ServerConfig};
@@ -207,9 +210,12 @@ fn main() -> ExitCode {
     running.handle().wait_for_shutdown();
     match running.shutdown() {
         Ok(stats) => {
+            let peak = peak_rss_kb()
+                .map(|kb| format!(", peak_rss_kb={kb}"))
+                .unwrap_or_default();
             eprintln!(
                 "ftspan_serve: drained and stopped ({} connections, {} batches completed, \
-                 {} rejected, {} queries)",
+                 {} rejected, {} queries{peak})",
                 stats.connections_accepted,
                 stats.batches_completed,
                 stats.batches_rejected,
@@ -222,4 +228,12 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The process's peak resident set in kB (`VmHWM` of `/proc/self/status`),
+/// or `None` where that file cannot be read.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }

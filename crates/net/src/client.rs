@@ -15,7 +15,8 @@ pub enum BatchReply {
     /// One result per query, in input order — exactly what
     /// `Engine::run_batch` would have returned in-process.
     Results(Vec<Result<QueryOutcome, CoreError>>),
-    /// The server's pending-batch queue was full; the batch did not run.
+    /// The server's line of batches waiting for a permit was full; the
+    /// batch did not run.
     Overloaded,
     /// The server is shutting down; the batch did not run.
     ShuttingDown,

@@ -6,8 +6,9 @@
 //! * [`protocol`] — a versioned, length-prefixed framed wire protocol with
 //!   typed decode errors and allocation-bomb guards (the same discipline as
 //!   the `.ftspan` artifact format);
-//! * [`server`] — a worker-pool server with a bounded pending-batch queue,
-//!   typed [`Overloaded`](protocol::Response::Overloaded) backpressure,
+//! * [`server`] — a thread-per-connection server whose admission gate caps
+//!   the batches running at once and the batches waiting, with typed
+//!   [`Overloaded`](protocol::Response::Overloaded) backpressure,
 //!   per-connection timeouts and graceful drain on shutdown;
 //! * [`client`] — a blocking client speaking the same frames.
 //!
@@ -22,8 +23,8 @@
 //! open-loop load generator and reports CPU time per query; the
 //! `delta_smoke` example is the end-to-end smoke driver.
 //!
-//! Everything is dependency-free `std`: threads, `TcpListener`, a
-//! `Mutex<VecDeque>` + condvar queue.
+//! Everything is dependency-free `std`: threads, `TcpListener`, and a
+//! `Mutex` + condvar gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

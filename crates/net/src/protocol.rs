@@ -119,8 +119,9 @@ pub enum Response {
     Artifacts(Vec<ArtifactInfo>),
     /// A snapshot of the server's serving counters.
     Stats(ServerStats),
-    /// Admission control rejected the batch: the pending-batch queue is
-    /// full. The connection stays usable — retry later.
+    /// Admission control rejected the batch: every permit is held and the
+    /// line of batches waiting for one is full. The connection stays
+    /// usable — retry later.
     Overloaded,
     /// The server is shutting down (sent for batches arriving during the
     /// drain, and as the acknowledgement of [`Request::Shutdown`]).
@@ -167,15 +168,16 @@ pub struct ArtifactInfo {
 pub struct ServerStats {
     /// Connections accepted over the server's lifetime.
     pub connections_accepted: u64,
-    /// Batches admitted into the pending queue.
+    /// Batches admitted by the server's gate, to run at once or to wait for
+    /// a permit.
     pub batches_enqueued: u64,
-    /// Batches a worker has begun executing.
+    /// Batches that have taken a permit and begun executing.
     pub batches_started: u64,
     /// Batches fully executed and answered.
     pub batches_completed: u64,
     /// Batches rejected with [`Response::Overloaded`].
     pub batches_rejected: u64,
-    /// Batches currently waiting in the pending queue.
+    /// Admitted batches currently waiting for a permit.
     pub queue_depth: u64,
     /// The underlying engine's planner and cache counters.
     pub engine: EngineStats,

@@ -1,64 +1,64 @@
-//! The TCP server: a worker pool with admission control and backpressure
-//! over an [`Engine`].
+//! The TCP server: connection threads behind an admission gate, over an
+//! [`Engine`].
 //!
 //! # Architecture
 //!
 //! One acceptor thread blocks in `accept()`; an idle server does no work.
 //! Each accepted connection gets its own thread that reads request frames
-//! and answers them. [`Request::RunBatch`] frames do
-//! **not** run on the connection thread: they are admitted into a bounded
-//! pending-batch queue and executed by a fixed worker pool, so one slow
-//! batch cannot starve protocol handling and the server's concurrency is
-//! capped regardless of how many clients connect.
+//! and answers them. A [`Request::RunBatch`] frame runs on the connection
+//! thread that read it, but only once it holds one of the gate's
+//! [`ServerConfig::workers`] permits: at most that many batches execute at
+//! once, whatever the number of clients, and a batch never crosses to
+//! another thread on its way to the engine or back.
 //!
-//! That pool is the only parallelism on the serving path. [`Server::bind`]
-//! runs its engine at one worker, so each batch executes on the single
-//! server worker that popped it — one session and one source cache per
-//! `(artifact, fault scope)` group, no threads spawned per batch — and
-//! batches run in parallel across workers, never inside one.
+//! The permits are the only parallelism on the serving path. [`Server::bind`]
+//! runs its engine at one worker, so each batch executes on its connection
+//! thread alone — one session and one source cache per `(artifact, fault
+//! scope)` group, no threads spawned per batch — and batches run in parallel
+//! across connections, never inside one.
 //!
-//! Admission control is non-blocking: when the queue is full the batch is
-//! answered immediately with a typed
-//! [`Response::Overloaded`] frame —
-//! never a hang, never a dropped connection. The client owns the retry
-//! policy.
+//! Admission control is non-blocking: at most
+//! [`ServerConfig::queue_capacity`] batches wait for a permit, and a batch
+//! beyond that is answered immediately with a typed
+//! [`Response::Overloaded`] frame — never a hang, never a dropped
+//! connection. The client owns the retry policy.
 //!
 //! # Graceful shutdown
 //!
 //! [`ServerHandle::request_shutdown`] (or a
 //! [`Request::Shutdown`] frame) drains
 //! rather than drops: the acceptor is woken out of `accept()` by a single
-//! loopback connect and stops accepting, newly arriving batches
-//! are answered `ShuttingDown`, queued and in-flight batches run to
-//! completion and their responses are written, and only then are connection
-//! read-halves shut down to unblock idle readers. Responses for drained
-//! batches are never lost because only the **read** half of each connection
-//! is closed.
+//! loopback connect and stops accepting, and the gate closes, so newly
+//! arriving batches are answered `ShuttingDown`. Batches already admitted —
+//! running, or waiting for a permit — run to completion and their responses
+//! are written; [`RunningServer::shutdown`] waits until the gate is idle,
+//! and only then shuts down connection read-halves to unblock idle readers.
+//! Responses for drained batches are never lost because only the **read**
+//! half of each connection is closed.
 
 use crate::error::NetError;
 use crate::protocol::{ArtifactInfo, DeltaApplyInfo, Request, Response, ServerStats};
-use fault_tolerant_spanners::core::CoreError;
-use fault_tolerant_spanners::{EdgeDelta, Engine, Query, QueryOutcome, RebuildPolicy};
-use std::collections::VecDeque;
+use fault_tolerant_spanners::{EdgeDelta, Engine, Query, RebuildPolicy};
 use std::io::BufWriter;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
-    /// Worker threads executing admitted batches (clamped to at least 1).
-    /// Defaults to one per available CPU. This is the server's only
-    /// parallelism: each batch runs on one worker, and the engine's own
+    /// Batches that execute at once (clamped to at least 1), each on the
+    /// connection thread that read it. Defaults to one per available CPU.
+    /// This is the server's only parallelism: each batch runs on one
+    /// thread, and the engine's own
     /// [`Engine::with_workers`](fault_tolerant_spanners::Engine::with_workers)
     /// setting is ignored.
     pub workers: usize,
-    /// Capacity of the pending-batch queue (clamped to at least 1). A batch
-    /// arriving while the queue holds this many is answered `Overloaded`.
+    /// Batches that may wait for one of the `workers` permits (clamped to
+    /// at least 1). A batch arriving while this many wait is answered
+    /// `Overloaded`.
     pub queue_capacity: usize,
     /// Per-connection read timeout. A connection idle longer than this is
     /// closed. `None` waits forever; [`Server::bind`] rejects zero.
@@ -79,84 +79,113 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted batch: the decoded queries plus the channel its results go
-/// back through to the owning connection thread.
-struct Job {
-    queries: Vec<Query>,
-    reply: mpsc::SyncSender<Vec<Result<QueryOutcome, CoreError>>>,
-}
-
-/// Outcome of a non-blocking push attempt on the pending-batch queue.
-enum Admission {
-    Admitted,
+/// Why [`Gate::enter`] turned a batch away.
+#[derive(Debug, PartialEq)]
+enum Refusal {
+    /// As many batches as the gate's capacity already wait for a permit.
     Full,
+    /// The gate closed for shutdown.
     Closed,
 }
 
-/// The bounded pending-batch queue: a plain `Mutex<VecDeque>` with one
-/// condvar for poppers. Pushes never block (admission control answers
-/// `Overloaded` instead); pops block until an item arrives or the queue is
-/// closed **and** drained, so closing the queue lets workers finish every
-/// admitted batch before exiting.
-struct BoundedQueue {
-    inner: Mutex<QueueInner>,
-    not_empty: Condvar,
+/// The admission gate: a counting semaphore of `permits` with a bounded
+/// line of waiters. Entering never blocks to refuse — a full line or a
+/// closed gate answers at once — and closing it turns away newcomers while
+/// every batch already admitted, running or waiting, still runs.
+struct Gate {
+    state: Mutex<GateState>,
+    /// Signalled once per released permit.
+    freed: Condvar,
+    /// Signalled when the last running or waiting batch leaves.
+    idle: Condvar,
 }
 
-struct QueueInner {
-    items: VecDeque<Job>,
+struct GateState {
+    permits: usize,
     capacity: usize,
+    running: usize,
+    waiting: usize,
+    /// Batches admitted over the gate's lifetime.
+    admitted: u64,
     closed: bool,
 }
 
-impl BoundedQueue {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
+/// A held permit; dropping it releases the permit.
+struct Permit<'a>(&'a Gate);
+
+impl Gate {
+    fn new(permits: usize, capacity: usize) -> Self {
+        Gate {
+            state: Mutex::new(GateState {
+                permits: permits.max(1),
                 capacity: capacity.max(1),
+                running: 0,
+                waiting: 0,
+                admitted: 0,
                 closed: false,
             }),
-            not_empty: Condvar::new(),
+            freed: Condvar::new(),
+            idle: Condvar::new(),
         }
     }
 
-    fn try_push(&self, job: Job) -> Admission {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        if inner.closed {
-            return Admission::Closed;
-        }
-        if inner.items.len() >= inner.capacity {
-            return Admission::Full;
-        }
-        inner.items.push_back(job);
-        drop(inner);
-        self.not_empty.notify_one();
-        Admission::Admitted
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        // No holder can panic between two updates, so the state stays
+        // consistent even if the lock is poisoned.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks until a job is available; `None` once the queue is closed and
-    /// every admitted job has been handed out.
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(job) = inner.items.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue poisoned");
+    /// Admits a batch and returns its permit, waiting while every permit is
+    /// held.
+    fn enter(&self) -> Result<Permit<'_>, Refusal> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(Refusal::Closed);
         }
+        let busy = state.running >= state.permits;
+        if busy && state.waiting >= state.capacity {
+            return Err(Refusal::Full);
+        }
+        state.admitted += 1;
+        if busy {
+            state.waiting += 1;
+            state = self
+                .freed
+                .wait_while(state, |s| s.running >= s.permits)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
+        }
+        state.running += 1;
+        Ok(Permit(self))
     }
 
+    /// Turns away every later batch; admitted ones still run.
     fn close(&self) {
-        self.inner.lock().expect("queue poisoned").closed = true;
-        self.not_empty.notify_all();
+        self.lock().closed = true;
     }
 
-    fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").items.len()
+    /// Blocks until no batch is running or waiting.
+    fn wait_idle(&self) {
+        let state = self.lock();
+        drop(
+            self.idle
+                .wait_while(state, |s| s.running > 0 || s.waiting > 0)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let gate = self.0;
+        let mut state = gate.lock();
+        state.running -= 1;
+        let idle = state.running == 0 && state.waiting == 0;
+        drop(state);
+        gate.freed.notify_one();
+        if idle {
+            gate.idle.notify_all();
+        }
     }
 }
 
@@ -165,16 +194,15 @@ impl BoundedQueue {
 #[derive(Default)]
 struct Counters {
     connections_accepted: AtomicU64,
-    batches_enqueued: AtomicU64,
     batches_started: AtomicU64,
     batches_completed: AtomicU64,
     batches_rejected: AtomicU64,
 }
 
-/// State shared by the acceptor, connection threads, workers and handles.
+/// State shared by the acceptor, connection threads and handles.
 struct Shared {
     engine: Engine,
-    queue: BoundedQueue,
+    gate: Gate,
     counters: Counters,
     shutting_down: AtomicBool,
     /// Paired with `shutdown_signal` so [`ServerHandle::wait_for_shutdown`]
@@ -193,14 +221,14 @@ struct Shared {
 
 impl Shared {
     /// Starts a graceful shutdown; later calls are no-ops. Sets the flag
-    /// (connection threads reject new batches), closes the queue (workers
-    /// drain what was admitted, then exit), signals
-    /// [`ServerHandle::wait_for_shutdown`], and wakes the acceptor.
+    /// (connection threads reject new batches), closes the gate (admitted
+    /// batches still run), signals [`ServerHandle::wait_for_shutdown`], and
+    /// wakes the acceptor.
     fn begin_shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.queue.close();
+        self.gate.close();
         // Taking the lock once means a waiter either saw the flag or is
         // already parked and gets this notification.
         drop(self.shutdown_lock.lock().expect("shutdown lock poisoned"));
@@ -211,13 +239,17 @@ impl Shared {
     }
 
     fn stats(&self) -> ServerStats {
+        let (batches_enqueued, queue_depth) = {
+            let gate = self.gate.lock();
+            (gate.admitted, gate.waiting as u64)
+        };
         ServerStats {
             connections_accepted: self.counters.connections_accepted.load(Ordering::Relaxed),
-            batches_enqueued: self.counters.batches_enqueued.load(Ordering::Relaxed),
+            batches_enqueued,
             batches_started: self.counters.batches_started.load(Ordering::Relaxed),
             batches_completed: self.counters.batches_completed.load(Ordering::Relaxed),
             batches_rejected: self.counters.batches_rejected.load(Ordering::Relaxed),
-            queue_depth: self.queue.len() as u64,
+            queue_depth,
             engine: self.engine.stats(),
         }
     }
@@ -245,7 +277,7 @@ impl Shared {
 }
 
 /// A bound-but-not-yet-running server. [`Server::spawn`] starts the
-/// acceptor, workers and connection threads and returns a
+/// acceptor, which starts the connection threads, and returns a
 /// [`RunningServer`].
 ///
 /// # Example
@@ -311,10 +343,10 @@ impl Server {
             });
         }
         let shared = Arc::new(Shared {
-            // The worker pool is the only parallelism: a batch runs on the
-            // worker that popped it and never fans out again.
+            // The gate's permits are the only parallelism: a batch runs on
+            // its connection thread and never fans out again.
             engine: engine.with_workers(1),
-            queue: BoundedQueue::new(config.queue_capacity),
+            gate: Gate::new(config.workers, config.queue_capacity),
             counters: Counters::default(),
             shutting_down: AtomicBool::new(false),
             shutdown_lock: Mutex::new(()),
@@ -334,22 +366,13 @@ impl Server {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Starts the worker pool and the acceptor thread; returns immediately.
+    /// Starts the acceptor thread; returns immediately.
     pub fn spawn(self) -> Result<RunningServer, NetError> {
         let addr = self.local_addr()?;
-        let workers: Vec<_> = (0..self.config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&self.shared);
-                thread::Builder::new()
-                    .name(format!("ftspan-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
         let acceptor = {
             let shared = Arc::clone(&self.shared);
             let listener = self.listener;
-            let config = self.config.clone();
+            let config = self.config;
             thread::Builder::new()
                 .name("ftspan-acceptor".into())
                 .spawn(move || acceptor_loop(&listener, &shared, &config))
@@ -358,18 +381,16 @@ impl Server {
         Ok(RunningServer {
             addr,
             shared: self.shared,
-            workers,
             acceptor,
         })
     }
 }
 
-/// A live server: its address, a stats/shutdown surface, and the thread
-/// handles [`RunningServer::shutdown`] joins.
+/// A live server: its address, a stats/shutdown surface, and the acceptor
+/// thread [`RunningServer::shutdown`] joins.
 pub struct RunningServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    workers: Vec<thread::JoinHandle<()>>,
     acceptor: thread::JoinHandle<()>,
 }
 
@@ -394,22 +415,18 @@ impl RunningServer {
     }
 
     /// Gracefully shuts down: stop accepting, answer new batches
-    /// `ShuttingDown`, drain queued and in-flight batches (their responses
+    /// `ShuttingDown`, drain running and waiting batches (their responses
     /// are written), then close connections and join every thread.
     pub fn shutdown(self) -> Result<ServerStats, NetError> {
-        // Order matters. (1) Flag, closed queue, woken acceptor: nothing new
-        // is accepted or admitted, and workers drain what was admitted.
+        // Order matters. (1) Flag, closed gate, woken acceptor: nothing new
+        // is accepted or admitted.
         self.shared.begin_shutdown();
-        // (2) Workers exit once the queue is drained.
-        for worker in self.workers {
-            worker.join().map_err(|_| NetError::Io {
-                message: "a worker thread panicked".into(),
-            })?;
-        }
-        // (3) Every admitted batch has now been answered through its reply
-        // channel and written by its connection thread (writes happen on the
-        // still-open write half). Unblock readers: shut down only the READ
-        // half so an in-flight response write can still complete.
+        // (2) Admitted batches run to completion on their connection threads.
+        self.shared.gate.wait_idle();
+        // (3) Every admitted batch has now run; its connection thread writes
+        // the response on the still-open write half. Unblock readers: shut
+        // down only the READ half so an in-flight response write can still
+        // complete.
         for conn in self
             .shared
             .connections
@@ -436,8 +453,8 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Requests shutdown. The acceptor and workers begin draining; call
-    /// [`RunningServer::shutdown`] to join the threads.
+    /// Requests shutdown. The acceptor stops and the gate begins draining;
+    /// call [`RunningServer::shutdown`] to join the threads.
     pub fn request_shutdown(&self) {
         self.shared.begin_shutdown();
     }
@@ -456,23 +473,6 @@ impl ServerHandle {
     /// A snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats()
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        shared
-            .counters
-            .batches_started
-            .fetch_add(1, Ordering::Relaxed);
-        let results = shared.engine.run_batch(&job.queries);
-        shared
-            .counters
-            .batches_completed
-            .fetch_add(1, Ordering::Relaxed);
-        // A dropped receiver means the connection died mid-batch; the work
-        // is wasted but nothing else is affected.
-        job.reply.send(results).ok();
     }
 }
 
@@ -543,11 +543,10 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 shared.begin_shutdown();
                 Response::ShuttingDown
             }
-            // Runs inline on the connection thread, NOT on the worker pool:
-            // a minutes-long rebuild must not occupy a batch worker, and
-            // query traffic keeps flowing against the old version while the
-            // new one builds. One slow updater stalls only its own
-            // connection.
+            // Runs without a gate permit: a minutes-long rebuild must not
+            // hold one of the batch permits, and query traffic keeps flowing
+            // against the old version while the new one builds. One slow
+            // updater stalls only its own connection.
             Request::ApplyDeltas { artifact, deltas } => {
                 apply_deltas_response(shared, &artifact, &deltas)
             }
@@ -575,110 +574,116 @@ fn apply_deltas_response(shared: &Arc<Shared>, artifact: &str, deltas: &[EdgeDel
 }
 
 fn run_batch_response(shared: &Arc<Shared>, queries: Vec<Query>) -> Response {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return Response::ShuttingDown;
-    }
-    // Rendezvous channel: the worker parks on `send` only if this thread
-    // died between admitting and receiving, which `recv`'s error arm covers.
-    let (reply, results) = mpsc::sync_channel(1);
-    match shared.queue.try_push(Job { queries, reply }) {
-        Admission::Admitted => {
-            shared
-                .counters
-                .batches_enqueued
-                .fetch_add(1, Ordering::Relaxed);
-            match results.recv() {
-                Ok(results) => Response::Batch(results),
-                // Workers only drop a job's reply sender without sending if
-                // they exited before popping it — i.e. mid-shutdown.
-                Err(_) => Response::ShuttingDown,
-            }
+    match shared.gate.enter() {
+        Ok(_permit) => {
+            let counters = &shared.counters;
+            counters.batches_started.fetch_add(1, Ordering::Relaxed);
+            let results = shared.engine.run_batch(&queries);
+            counters.batches_completed.fetch_add(1, Ordering::Relaxed);
+            Response::Batch(results)
         }
-        Admission::Full => {
+        Err(Refusal::Full) => {
             shared
                 .counters
                 .batches_rejected
                 .fetch_add(1, Ordering::Relaxed);
             Response::Overloaded
         }
-        Admission::Closed => Response::ShuttingDown,
+        Err(Refusal::Closed) => Response::ShuttingDown,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Instant;
 
-    fn job(reply: mpsc::SyncSender<Vec<Result<QueryOutcome, CoreError>>>) -> Job {
-        Job {
-            queries: Vec::new(),
-            reply,
+    /// Spins until `count` batches wait at `gate`.
+    fn until_waiting(gate: &Gate, count: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gate.lock().waiting != count {
+            assert!(Instant::now() < deadline, "{count} waiters never arrived");
+            thread::yield_now();
+        }
+    }
+
+    /// Enters `gate` from a thread of `scope` and returns its answer, or
+    /// `None` if the entrant still waits after 10 s. A refusal is immediate;
+    /// an entrant wrongly left waiting gets its permit once the caller
+    /// releases one, so a failing test fails instead of hanging.
+    fn probe<'scope>(
+        scope: &'scope thread::Scope<'scope, '_>,
+        gate: &'scope Gate,
+    ) -> Option<Result<(), Refusal>> {
+        let (answer, answered) = mpsc::channel();
+        scope.spawn(move || answer.send(gate.enter().map(drop)).ok());
+        answered.recv_timeout(Duration::from_secs(10)).ok()
+    }
+
+    #[test]
+    fn gate_admits_up_to_its_permits() {
+        let gate = Gate::new(2, 1);
+        let first = gate.enter().expect("first permit");
+        let second = gate.enter().expect("second permit");
+        assert_eq!(gate.lock().running, 2);
+        drop(first);
+        let third = gate.enter().expect("a released permit is reused");
+        drop((second, third));
+        let state = gate.lock();
+        assert_eq!((state.running, state.waiting, state.admitted), (0, 0, 3));
+    }
+
+    #[test]
+    fn next_batch_waits_and_the_one_after_is_full() {
+        // One permit and one waiting slot, given directly and as the clamp
+        // of zero.
+        for gate in [Gate::new(1, 1), Gate::new(0, 0)] {
+            let held = gate.enter().expect("the only permit");
+            thread::scope(|scope| {
+                let waiter = scope.spawn(|| gate.enter().map(drop));
+                until_waiting(&gate, 1);
+                let refused = probe(scope, &gate);
+                drop(held);
+                assert_eq!(refused, Some(Err(Refusal::Full)));
+                assert_eq!(waiter.join().expect("waiter thread"), Ok(()));
+            });
         }
     }
 
     #[test]
-    fn queue_admits_up_to_capacity_then_rejects() {
-        let queue = BoundedQueue::new(2);
-        let (tx, _rx) = mpsc::sync_channel(1);
-        assert!(matches!(
-            queue.try_push(job(tx.clone())),
-            Admission::Admitted
-        ));
-        assert!(matches!(
-            queue.try_push(job(tx.clone())),
-            Admission::Admitted
-        ));
-        assert!(matches!(queue.try_push(job(tx.clone())), Admission::Full));
-        assert_eq!(queue.len(), 2);
-        assert!(queue.pop().is_some());
-        assert!(matches!(queue.try_push(job(tx)), Admission::Admitted));
+    fn closed_gate_turns_newcomers_away_but_runs_admitted_waiters() {
+        let gate = Gate::new(1, 2);
+        let held = gate.enter().expect("the only permit");
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.enter().map(drop));
+            until_waiting(&gate, 1);
+            gate.close();
+            let refused = probe(scope, &gate);
+            drop(held);
+            assert_eq!(refused, Some(Err(Refusal::Closed)));
+            assert_eq!(waiter.join().expect("waiter thread"), Ok(()));
+        });
+        assert_eq!(gate.lock().admitted, 2);
     }
 
     #[test]
-    fn closed_queue_rejects_pushes_and_drains_pops() {
-        let queue = BoundedQueue::new(4);
-        let (tx, _rx) = mpsc::sync_channel(1);
-        assert!(matches!(
-            queue.try_push(job(tx.clone())),
-            Admission::Admitted
-        ));
-        queue.close();
-        assert!(matches!(queue.try_push(job(tx)), Admission::Closed));
-        // The admitted job is still handed out; then pops return None.
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_none());
-        assert!(queue.pop().is_none());
-    }
-
-    #[test]
-    fn capacity_is_clamped_to_one() {
-        let queue = BoundedQueue::new(0);
-        let (tx, _rx) = mpsc::sync_channel(1);
-        assert!(matches!(
-            queue.try_push(job(tx.clone())),
-            Admission::Admitted
-        ));
-        assert!(matches!(queue.try_push(job(tx)), Admission::Full));
-    }
-
-    #[test]
-    fn pop_blocks_until_push_or_close() {
-        let queue = Arc::new(BoundedQueue::new(1));
-        let popper = {
-            let queue = Arc::clone(&queue);
-            thread::spawn(move || queue.pop().is_some())
-        };
-        thread::sleep(Duration::from_millis(20));
-        let (tx, _rx) = mpsc::sync_channel(1);
-        assert!(matches!(queue.try_push(job(tx)), Admission::Admitted));
-        assert!(popper.join().unwrap());
-
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            thread::spawn(move || queue.pop().is_none())
-        };
-        thread::sleep(Duration::from_millis(20));
-        queue.close();
-        assert!(waiter.join().unwrap());
+    fn wait_idle_returns_once_the_last_batch_leaves() {
+        let gate = Gate::new(1, 1);
+        gate.wait_idle();
+        let held = gate.enter().expect("the only permit");
+        let (left, idle) = mpsc::channel();
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.enter().map(drop));
+            until_waiting(&gate, 1);
+            scope.spawn(|| {
+                gate.wait_idle();
+                let state = gate.lock();
+                left.send(state.running + state.waiting).ok();
+            });
+            drop(held);
+            assert_eq!(waiter.join().expect("waiter thread"), Ok(()));
+            assert_eq!(idle.recv().expect("wait_idle returns"), 0);
+        });
     }
 }

@@ -1,8 +1,8 @@
 //! Backpressure and graceful-shutdown acceptance tests.
 //!
-//! A server with one worker and a pending-batch queue of capacity 1 is
-//! driven into saturation: while the worker grinds a deliberately slow
-//! batch and a second batch sits in the queue, a probe batch must be
+//! A server with one permit and room for one batch waiting for it is
+//! driven into saturation: while one batch grinds a deliberately slow
+//! request and a second batch waits for the permit, a probe batch must be
 //! answered with a **typed** `Overloaded` rejection — not a hang, not a
 //! dropped connection — and shutdown must still drain both admitted batches
 //! to completion, delivering their full responses.

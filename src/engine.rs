@@ -452,7 +452,8 @@ impl Engine {
     /// Sets the number of worker threads query batches fan out across
     /// (clamped to at least 1; the default is one per available CPU). It
     /// never affects results. `ftspan_net::Server` runs its engine at one
-    /// worker: its own worker pool parallelises across batches instead.
+    /// worker: it parallelises across batches instead, each on its own
+    /// connection thread.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
