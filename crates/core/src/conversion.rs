@@ -350,11 +350,13 @@ where
     }
 }
 
-/// `alive` and the edges of `graph` with both endpoints alive.
+/// `alive` and the edges of `graph` with both endpoints alive. `alive` is
+/// random, so the pass must not branch per edge: a short-circuit `&&` here
+/// mispredicts on about half the edges.
 fn vertex_masks(graph: &Graph, alive: Vec<bool>) -> (Vec<bool>, Vec<bool>) {
     let live = graph
         .edges()
-        .map(|(_, e)| alive[e.u.index()] && alive[e.v.index()])
+        .map(|(_, e)| alive[e.u.index()] & alive[e.v.index()])
         .collect();
     (alive, live)
 }
@@ -383,18 +385,14 @@ where
     .collect()
 }
 
-/// Adds one run's output to the union, in run order, counting the edges new
-/// to it.
+/// Adds one run's output to the union, in run order, a word at a time,
+/// counting the edges new to it.
 fn merge_iteration(
     union: &mut EdgeSet,
     edges: &EdgeSet,
     mut stats: IterationStats,
 ) -> IterationStats {
-    for parent in edges {
-        if union.insert(parent) {
-            stats.new_edges += 1;
-        }
-    }
+    stats.new_edges = union.union_with(edges);
     stats
 }
 
@@ -520,8 +518,8 @@ impl FaultTolerantConverter {
         let mut per_iteration = Vec::with_capacity(alpha);
         let mut outputs = Vec::with_capacity(alpha);
         for (i, run) in runs.into_iter().enumerate() {
-            for (v, _) in run.alive.iter().enumerate().filter(|(_, &a)| a) {
-                alive[v * words + i / 64] |= 1 << (i % 64);
+            for (v, &a) in run.alive.iter().enumerate() {
+                alive[v * words + i / 64] |= u64::from(a) << (i % 64);
             }
             for e in &run.edges {
                 counts[e.index()] += 1;

@@ -49,7 +49,7 @@ use crate::api::{FaultModel, GraphInput, Registry, SpannerRequest};
 use crate::conversion::ConversionTrace;
 use crate::serve::FtSpanner;
 use crate::{CoreError, Result};
-use ftspan_graph::{Graph, NodeId};
+use ftspan_graph::{EdgeId, Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Cow;
@@ -142,6 +142,12 @@ pub struct SequencedDelta {
 /// list), and inserted edges are appended in delta order. Edge identifiers
 /// are reassigned accordingly.
 ///
+/// The post-delta graph is patched from `base`, not rebuilt edge by edge:
+/// each delta is checked against `base.find_edge` (and against the pairs
+/// the batch itself touched before), deletions compact the edge list and
+/// renumber the adjacency lists in one pass, reweights overwrite, and
+/// insertions are appended with a sorted insert into both adjacency lists.
+///
 /// # Errors
 ///
 /// [`CoreError::InvalidParameter`] if the sequence numbers are not strictly
@@ -149,19 +155,23 @@ pub struct SequencedDelta {
 /// finite and non-negative, an insert targets an existing edge, or a delete
 /// or reweight targets a missing edge. `base` is never modified.
 pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
+    /// Where an endpoint pair the batch has already touched stands.
+    #[derive(Clone, Copy)]
+    enum Pair {
+        /// A base edge that is still present, with its new weight if the
+        /// batch reweighted it.
+        Base(EdgeId, Option<f64>),
+        /// An edge the batch inserted, by its index in `inserts`.
+        Inserted(usize),
+        /// No edge.
+        Absent,
+    }
     let n = base.node_count();
-    let mut slots: Vec<Option<(NodeId, NodeId, f64)>> = base
-        .edges()
-        .map(|(_, e)| Some((e.u, e.v, e.weight)))
-        .collect();
-    let mut index: HashMap<(usize, usize), usize> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            let (u, v, _) = slot.expect("freshly collected");
-            ((u.index(), v.index()), i)
-        })
-        .collect();
+    // Only pairs the batch touches are kept here; every other pair is looked
+    // up in `base`.
+    let mut touched: HashMap<(NodeId, NodeId), Pair> = HashMap::new();
+    let mut inserts: Vec<Option<(NodeId, NodeId, f64)>> = Vec::new();
+    let mut removed = Vec::new();
 
     let mut prev_seq = 0u64;
     for record in deltas {
@@ -188,44 +198,65 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
         if u == v {
             return Err(reject("self-loops are not allowed".to_string()));
         }
-        let key = (u.index().min(v.index()), u.index().max(v.index()));
-        let (a, b) = (NodeId::new(key.0), NodeId::new(key.1));
-        match record.delta {
-            EdgeDelta::Insert { weight, .. } => {
-                if !weight.is_finite() || weight < 0.0 {
-                    return Err(reject(format!("invalid weight {weight}")));
-                }
-                if index.contains_key(&key) {
-                    return Err(reject("edge already exists".to_string()));
-                }
-                index.insert(key, slots.len());
-                slots.push(Some((a, b, weight)));
+        let key = (u.min(v), u.max(v));
+        let pair = touched.get(&key).copied().unwrap_or_else(|| {
+            base.find_edge(key.0, key.1)
+                .map_or(Pair::Absent, |id| Pair::Base(id, None))
+        });
+        let invalid = |weight: f64| !weight.is_finite() || weight < 0.0;
+        let next = match (&record.delta, pair) {
+            (EdgeDelta::Insert { weight, .. } | EdgeDelta::Reweight { weight, .. }, _)
+                if invalid(*weight) =>
+            {
+                return Err(reject(format!("invalid weight {weight}")));
             }
-            EdgeDelta::Delete { .. } => match index.remove(&key) {
-                Some(slot) => slots[slot] = None,
-                None => return Err(reject("edge does not exist".to_string())),
-            },
-            EdgeDelta::Reweight { weight, .. } => {
-                if !weight.is_finite() || weight < 0.0 {
-                    return Err(reject(format!("invalid weight {weight}")));
-                }
-                match index.get(&key) {
-                    Some(&slot) => {
-                        slots[slot] = Some((a, b, weight));
-                    }
-                    None => return Err(reject("edge does not exist".to_string())),
-                }
+            (EdgeDelta::Insert { weight, .. }, Pair::Absent) => {
+                inserts.push(Some((key.0, key.1, *weight)));
+                Pair::Inserted(inserts.len() - 1)
             }
-        }
+            (EdgeDelta::Insert { .. }, _) => {
+                return Err(reject("edge already exists".to_string()));
+            }
+            (EdgeDelta::Delete { .. }, Pair::Base(id, _)) => {
+                removed.push(id);
+                Pair::Absent
+            }
+            (EdgeDelta::Delete { .. }, Pair::Inserted(i)) => {
+                inserts[i] = None;
+                Pair::Absent
+            }
+            (EdgeDelta::Reweight { weight, .. }, Pair::Base(id, _)) => {
+                Pair::Base(id, Some(*weight))
+            }
+            (EdgeDelta::Reweight { weight, .. }, Pair::Inserted(i)) => {
+                inserts[i] = Some((key.0, key.1, *weight));
+                pair
+            }
+            (EdgeDelta::Delete { .. } | EdgeDelta::Reweight { .. }, Pair::Absent) => {
+                return Err(reject("edge does not exist".to_string()));
+            }
+        };
+        touched.insert(key, next);
     }
 
-    let mut graph = Graph::new(n);
-    for (u, v, w) in slots.into_iter().flatten() {
+    // Deletions compact the base, reweights follow their edge to its new
+    // id, and insertions append in delta order.
+    removed.sort_unstable();
+    let mut graph = base.without_edges(&removed);
+    for (&(u, v), pair) in &touched {
+        if let Pair::Base(_, Some(weight)) = *pair {
+            let id = graph
+                .find_edge(u, v)
+                .expect("a base edge the batch did not delete survives the compaction");
+            graph
+                .set_weight(id, weight)
+                .expect("reweights were validated above");
+        }
+    }
+    for (u, v, w) in inserts.into_iter().flatten() {
         graph
             .add_edge(u, v, w)
-            .map_err(|e| CoreError::InvalidParameter {
-                message: format!("post-delta graph rejected edge ({u}, {v}): {e}"),
-            })?;
+            .expect("inserts were validated above and are absent from the graph");
     }
     Ok(graph)
 }
@@ -251,11 +282,14 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
 /// `(1 − p)²` share of the iterations (25% at `r = 1`), so a patch costs
 /// roughly a quarter of a build plus the `O(m)` copies.
 ///
-/// Measured on the 2 500-vertex road mesh of the `serve-churn` benchmark
-/// (conversion over Baswana–Sen, `r = 1`, 94 iterations, 2 workers on a
-/// 2-vCPU Xeon VM), three traced 30 s runs of seed 1: a single-edge patch
-/// takes 5.5–7.5 ms at the median and 6.7–9.4 ms at p90
-/// (`dynamic.apply_ms`), against 21.7–36.0 ms for a full build
+/// Measured on the 2 500-vertex, 5 620-edge road mesh of the `serve-churn`
+/// benchmark (conversion over Baswana–Sen, `r = 1`, 94 iterations, on a
+/// 2-vCPU Xeon VM). There `c_iter` is about 0.1 ms on one thread: about
+/// 11 µs of mask and about 90 µs of masked Baswana–Sen run. So a build is
+/// about 94 × 0.1 ms of iterations, and a single-edge patch about 23 of
+/// them plus the `O(m)` work. In one traced 30 s run of seed 1 (2 workers),
+/// a single-edge patch took 3.5 ms at the median and 4.5 ms at p90
+/// (`dynamic.apply_ms`), against 12.4 ms for a full build
 /// (`dynamic.promote_s`).
 ///
 /// The delta-volume limit stays: a batch large enough to touch every

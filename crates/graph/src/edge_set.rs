@@ -111,20 +111,24 @@ impl EdgeSet {
         }
     }
 
-    /// Adds every edge of `other` to `self` (set union in place).
+    /// Adds every edge of `other` to `self` (set union in place), a word at
+    /// a time, and returns the number of edges that were new to `self`.
     ///
     /// # Panics
     ///
     /// Panics if the two sets have different capacities.
-    pub fn union_with(&mut self, other: &EdgeSet) {
+    pub fn union_with(&mut self, other: &EdgeSet) -> usize {
         assert_eq!(
             self.capacity, other.capacity,
             "cannot union edge sets of different capacities"
         );
+        let mut added = 0;
         for (a, b) in self.blocks.iter_mut().zip(other.blocks.iter()) {
+            added += (*b & !*a).count_ones() as usize;
             *a |= *b;
         }
-        self.recount();
+        self.len += added;
+        added
     }
 
     /// Keeps only edges present in both sets (set intersection in place).
@@ -330,7 +334,9 @@ mod tests {
             b.insert(EdgeId::new(i));
         }
         let mut u = a.clone();
-        u.union_with(&b);
+        assert_eq!(u.union_with(&b), 25);
+        assert_eq!(u.len(), 75);
+        assert_eq!(u.union_with(&b), 0);
         assert_eq!(u.len(), 75);
         let mut x = a.clone();
         x.intersect_with(&b);

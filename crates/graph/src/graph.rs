@@ -298,6 +298,66 @@ impl Graph {
         Ok(id)
     }
 
+    /// Sets the length of edge `e` to `weight`.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidWeight`] if `weight` is negative or not finite;
+    /// the graph is then unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of bounds.
+    pub fn set_weight(&mut self, e: EdgeId, weight: f64) -> Result<()> {
+        if !(weight.is_finite() && weight >= 0.0) {
+            return Err(GraphError::InvalidWeight { weight });
+        }
+        self.edges[e.index()].weight = weight;
+        Ok(())
+    }
+
+    /// This graph without the edges `removed`, in `O(n + m)`: the surviving
+    /// edges keep their relative order, every later edge id moves down by
+    /// the number of removed ids below it, and every adjacency list keeps
+    /// its neighbor order with the ids renumbered in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `removed` is not strictly increasing or names an edge out
+    /// of bounds.
+    pub fn without_edges(&self, removed: &[EdgeId]) -> Graph {
+        assert!(
+            removed.windows(2).all(|w| w[0] < w[1])
+                && removed.last().is_none_or(|r| r.index() < self.edge_count()),
+            "removed edge ids must be increasing and below {}",
+            self.edge_count()
+        );
+        if removed.is_empty() {
+            return self.clone();
+        }
+        let mut edges = Vec::with_capacity(self.edges.len() - removed.len());
+        let mut from = 0;
+        for r in removed {
+            edges.extend_from_slice(&self.edges[from..r.index()]);
+            from = r.index() + 1;
+        }
+        edges.extend_from_slice(&self.edges[from..]);
+        let adj = self
+            .adj
+            .iter()
+            .map(|list| {
+                let mut kept = Vec::with_capacity(list.len());
+                kept.extend(list.iter().filter_map(|&(nbr, id)| {
+                    let below = removed.partition_point(|&r| r < id);
+                    (removed.get(below) != Some(&id))
+                        .then(|| (nbr, EdgeId::new(id.index() - below)))
+                }));
+                kept
+            })
+            .collect();
+        Graph { edges, adj }
+    }
+
     /// Returns the identifier of the edge between `u` and `v`, if present.
     ///
     /// Binary search over the smaller endpoint's sorted adjacency list:
@@ -692,6 +752,51 @@ mod tests {
             Graph::from_sorted_edges(3, [(0, 1, 1.0), (1, 0, 2.0)]),
             Err(GraphError::InvalidParameter { .. })
         ));
+    }
+
+    #[test]
+    fn without_edges_matches_a_rebuild_from_the_survivors() {
+        let edges = [
+            (0usize, 3usize, 1.0),
+            (1, 2, 2.0),
+            (0, 1, 3.0),
+            (2, 3, 4.0),
+            (1, 3, 5.0),
+            (0, 2, 6.0),
+        ];
+        let g = Graph::from_edges(4, edges).unwrap();
+        let cases: [&[usize]; 5] = [&[], &[0], &[5], &[1, 2], &[0, 2, 3, 5]];
+        for removed in cases {
+            let ids: Vec<EdgeId> = removed.iter().map(|&r| EdgeId::new(r)).collect();
+            let want = Graph::from_edges(
+                4,
+                (0..edges.len())
+                    .filter(|i| !removed.contains(i))
+                    .map(|i| edges[i]),
+            )
+            .unwrap();
+            assert_eq!(g.without_edges(&ids), want, "removed {removed:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn without_edges_rejects_unsorted_removals() {
+        path_graph(5).without_edges(&[EdgeId::new(2), EdgeId::new(1)]);
+    }
+
+    #[test]
+    fn set_weight_validates_and_keeps_the_graph_on_error() {
+        let mut g = path_graph(3);
+        g.set_weight(EdgeId::new(1), 2.5).unwrap();
+        assert_eq!(g.edge(EdgeId::new(1)).weight, 2.5);
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                g.set_weight(EdgeId::new(0), bad),
+                Err(GraphError::InvalidWeight { .. })
+            ));
+        }
+        assert_eq!(g.edge(EdgeId::new(0)).weight, 1.0);
     }
 
     #[test]

@@ -52,62 +52,59 @@ impl BaswanaSenSpanner {
         self.k
     }
 
-    /// Minimum-weight alive edge from `v` to each adjacent cluster, as
-    /// `(cluster, weight, edge)` entries written into `best`.
+    /// Scans `v`'s adjacency once. The minimum-weight alive edge from `v` to
+    /// each adjacent cluster goes into `best` as a `(cluster, weight, edge)`
+    /// entry, and every alive edge from `v` to a clustered neighbor goes into
+    /// `incident` as a `(cluster, edge)` entry, so the discard step afterwards
+    /// walks that short list instead of the adjacency again.
     ///
     /// `best` is kept sorted by cluster id, so iteration (and therefore
     /// tie-breaking among equal-weight edges) is ordered by cluster id: the
     /// construction must be a pure function of `(graph, rng state)` for the
     /// workspace's determinism guarantees, which rules out hash-ordered
     /// traversal. Among equal-weight edges into one cluster the first
-    /// incident one wins. The buffer is reused across vertices, so the
+    /// incident one wins. Both buffers are reused across vertices, so the
     /// kernel allocates nothing per vertex.
     fn neighbor_clusters(
         graph: &Graph,
         alive: &[bool],
-        cluster: &[Option<usize>],
+        cluster: &[u32],
         v: NodeId,
-        best: &mut Vec<(usize, f64, EdgeId)>,
+        best: &mut Vec<(u32, f64, EdgeId)>,
+        incident: &mut Vec<(u32, EdgeId)>,
     ) {
         best.clear();
+        incident.clear();
         for (u, eid) in graph.incident(v) {
-            if !alive[eid.index()] {
+            let c = cluster[u.index()];
+            if !alive[eid.index()] || c == UNCLUSTERED {
                 continue;
             }
-            if let Some(c) = cluster[u.index()] {
-                let w = graph.edge(eid).weight;
-                match best.binary_search_by_key(&c, |entry| entry.0) {
-                    Ok(slot) => {
-                        if w < best[slot].1 {
-                            best[slot] = (c, w, eid);
-                        }
+            incident.push((c, eid));
+            let w = graph.edge(eid).weight;
+            match best.binary_search_by_key(&c, |entry| entry.0) {
+                Ok(slot) => {
+                    if w < best[slot].1 {
+                        best[slot] = (c, w, eid);
                     }
-                    Err(slot) => best.insert(slot, (c, w, eid)),
                 }
+                Err(slot) => best.insert(slot, (c, w, eid)),
             }
         }
     }
 
-    /// Discards every alive edge between `v` and a cluster `c` for which
-    /// `drop(c)` holds.
-    fn discard_edges(
-        graph: &Graph,
-        alive: &mut [bool],
-        cluster: &[Option<usize>],
-        v: NodeId,
-        drop: impl Fn(usize) -> bool,
-    ) {
-        for (u, eid) in graph.incident(v) {
-            if alive[eid.index()] {
-                if let Some(c) = cluster[u.index()] {
-                    if drop(c) {
-                        alive[eid.index()] = false;
-                    }
-                }
+    /// Discards every edge of `incident` whose cluster `drop` selects.
+    fn discard_edges(alive: &mut [bool], incident: &[(u32, EdgeId)], drop: impl Fn(u32) -> bool) {
+        for &(c, eid) in incident {
+            if drop(c) {
+                alive[eid.index()] = false;
             }
         }
     }
 }
+
+/// The cluster id of a vertex that has left the clustering.
+const UNCLUSTERED: u32 = u32::MAX;
 
 impl SpannerAlgorithm for BaswanaSenSpanner {
     fn name(&self) -> &str {
@@ -129,12 +126,27 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
         // Dead edges start out discarded; every pass below reads only alive
         // ones.
         let mut alive = live.to_vec();
-        // cluster[v] = Some(center) while v is clustered, None once discarded.
-        let mut cluster: Vec<Option<usize>> = (0..n).map(Some).collect();
-        let mut next_cluster: Vec<Option<usize>> = vec![None; n];
+        // active[v]: v has an alive edge. Alive edges are only ever
+        // discarded, so a vertex that is not active has nothing to buy or
+        // discard for the rest of the run, and its adjacency is not scanned.
+        // On the conversion's induced subgraphs that is most vertices.
+        let mut active = vec![false; n];
+        for (eid, e) in graph.edges() {
+            active[e.u.index()] |= alive[eid.index()];
+            active[e.v.index()] |= alive[eid.index()];
+        }
+        // cluster[v] = its center while v is clustered, UNCLUSTERED once
+        // discarded. Vertex ids fit in u32 (NodeId is one), below the sentinel.
+        assert!(
+            n < UNCLUSTERED as usize,
+            "Baswana-Sen needs fewer than 2^32 - 1 vertices"
+        );
+        let mut cluster: Vec<u32> = (0..n as u32).collect();
+        let mut next_cluster = vec![UNCLUSTERED; n];
         let mut is_center = vec![false; n];
         let mut sampled = vec![false; n];
-        let mut neighbors: Vec<(usize, f64, EdgeId)> = Vec::new();
+        let mut neighbors: Vec<(u32, f64, EdgeId)> = Vec::new();
+        let mut incident: Vec<(u32, EdgeId)> = Vec::new();
 
         // Phase 1: k - 1 rounds of cluster sampling.
         for _round in 0..self.k.saturating_sub(1) {
@@ -142,30 +154,40 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
             // assigned to centers in ascending id order so the sampled set is
             // a pure function of the rng state.
             is_center.fill(false);
-            for &c in cluster.iter().flatten() {
-                is_center[c] = true;
+            for &c in cluster.iter().filter(|&&c| c != UNCLUSTERED) {
+                is_center[c as usize] = true;
             }
             for c in 0..n {
                 sampled[c] = is_center[c] && rng.gen::<f64>() < p;
             }
 
-            // Vertices of sampled clusters stay put.
-            for v in 0..n {
-                next_cluster[v] = cluster[v].filter(|&c| sampled[c]);
+            // Vertices of sampled clusters stay put; every other vertex starts
+            // out unclustered for the next round.
+            for (next, &c) in next_cluster.iter_mut().zip(&cluster) {
+                *next = if c != UNCLUSTERED && sampled[c as usize] {
+                    c
+                } else {
+                    UNCLUSTERED
+                };
             }
 
             for v_idx in 0..n {
-                let v = NodeId::new(v_idx);
-                let Some(own) = cluster[v_idx] else { continue };
-                if sampled[own] {
+                let own = cluster[v_idx];
+                if !active[v_idx] || own == UNCLUSTERED || sampled[own as usize] {
                     continue;
                 }
-                Self::neighbor_clusters(graph, &alive, &cluster, v, &mut neighbors);
+                let v = NodeId::new(v_idx);
+                Self::neighbor_clusters(graph, &alive, &cluster, v, &mut neighbors, &mut incident);
+                if incident.is_empty() {
+                    // Nothing to buy or discard, and v already leaves the
+                    // clustering.
+                    continue;
+                }
                 // Closest sampled neighbor cluster, if any (the first of
                 // equally close ones in cluster-id order).
                 let best_sampled = neighbors
                     .iter()
-                    .filter(|(c, _, _)| sampled[*c])
+                    .filter(|(c, _, _)| sampled[*c as usize])
                     .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                     .copied();
 
@@ -176,18 +198,17 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
                         for &(_c, _w, e) in &neighbors {
                             spanner.insert(e);
                         }
-                        Self::discard_edges(graph, &mut alive, &cluster, v, |_| true);
-                        next_cluster[v_idx] = None;
+                        Self::discard_edges(&mut alive, &incident, |_| true);
                     }
                     Some((c_star, w_star, e_star)) => {
                         spanner.insert(e_star);
-                        next_cluster[v_idx] = Some(c_star);
+                        next_cluster[v_idx] = c_star;
                         for &(c, w, e) in &neighbors {
                             if c != c_star && w < w_star {
                                 spanner.insert(e);
                             }
                         }
-                        let bought = |c: usize| {
+                        let bought = |c: u32| {
                             c == c_star || {
                                 let slot = neighbors
                                     .binary_search_by_key(&c, |entry| entry.0)
@@ -195,22 +216,20 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
                                 neighbors[slot].1 < w_star
                             }
                         };
-                        Self::discard_edges(graph, &mut alive, &cluster, v, bought);
+                        Self::discard_edges(&mut alive, &incident, bought);
                     }
                 }
             }
 
-            // Remove edges that became internal to a cluster.
+            // Remove edges that became internal to a cluster, and find the
+            // vertices that still have an alive edge.
+            active.fill(false);
             for (eid, e) in graph.edges() {
-                if alive[eid.index()] {
-                    if let (Some(cu), Some(cv)) =
-                        (next_cluster[e.u.index()], next_cluster[e.v.index()])
-                    {
-                        if cu == cv {
-                            alive[eid.index()] = false;
-                        }
-                    }
-                }
+                let (cu, cv) = (next_cluster[e.u.index()], next_cluster[e.v.index()]);
+                let keep = alive[eid.index()] & ((cu != cv) | (cu == UNCLUSTERED));
+                alive[eid.index()] = keep;
+                active[e.u.index()] |= keep;
+                active[e.v.index()] |= keep;
             }
 
             std::mem::swap(&mut cluster, &mut next_cluster);
@@ -218,13 +237,13 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
 
         // Phase 2: every vertex buys the cheapest edge to each remaining
         // adjacent cluster.
-        for v_idx in 0..n {
+        for v_idx in (0..n).filter(|&v| active[v]) {
             let v = NodeId::new(v_idx);
-            Self::neighbor_clusters(graph, &alive, &cluster, v, &mut neighbors);
+            Self::neighbor_clusters(graph, &alive, &cluster, v, &mut neighbors, &mut incident);
             for &(_c, _w, e) in &neighbors {
                 spanner.insert(e);
             }
-            Self::discard_edges(graph, &mut alive, &cluster, v, |_| true);
+            Self::discard_edges(&mut alive, &incident, |_| true);
         }
 
         spanner

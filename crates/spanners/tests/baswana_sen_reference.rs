@@ -10,7 +10,13 @@
 //! one coin more or less would shift every later draw. Inputs cover unit
 //! weights (ties everywhere), a few distinct weights (long tie runs) and
 //! continuous weights, at k = 1, 2 and 3.
+//!
+//! The conversion never hands the kernel a whole graph: it calls
+//! `build_masked` on the parent with a vertex-induced mask. The last test
+//! runs the reference on that subgraph materialized as a graph of its own
+//! and compares it with `build_masked` on the parent, at k = 2, 3 and 4.
 
+use ftspan_graph::stream::GeneratorSpec;
 use ftspan_graph::{generate, EdgeId, EdgeSet, Graph, NodeId};
 use ftspan_spanners::{BaswanaSenSpanner, SpannerAlgorithm};
 use proptest::prelude::*;
@@ -251,6 +257,57 @@ fn baswana_sen_matches_the_reference_on_larger_graphs() {
             for seed in 0..4 {
                 assert_matches_reference(g, k, seed)
                     .unwrap_or_else(|e| panic!("graph {i}, k = {k}, seed {seed}: {e:?}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn masked_kernel_matches_the_reference_on_the_induced_subgraph() {
+    // A planar mesh like the road networks the conversion runs on, and a
+    // unit-weight G(n, p) with ties everywhere; each vertex survives with
+    // probability 1/2, the conversion's rate at r = 1.
+    let mut rng = ChaCha8Rng::seed_from_u64(2013);
+    let mesh = GeneratorSpec::PlanarMesh {
+        rows: 16,
+        cols: 16,
+        diagonal_p: 0.4,
+        jitter: 0.25,
+        seed: 3,
+    }
+    .generate()
+    .expect("mesh parameters are valid");
+    let unit = generate::gnp(150, 0.1, generate::WeightKind::Unit, &mut rng);
+    for (name, g) in [("planar mesh", mesh), ("unit gnp", unit)] {
+        for mask in 0..4 {
+            let alive: Vec<bool> = (0..g.node_count()).map(|_| rng.gen_bool(0.5)).collect();
+            let live: Vec<bool> = g
+                .edges()
+                .map(|(_, e)| alive[e.u.index()] && alive[e.v.index()])
+                .collect();
+            // The induced subgraph on the same vertex set, edges in id order.
+            let mut sub = Graph::new(g.node_count());
+            let mut parent_id = Vec::new();
+            for (id, e) in g.edges().filter(|(id, _)| live[id.index()]) {
+                sub.add_edge(e.u, e.v, e.weight).unwrap();
+                parent_id.push(id);
+            }
+            for k in 2..=4 {
+                for seed in 0..3 {
+                    let case = format!("{name}, mask {mask}, k = {k}, seed {seed}");
+                    let mut got_rng = ChaCha8Rng::seed_from_u64(seed);
+                    let mut want_rng = ChaCha8Rng::seed_from_u64(seed);
+                    let got = BaswanaSenSpanner::new(k).build_masked(&g, &live, &mut got_rng);
+                    let want = ReferenceBaswanaSen { k }.build(&sub, &mut want_rng);
+                    let got: Vec<EdgeId> = got.iter().collect();
+                    let want: Vec<EdgeId> = want.iter().map(|e| parent_id[e.index()]).collect();
+                    assert_eq!(got, want, "{case}: edges differ");
+                    assert_eq!(
+                        got_rng.next_u64(),
+                        want_rng.next_u64(),
+                        "{case}: generator state differs"
+                    );
+                }
             }
         }
     }
